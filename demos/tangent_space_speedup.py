@@ -12,8 +12,8 @@ from rpca import benchmark_l_updates
 
 def run_demo():
     rank = 5
-    # the baseline truncates with a full LAPACK SVD up to n = 1024 and with
-    # seeded randomized subspace iteration beyond that
+    # the baseline truncates with the certified subspace iteration of
+    # rpca.kernel.svd_truncated, the same routine at every size
     print(f"single L-update wall time, rank {rank} (medians over 20 calls)\n")
     print("     n   accelerated    baseline     speedup")
     for n in (200, 500, 1000, 2000):

@@ -114,7 +114,7 @@ def _cmd_solve(args):
             "schema_version": 1,
             "kind": "solve",
             "solver": args.solver,
-            "seed": 0,  # the truncated-SVD fallback seed; solve is otherwise deterministic
+            "seed": 0,  # the truncated-SVD sketch seed; solve is otherwise deterministic
             "params": _params_dict(params),
             "input": {"path": str(args.input), "rows": m, "cols": n},
             "converged": solution.converged,

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels: thin QR, small SVD, truncated SVD, spectral norm.
 
 Every routine is a pure function of its inputs and deterministic on a given
-platform; the randomized truncated-SVD path draws from a generator seeded by
-the caller (default seed 0).
+platform; the truncated SVD starts from a sketch drawn from a generator
+seeded by the caller (default seed 0).
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import numpy as np
 from scipy.sparse.linalg import svds
 
 __all__ = [
-    "DENSE_SVD_MAX",
     "SvdResult",
     "ThinQR",
+    "TruncatedSvd",
     "ensure_matrix",
     "spectral_norm",
     "svd_small",
@@ -23,11 +23,11 @@ __all__ = [
     "thin_qr",
 ]
 
-# Full LAPACK SVD up to this min-dimension; randomized subspace iteration beyond.
-DENSE_SVD_MAX = 1024
-
-_RSVD_OVERSAMPLE = 10
-_RSVD_POWER_ITERS = 4
+_SKETCH_OVERSAMPLE = 10
+_CERTIFY_RTOL = 1e-10
+# Sweeps of subspace iteration before the dense fallback.  The residuals met
+# by the solvers on low-rank-plus-sparse problems certify in 2-6 sweeps.
+_MAX_SWEEPS = 10
 
 
 class ThinQR(NamedTuple):
@@ -39,6 +39,13 @@ class SvdResult(NamedTuple):
     U: np.ndarray      # orthonormal columns
     sigma: np.ndarray  # non-negative, descending
     V: np.ndarray      # orthonormal columns
+
+
+class TruncatedSvd(NamedTuple):
+    U: np.ndarray       # (m, r), orthonormal columns
+    sigma: np.ndarray   # (r,), non-negative, descending
+    V: np.ndarray       # (n, r), orthonormal columns
+    window: np.ndarray  # sigma, then the (r+1)-th value when r < min(m, n)
 
 
 def ensure_matrix(a, name="matrix"):
@@ -95,42 +102,53 @@ def svd_small(a):
 
 
 def svd_truncated(a, r, seed=0):
-    """Top-r singular triplets of ``a``.
+    """Top-r singular triplets of ``a``, certified to a relative residual.
 
-    Uses the full LAPACK SVD when min(a.shape) <= DENSE_SVD_MAX, and seeded
-    randomized subspace iteration (oversampling 10, 4 power iterations)
-    beyond that, so large decompositions stay reproducible without an
-    external Lanczos dependency.
+    Seeded subspace iteration (Halko, Martinsson & Tropp) on a sketch of
+    width k = min(r + 10, m, n).  Each sweep factors A^T Q = P R and takes the
+    SVD of the k x k core R^T, which gives U = Q Ub and V = P Wb with
+    A^T u_i = sigma_i v_i by construction.  The sweep stops once every
+    returned triplet also satisfies ||A v_i - sigma_i u_i|| <= 1e-10 sigma_1,
+    which makes it an exact singular triplet to that tolerance; the product
+    A P this needs starts the next sweep otherwise.  If the top r is not
+    certified within a fixed number of sweeps (a flat spectrum), the result
+    comes from the dense SVD instead.
+
+    ``window`` holds sigma followed by the (r+1)-th value when r < min(m, n):
+    the next Ritz value of the sketch, a lower bound on sigma_{r+1}, or the
+    exact value on the dense fallback.
     """
     a = ensure_matrix(a, "A")
     m, n = a.shape
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} out of range for a {m} x {n} matrix")
-    if min(m, n) <= DENSE_SVD_MAX:
-        u, s, v = svd_small(a)
-        return SvdResult(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy())
-    return _randomized_svd(a, r, seed)
-
-
-def _randomized_svd(a, r, seed):
-    m, n = a.shape
-    k = min(r + _RSVD_OVERSAMPLE, min(m, n))
+    k = min(r + _SKETCH_OVERSAMPLE, m, n)
     rng = np.random.default_rng(seed)
-    q = np.linalg.qr(a @ rng.standard_normal((n, k)), mode="reduced")[0]
-    for _ in range(_RSVD_POWER_ITERS):
-        q = np.linalg.qr(a.T @ q, mode="reduced")[0]
-        q = np.linalg.qr(a @ q, mode="reduced")[0]
-    ub, s, vb = svd_small(q.T @ a)
-    u, v = _fix_svd_signs(q @ ub[:, :r], vb[:, :r])
-    return SvdResult(u, s[:r].copy(), v)
+    q = np.linalg.qr(a @ rng.standard_normal((n, k)))[0]
+    for _ in range(_MAX_SWEEPS):
+        p, core_t = np.linalg.qr(a.T @ q)
+        ub, s, wb = svd_small(core_t.T)
+        u = q @ ub[:, :r]
+        ap = a @ p
+        residual = np.linalg.norm(ap @ wb[:, :r] - u * s[:r], axis=0)
+        if (residual <= _CERTIFY_RTOL * s[0]).all():
+            u, v = _fix_svd_signs(u, p @ wb[:, :r])
+            return TruncatedSvd(u, s[:r].copy(), v, s[: r + 1].copy())
+        q = np.linalg.qr(ap)[0]
+    u, s, v = svd_small(a)
+    return TruncatedSvd(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy(), s[: r + 1].copy())
 
 
 def spectral_norm(a):
-    """Largest singular value of ``a``."""
+    """Largest singular value of ``a``.
+
+    Lanczos (ARPACK) from a fixed seeded start vector, so the value is
+    accurate to rounding and deterministic at every size.  A matrix with a
+    single row or column, or with no nonzero entry, has the Euclidean norm
+    of its entries as its spectral norm; ARPACK cannot take either.
+    """
     a = ensure_matrix(a, "A")
-    if min(a.shape) <= DENSE_SVD_MAX:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    # Lanczos with a fixed start vector: accurate and deterministic at sizes
-    # where the full SVD is too expensive.
-    v0 = np.ones(min(a.shape))
+    if min(a.shape) == 1 or not a.any():
+        return float(np.linalg.norm(a))
+    v0 = np.random.default_rng(0).standard_normal(min(a.shape))
     return float(svds(a, k=1, v0=v0, return_singular_vectors=False)[0])

@@ -21,7 +21,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .kernel import ensure_matrix, svd_small, svd_truncated, thin_qr
+from .kernel import ensure_matrix, spectral_norm, svd_small, svd_truncated, thin_qr
 
 __all__ = [
     "ConvergenceTrace",
@@ -134,7 +134,10 @@ class IterationState:
 
     ``sigma_window`` holds the singular values (descending) of the matrix
     whose truncation produced ``low_rank``: the projected residual during the
-    main loop, the thresholded data during initialization.
+    main loop, the thresholded data during initialization.  Where that
+    truncation is :func:`svd_truncated`, the value after the first r is its
+    next Ritz value, a lower bound on sigma_{r+1}.  ``l_update_seconds`` is
+    the wall time of the truncation (0 for a state built by hand).
     """
 
     low_rank: FactoredLowRank
@@ -142,6 +145,7 @@ class IterationState:
     k: int
     zeta: float
     sigma_window: np.ndarray
+    l_update_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,7 @@ class ConvergenceTrace:
 
     records: list[IterationRecord] = field(default_factory=list)
 
-    def add(self, state, err, iter_seconds, l_update_seconds):
+    def add(self, state, err, iter_seconds):
         window = np.asarray(state.sigma_window, dtype=np.float64)
         r = state.low_rank.rank
         self.records.append(
@@ -174,7 +178,7 @@ class ConvergenceTrace:
                 sigma_r_plus_1=float(window[r]) if window.size > r else 0.0,
                 sigma_window=window.copy(),
                 iter_seconds=float(iter_seconds),
-                l_update_seconds=float(l_update_seconds),
+                l_update_seconds=float(state.l_update_seconds),
             )
         )
 
@@ -330,11 +334,11 @@ def initial_sparse_guess(d, params):
     """First thresholding pass of the initialization.
 
     Returns (S_init, zeta_init) with zeta_init = beta_init * sigma_1(D) and
-    S_init the hard thresholding of D at that level.  The top singular value
-    comes from the same truncated-SVD machinery used everywhere else.
+    S_init the hard thresholding of D at that level.  sigma_1(D) comes from
+    :func:`spectral_norm` (Lanczos): a rank-1 subspace iteration stalls when
+    the top singular values of D cluster.
     """
-    sigma_1 = float(svd_truncated(d, 1).sigma[0])
-    zeta = params.beta_init * sigma_1
+    zeta = params.beta_init * spectral_norm(d)
     return hard_threshold(d, zeta), zeta
 
 
@@ -352,16 +356,13 @@ def initialize(d, params):
     if not 1 <= params.rank <= min(m, n):
         raise ValueError(f"rank {params.rank} out of range for a {m} x {n} matrix")
     s_init, _ = initial_sparse_guess(d, params)
-    # One extra triplet so sigma_{r+1} of the initialization is on record.
-    f = svd_truncated(d - s_init, min(params.rank + 1, min(m, n)))
-    low = FactoredLowRank(
-        f.U[:, : params.rank].copy(),
-        f.sigma[: params.rank].copy(),
-        f.V[:, : params.rank].copy(),
-    )
+    t0 = perf_counter()
+    f = svd_truncated(d - s_init, params.rank)
+    l_seconds = perf_counter() - t0
+    low = FactoredLowRank.from_svd(f)
     zeta_0 = params.beta * float(f.sigma[0])
     s_0 = hard_threshold(d - low.matrix(), zeta_0)
-    return IterationState(low_rank=low, sparse=s_0, k=0, zeta=zeta_0, sigma_window=f.sigma)
+    return IterationState(low, s_0, 0, zeta_0, f.window, l_seconds)
 
 
 def _accelerated_step(state, d, params):
@@ -372,25 +373,20 @@ def _accelerated_step(state, d, params):
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
     resid = d - low.matrix()
     sparse = hard_threshold(resid, zeta)
-    state = IterationState(low, sparse, state.k + 1, zeta, window)
-    return state, resid - sparse, l_seconds
+    state = IterationState(low, sparse, state.k + 1, zeta, window, l_seconds)
+    return state, resid - sparse
 
 
 def _baseline_step(state, d, params):
     t0 = perf_counter()
-    w = d - state.sparse
-    f = svd_truncated(w, min(params.rank + 1, min(w.shape)))
-    low = FactoredLowRank(
-        f.U[:, : params.rank].copy(),
-        f.sigma[: params.rank].copy(),
-        f.V[:, : params.rank].copy(),
-    )
+    f = svd_truncated(d - state.sparse, params.rank)
+    low = FactoredLowRank.from_svd(f)
     l_seconds = perf_counter() - t0
-    zeta = threshold_value(f.sigma, params.rank, params.beta, params.gamma, state.k)
+    zeta = threshold_value(f.window, params.rank, params.beta, params.gamma, state.k)
     resid = d - low.matrix()
     sparse = hard_threshold(resid, zeta)
-    state = IterationState(low, sparse, state.k + 1, zeta, f.sigma)
-    return state, resid - sparse, l_seconds
+    state = IterationState(low, sparse, state.k + 1, zeta, f.window, l_seconds)
+    return state, resid - sparse
 
 
 def accaltproj_step(state, d, params):
@@ -410,13 +406,13 @@ def _solve(d, params, step):
     state = initialize(d, params)
     init_seconds = perf_counter() - t0
     err = float(np.linalg.norm(d - state.low_rank.matrix() - state.sparse) / d_norm)
-    trace.add(state, err, iter_seconds=init_seconds, l_update_seconds=init_seconds)
+    trace.add(state, err, iter_seconds=init_seconds)
     while err >= params.epsilon and state.k < params.max_iter:
         t0 = perf_counter()
-        state, residual, l_seconds = step(state, d, params)
+        state, residual = step(state, d, params)
         iter_seconds = perf_counter() - t0
         err = float(np.linalg.norm(residual) / d_norm)
-        trace.add(state, err, iter_seconds=iter_seconds, l_update_seconds=l_seconds)
+        trace.add(state, err, iter_seconds=iter_seconds)
     return RpcaSolution(state.low_rank, state.sparse, trace, converged=bool(err < params.epsilon))
 
 

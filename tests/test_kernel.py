@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rpca.kernel
 from rpca.kernel import (
     ensure_matrix,
     spectral_norm,
@@ -12,6 +13,30 @@ from rpca.kernel import (
 
 def frob(a):
     return np.linalg.norm(a)
+
+
+def low_rank_plus_sparse(rng, m, n, r, density=0.05, amplitude=0.1):
+    """Rank-r matrix with distinct singular values 10 > ... > 5, plus sparse noise."""
+    left = np.linalg.qr(rng.standard_normal((m, r)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    a = (left * np.linspace(10.0, 5.0, r)) @ right.T
+    support = rng.random((m, n)) < density
+    a[support] += amplitude * rng.uniform(-1.0, 1.0, size=int(support.sum()))
+    return a
+
+
+@pytest.fixture
+def svd_small_shapes(monkeypatch):
+    """Record the shape of every svd_small call made inside rpca.kernel."""
+    shapes = []
+    original = rpca.kernel.svd_small
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(rpca.kernel, "svd_small", recording)
+    return shapes
 
 
 class TestEnsureMatrix:
@@ -174,7 +199,7 @@ class TestSvdTruncated:
             svd_truncated(np.ones((4, 4)), r)
 
     def test_randomized_path(self):
-        # min(shape) > 1024 switches to seeded subspace iteration.
+        # Noisy rank-4 input: certified by the subspace iteration, no dense fallback.
         rng = np.random.default_rng(31)
         m, n, r = 1100, 1050, 4
         left = np.linalg.qr(rng.standard_normal((m, r)))[0]
@@ -189,6 +214,58 @@ class TestSvdTruncated:
         assert frob(a - (f.U * f.sigma) @ f.V.T) <= 1e-5 * frob(a)
         again = svd_truncated(a, r)
         assert np.array_equal(f.U, again.U) and np.array_equal(f.sigma, again.sigma)
+
+    @pytest.mark.parametrize("shape", [(400, 120), (120, 400), (300, 300)])
+    @pytest.mark.parametrize("r", [1, 5, 20])
+    def test_certified_triplets_match_lapack(self, shape, r, svd_small_shapes):
+        a = low_rank_plus_sparse(np.random.default_rng(37 + r), *shape, r)
+        f = svd_truncated(a, r)
+        assert shape not in svd_small_shapes  # certified, no dense fallback
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        tol = 1e-10 * s[0]
+        assert np.abs(f.sigma - s[:r]).max() <= tol
+        # same sign convention as svd_small: the columns themselves agree
+        dense = svd_small(a)
+        assert np.abs(f.U - dense.U[:, :r]).max() <= 1e-10
+        assert np.abs(f.V - dense.V[:, :r]).max() <= 1e-10
+        assert np.linalg.norm(a @ f.V - f.U * f.sigma, axis=0).max() <= tol
+        assert frob((f.U * f.sigma) @ f.V.T - (u[:, :r] * s[:r]) @ vt[:r]) <= tol
+
+    def test_flat_spectrum_takes_the_dense_fallback(self, svd_small_shapes):
+        a = np.random.default_rng(41).standard_normal((60, 50))
+        f = svd_truncated(a, 5)
+        assert (60, 50) in svd_small_shapes
+        dense = svd_small(a)
+        assert np.array_equal(f.U, dense.U[:, :5])
+        assert np.array_equal(f.sigma, dense.sigma[:5])
+        assert np.array_equal(f.V, dense.V[:, :5])
+        assert np.array_equal(f.window, dense.sigma[:6])
+
+    def test_two_calls_are_bit_identical(self):
+        a = low_rank_plus_sparse(np.random.default_rng(43), 200, 150, 5)
+        first = svd_truncated(a, 5)
+        second = svd_truncated(a, 5)
+        for x, y in zip(first, second):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("shape", [(400, 120), (120, 400), (500, 500)])
+    def test_next_ritz_value_is_a_lower_bound(self, shape):
+        # window[r] is the (r+1)-th Ritz value of the sketch, which cannot
+        # exceed sigma_{r+1}; the baseline threshold built on it sits a little low.
+        r = 5
+        a = low_rank_plus_sparse(np.random.default_rng(47), *shape, r)
+        f = svd_truncated(a, r)
+        exact = np.linalg.svd(a, compute_uv=False)
+        assert f.window.shape == (r + 1,)
+        assert np.array_equal(f.window[:r], f.sigma)
+        gap = 1.0 - f.window[r] / exact[r]
+        print(f"{shape}: sigma_(r+1) Ritz value {gap:.2%} below the exact value")
+        assert -1e-12 <= gap <= 0.1
+
+    def test_window_has_no_next_value_at_full_rank(self):
+        a = np.random.default_rng(53).standard_normal((7, 4))
+        f = svd_truncated(a, 4)
+        assert np.array_equal(f.window, f.sigma)
 
 
 class TestSpectralNorm:
@@ -214,7 +291,7 @@ class TestSpectralNorm:
             assert spectral_norm(a) == pytest.approx(svd_small(a).sigma[0], rel=1e-10)
 
     def test_large_path_matches_dense(self):
-        # min(shape) > 1024 switches to the Lanczos route
+        # Lanczos on a noisy rank-3 input of size about 1000 x 1000.
         rng = np.random.default_rng(7)
         left = np.linalg.qr(rng.standard_normal((1030, 3)))[0]
         right = np.linalg.qr(rng.standard_normal((1040, 3)))[0]
@@ -222,6 +299,15 @@ class TestSpectralNorm:
         a += 0.01 * rng.standard_normal((1030, 1040))
         expected = np.linalg.svd(a, compute_uv=False)[0]
         assert spectral_norm(a) == pytest.approx(expected, rel=1e-10)
+
+    def test_zero_matrix(self):
+        assert spectral_norm(np.zeros((5, 3))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1)])
+    def test_single_row_or_column(self, shape):
+        a = np.random.default_rng(8).standard_normal(shape)
+        expected = np.linalg.svd(a, compute_uv=False)[0]
+        assert spectral_norm(a) == pytest.approx(expected, rel=1e-12)
 
 
 class TestWeylInequality:

@@ -166,7 +166,7 @@ class TestTrim:
 
         noise = rng.standard_normal((m, n))
         noise *= (0.5 * budget) / spectral_norm(noise)
-        near = FactoredLowRank(*svd_truncated(truth + noise, r))
+        near = FactoredLowRank.from_svd(svd_truncated(truth + noise, r))
         assert spectral_norm(near.matrix() - truth) <= budget
         out = trim(near, mu)
         assert (np.linalg.norm(out.U, axis=1) <= cap + 1e-12).all()
@@ -176,7 +176,7 @@ class TestTrim:
         boosted = near.matrix()
         row = int(np.argmax(np.linalg.norm(near.U, axis=1)))
         boosted[row, :] *= 1.10
-        spiked = FactoredLowRank(*svd_truncated(boosted, r))
+        spiked = FactoredLowRank.from_svd(svd_truncated(boosted, r))
         out = trim(spiked, mu)
         assert out is not spiked
         assert (np.linalg.norm(out.U, axis=1) <= cap + 1e-12).all()
@@ -424,6 +424,16 @@ class TestInitialize:
         with pytest.raises(ValueError, match="out of range"):
             initialize(np.ones((3, 3)), params)
 
+    def test_thresholds_match_dense_oracle(self):
+        prob = generate(SyntheticSpec(300, 300, 5, 0.1, 1.0, 808))
+        d, params = prob.data, desk_params(prob, 0.1)
+        s_first, zeta_first = initial_sparse_guess(d, params)
+        sigma_d = np.linalg.svd(d, compute_uv=False)[0]
+        assert zeta_first == pytest.approx(params.beta_init * sigma_d, rel=1e-12)
+        state = initialize(d, params)
+        sigma_first = np.linalg.svd(d - s_first, compute_uv=False)[0]
+        assert state.zeta == pytest.approx(params.beta * sigma_first, rel=1e-12)
+
 
 class TestAccAltProjStep:
     def test_exact_pair_is_a_fixed_point(self):
@@ -522,7 +532,7 @@ class TestSolvers:
         prob = generate(SyntheticSpec(40, 40, 3, 0.1, 1.0, 505))
         params = desk_params(prob, 0.1)
         state = initialize(prob.data, params)
-        out, _, _ = _baseline_step(state, prob.data, params)
+        out, _ = _baseline_step(state, prob.data, params)
         w = prob.data - state.sparse
         u, s, vt = np.linalg.svd(w)
         dense = (u[:, :3] * s[:3]) @ vt[:3]
@@ -551,6 +561,12 @@ class TestSolvers:
             assert rec.sigma_r == rec.sigma_window[1]
             if rec.sigma_window.size > 2:
                 assert rec.sigma_r_plus_1 == rec.sigma_window[2]
+
+    def test_init_row_times_the_truncation_only(self):
+        prob = generate(SyntheticSpec(100, 100, 3, 0.1, 1.0, 909))
+        sol = accaltproj_solve(prob.data, desk_params(prob, 0.1))
+        init = sol.trace.records[0]
+        assert 0.0 < init.l_update_seconds < init.iter_seconds
 
     def test_zero_matrix_rejected(self):
         params = RpcaParams(rank=1, mu=1.0, beta=0.1, beta_init=0.2)
