@@ -7,94 +7,38 @@ truncated SVD per iteration).  :mod:`rpca.synthetic` draws seeded random test
 problems, :mod:`rpca.experiments` reproduces the success-rate and runtime
 protocols at desk scale, and :mod:`rpca.cli` exposes everything as the
 ``rpca`` command.
+
+The package namespace holds the entry points only; building blocks (kernels,
+projections, thresholds, the iteration state) are imported from their
+submodules, e.g. ``from rpca.solver import structured_truncate``.
 """
 
-from .kernel import (
-    SvdResult,
-    ThinQR,
-    spectral_norm,
-    svd_small,
-    svd_truncated,
-    thin_qr,
-)
-from .metrics import (
-    RECOVERY_TOL,
-    factor_incoherence,
-    incoherence_of,
-    recovery_success,
-    relative_error,
-)
-from .solver import (
-    ConvergenceTrace,
-    FactoredLowRank,
-    IterationState,
-    RpcaParams,
-    RpcaSolution,
-    accaltproj_solve,
-    accaltproj_step,
-    altproj_solve,
-    hard_threshold,
-    initial_sparse_guess,
-    initialize,
-    structured_truncate,
-    tangent_complement_project,
-    tangent_project,
-    threshold_value,
-    trim,
-)
-from .synthetic import SyntheticProblem, SyntheticSpec, generate
 from .experiments import (
     SOLVER_IDS,
-    ExperimentReport,
     PhaseConfig,
-    TrialRecord,
     benchmark_l_updates,
     paper_phase_config,
     run_phase_experiment,
     run_runtime_experiment,
-    trial_seed,
 )
+from .metrics import recovery_success
+from .solver import RpcaParams, RpcaSolution, accaltproj_solve, altproj_solve
+from .synthetic import SyntheticSpec, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RECOVERY_TOL",
     "SOLVER_IDS",
-    "ConvergenceTrace",
-    "ExperimentReport",
-    "FactoredLowRank",
-    "IterationState",
     "PhaseConfig",
     "RpcaParams",
     "RpcaSolution",
-    "SvdResult",
-    "SyntheticProblem",
     "SyntheticSpec",
-    "ThinQR",
-    "TrialRecord",
     "accaltproj_solve",
-    "accaltproj_step",
     "altproj_solve",
     "benchmark_l_updates",
-    "factor_incoherence",
     "generate",
-    "hard_threshold",
-    "incoherence_of",
-    "initial_sparse_guess",
-    "initialize",
     "paper_phase_config",
     "recovery_success",
-    "relative_error",
     "run_phase_experiment",
     "run_runtime_experiment",
-    "spectral_norm",
-    "structured_truncate",
-    "svd_small",
-    "svd_truncated",
-    "tangent_complement_project",
-    "tangent_project",
-    "thin_qr",
-    "threshold_value",
-    "trial_seed",
-    "trim",
 ]

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from time import perf_counter
 
@@ -55,19 +56,6 @@ def _output_dir(args, default):
     out = Path(args.output_dir) if args.output_dir else Path(default)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _params_dict(params):
-    return {
-        "rank": params.rank,
-        "mu": params.mu,
-        "beta": params.beta,
-        "beta_init": params.beta_init,
-        "gamma": params.gamma,
-        "epsilon": params.epsilon,
-        "max_iter": params.max_iter,
-        "trim_enabled": params.trim_enabled,
-    }
 
 
 def _cmd_solve(args):
@@ -115,7 +103,7 @@ def _cmd_solve(args):
             "kind": "solve",
             "solver": args.solver,
             "seed": 0,  # the truncated-SVD sketch seed; solve is otherwise deterministic
-            "params": _params_dict(params),
+            "params": asdict(params),
             "input": {"path": str(args.input), "rows": m, "cols": n},
             "converged": solution.converged,
             "iterations": solution.iterations,

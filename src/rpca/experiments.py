@@ -8,14 +8,14 @@ fixed (cell, trial, solver) order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
 
 from .kernel import svd_truncated
 from .metrics import recovery_success
-from .solver import RpcaParams, accaltproj_solve, altproj_solve, structured_truncate, trim, initialize
+from .solver import RpcaParams, accaltproj_solve, altproj_solve, initialize, structured_truncate, trim
 from .synthetic import SyntheticSpec, generate
 
 __all__ = [
@@ -43,11 +43,19 @@ def trial_seed(master_seed, cell_index, trial_index):
     return (int(words[0]) << 32) | int(words[1])
 
 
+def _check_solvers(solvers):
+    if not solvers:
+        raise ValueError("at least one solver is required")
+    unknown = set(solvers) - set(SOLVER_IDS)
+    if unknown:
+        raise ValueError(f"unknown solver ids: {sorted(unknown)}")
+
+
 def _run_solver(solver_id, data, params):
     if solver_id == "accaltproj_trim":
-        return accaltproj_solve(data, params.with_trim(True))
+        return accaltproj_solve(data, replace(params, trim_enabled=True))
     if solver_id == "accaltproj_notrim":
-        return accaltproj_solve(data, params.with_trim(False))
+        return accaltproj_solve(data, replace(params, trim_enabled=False))
     if solver_id == "altproj":
         return altproj_solve(data, params)
     raise ValueError(f"unknown solver id {solver_id!r}")
@@ -164,11 +172,7 @@ class PhaseConfig:
             raise ValueError("phase grid must contain at least one alpha and one amplitude")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.solvers:
-            raise ValueError("at least one solver is required")
-        unknown = set(self.solvers) - set(SOLVER_IDS)
-        if unknown:
-            raise ValueError(f"unknown solver ids: {sorted(unknown)}")
+        _check_solvers(self.solvers)
 
     @property
     def rows(self):
@@ -227,6 +231,38 @@ def _record_trial(solver_id, problem, solution, wall_seconds):
     )
 
 
+def _problem_and_params(spec, gamma=None, **overrides):
+    """Seeded problem for ``spec`` and its solver parameters.
+
+    The solvers receive 1.1x the measured ground-truth incoherence (at least
+    1); gamma follows the declared alpha unless ``gamma`` overrides it.
+    """
+    problem = generate(spec)
+    if gamma is not None:
+        overrides["gamma"] = gamma
+    params = RpcaParams.defaults(
+        problem.data.shape,
+        spec.rank,
+        mu=max(1.0, 1.1 * problem.mu_true),
+        alpha=spec.alpha,
+        **overrides,
+    )
+    return problem, params
+
+
+def _run_trials(report, specs, solvers, gamma, tol, max_iter):
+    """Solve the problem of each spec with every solver id, one record per run."""
+    _check_solvers(solvers)
+    for spec in specs:
+        problem, params = _problem_and_params(spec, gamma, epsilon=tol, max_iter=max_iter)
+        for solver_id in solvers:
+            t0 = perf_counter()
+            solution = _run_solver(solver_id, problem.data, params)
+            report.records.append(
+                _record_trial(solver_id, problem, solution, perf_counter() - t0)
+            )
+
+
 def run_phase_experiment(config):
     """Run all solver variants over the (alpha, amplitude) grid of ``config``.
 
@@ -235,28 +271,19 @@ def run_phase_experiment(config):
     """
     report = ExperimentReport(kind="phase", config=config.as_dict())
     cells = list(itertools.product(config.alphas, config.amplitudes))
-    for cell_index, (alpha, amplitude) in enumerate(cells):
-        for trial in range(config.trials):
-            seed = trial_seed(config.master_seed, cell_index, trial)
-            problem = generate(
-                SyntheticSpec(config.rows, config.n, config.rank, alpha, amplitude, seed)
-            )
-            overrides = {} if config.gamma is None else {"gamma": config.gamma}
-            params = RpcaParams.defaults(
-                problem.data.shape,
-                config.rank,
-                mu=max(1.0, 1.1 * problem.mu_true),
-                alpha=alpha,
-                epsilon=config.tol,
-                max_iter=config.max_iter,
-                **overrides,
-            )
-            for solver_id in config.solvers:
-                t0 = perf_counter()
-                solution = _run_solver(solver_id, problem.data, params)
-                report.records.append(
-                    _record_trial(solver_id, problem, solution, perf_counter() - t0)
-                )
+    specs = (
+        SyntheticSpec(
+            config.rows,
+            config.n,
+            config.rank,
+            alpha,
+            amplitude,
+            trial_seed(config.master_seed, cell_index, trial),
+        )
+        for cell_index, (alpha, amplitude) in enumerate(cells)
+        for trial in range(config.trials)
+    )
+    _run_trials(report, specs, config.solvers, config.gamma, config.tol, config.max_iter)
     return report
 
 
@@ -292,25 +319,11 @@ def run_runtime_experiment(
         "solvers": list(solvers),
     }
     report = ExperimentReport(kind="runtime", config=config)
-    overrides = {} if gamma is None else {"gamma": gamma}
-    for index, n in enumerate(sizes):
-        seed = trial_seed(master_seed, index, 0)
-        problem = generate(SyntheticSpec(n, n, rank, alpha, amplitude, seed))
-        params = RpcaParams.defaults(
-            problem.data.shape,
-            rank,
-            mu=max(1.0, 1.1 * problem.mu_true),
-            alpha=alpha,
-            epsilon=tol,
-            max_iter=max_iter,
-            **overrides,
-        )
-        for solver_id in solvers:
-            t0 = perf_counter()
-            solution = _run_solver(solver_id, problem.data, params)
-            report.records.append(
-                _record_trial(solver_id, problem, solution, perf_counter() - t0)
-            )
+    specs = (
+        SyntheticSpec(n, n, rank, alpha, amplitude, trial_seed(master_seed, index, 0))
+        for index, n in enumerate(sizes)
+    )
+    _run_trials(report, specs, solvers, gamma, tol, max_iter)
     return report
 
 
@@ -323,11 +336,8 @@ def benchmark_l_updates(n, rank, iters=20, seed=0, alpha=0.1, amplitude=1.0):
     residual (:func:`rpca.kernel.svd_truncated`).  One untimed warm-up call
     precedes each series.
     """
-    problem = generate(SyntheticSpec(n, n, rank, alpha, amplitude, seed))
-    params = RpcaParams.defaults(
-        problem.data.shape, rank, mu=max(1.0, 1.1 * problem.mu_true), alpha=alpha
-    )
-    state = initialize(problem.data, params)
+    problem, params = _problem_and_params(SyntheticSpec(n, n, rank, alpha, amplitude, seed))
+    state, _ = initialize(problem.data, params)
     w = problem.data - state.sparse
 
     structured_truncate(trim(state.low_rank, params.mu), w, rank)  # warm-up

@@ -16,7 +16,7 @@ parameter sets are frozen), so concurrent solves never share mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -31,13 +31,11 @@ __all__ = [
     "RpcaParams",
     "RpcaSolution",
     "accaltproj_solve",
-    "accaltproj_step",
     "altproj_solve",
     "hard_threshold",
     "initial_sparse_guess",
     "initialize",
     "structured_truncate",
-    "tangent_complement_project",
     "tangent_project",
     "threshold_value",
     "trim",
@@ -98,9 +96,6 @@ class RpcaParams:
         )
         values.update(overrides)
         return cls(**values)
-
-    def with_trim(self, enabled):
-        return replace(self, trim_enabled=enabled)
 
 
 @dataclass(frozen=True)
@@ -268,15 +263,6 @@ def tangent_project(low_rank, z):
     return u @ utz + ((z @ v) - u @ (utz @ v)) @ v.T
 
 
-def tangent_complement_project(low_rank, z):
-    """Project ``z`` onto the orthogonal complement of the tangent space:
-    (I - U U^T) Z (I - V V^T)."""
-    _check_conforming(low_rank, z)
-    u, v = low_rank.U, low_rank.V
-    w = z - u @ (u.T @ z)
-    return w - (w @ v) @ v.T
-
-
 def structured_truncate(low_rank, w, rank):
     """Best rank-``rank`` approximation of the tangent-space projection of ``w``.
 
@@ -330,6 +316,13 @@ def hard_threshold(z, zeta):
     return np.where(np.abs(z) > zeta, z, 0.0)
 
 
+def _sparse_update(d, low, zeta):
+    """S = H_zeta(D - L) and the residual D - L - S."""
+    resid = d - low.matrix()
+    sparse = hard_threshold(resid, zeta)
+    return sparse, resid - sparse
+
+
 def initial_sparse_guess(d, params):
     """First thresholding pass of the initialization.
 
@@ -350,66 +343,62 @@ def initialize(d, params):
     thresholds D - L_0 at beta * sigma_1(D - S_init).  Note the first loop
     threshold differs in form from the schedule used afterwards: it uses the
     top singular value only.
+
+    Returns ``(state, residual)`` like a loop step: the iteration-0 state and
+    D - L_0 - S_0.  ``d`` is validated by :func:`spectral_norm`; the solvers
+    validate it once before calling.
     """
-    d = ensure_matrix(d, "D")
-    m, n = d.shape
+    s_init, _ = initial_sparse_guess(d, params)  # validates d before the shape is read
+    m, n = np.shape(d)
     if not 1 <= params.rank <= min(m, n):
         raise ValueError(f"rank {params.rank} out of range for a {m} x {n} matrix")
-    s_init, _ = initial_sparse_guess(d, params)
     t0 = perf_counter()
     f = svd_truncated(d - s_init, params.rank)
     l_seconds = perf_counter() - t0
     low = FactoredLowRank.from_svd(f)
     zeta_0 = params.beta * float(f.sigma[0])
-    s_0 = hard_threshold(d - low.matrix(), zeta_0)
-    return IterationState(low, s_0, 0, zeta_0, f.window, l_seconds)
+    sparse, residual = _sparse_update(d, low, zeta_0)
+    return IterationState(low, sparse, 0, zeta_0, f.window, l_seconds), residual
 
 
-def _accelerated_step(state, d, params):
-    t0 = perf_counter()
+def _tangent_l_update(state, d, params):
+    # AccAltProj: trim, then truncate the tangent-space projection of D - S.
     basis = trim(state.low_rank, params.mu) if params.trim_enabled else state.low_rank
-    low, window = structured_truncate(basis, d - state.sparse, params.rank)
+    return structured_truncate(basis, d - state.sparse, params.rank)
+
+
+def _svd_l_update(state, d, params):
+    # AltProj: truncated SVD of the whole D - S.
+    f = svd_truncated(d - state.sparse, params.rank)
+    return FactoredLowRank.from_svd(f), f.window
+
+
+def _step(state, d, params, l_update):
+    """One iteration: L-update, next threshold, sparse update.
+
+    Returns ``(state, residual)`` with residual = D - L_{k+1} - S_{k+1}.
+    """
+    t0 = perf_counter()
+    low, window = l_update(state, d, params)
     l_seconds = perf_counter() - t0
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
-    resid = d - low.matrix()
-    sparse = hard_threshold(resid, zeta)
-    state = IterationState(low, sparse, state.k + 1, zeta, window, l_seconds)
-    return state, resid - sparse
+    sparse, residual = _sparse_update(d, low, zeta)
+    return IterationState(low, sparse, state.k + 1, zeta, window, l_seconds), residual
 
 
-def _baseline_step(state, d, params):
-    t0 = perf_counter()
-    f = svd_truncated(d - state.sparse, params.rank)
-    low = FactoredLowRank.from_svd(f)
-    l_seconds = perf_counter() - t0
-    zeta = threshold_value(f.window, params.rank, params.beta, params.gamma, state.k)
-    resid = d - low.matrix()
-    sparse = hard_threshold(resid, zeta)
-    state = IterationState(low, sparse, state.k + 1, zeta, f.window, l_seconds)
-    return state, resid - sparse
-
-
-def accaltproj_step(state, d, params):
-    """One accelerated iteration: trim, tangent-space truncation, re-threshold."""
-    return _accelerated_step(state, ensure_matrix(d, "D"), params)[0]
-
-
-def _solve(d, params, step):
+def _solve(d, params, l_update):
     d = ensure_matrix(d, "D")
-    if not 1 <= params.rank <= min(d.shape):
-        raise ValueError(f"rank {params.rank} out of range for a {d.shape[0]} x {d.shape[1]} matrix")
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
         raise ValueError("cannot decompose an identically zero matrix")
     trace = ConvergenceTrace()
-    t0 = perf_counter()
-    state = initialize(d, params)
-    init_seconds = perf_counter() - t0
-    err = float(np.linalg.norm(d - state.low_rank.matrix() - state.sparse) / d_norm)
-    trace.add(state, err, iter_seconds=init_seconds)
-    while err >= params.epsilon and state.k < params.max_iter:
+    state, err = None, math.inf
+    while err >= params.epsilon and (state is None or state.k < params.max_iter):
         t0 = perf_counter()
-        state, residual = step(state, d, params)
+        if state is None:
+            state, residual = initialize(d, params)
+        else:
+            state, residual = _step(state, d, params, l_update)
         iter_seconds = perf_counter() - t0
         err = float(np.linalg.norm(residual) / d_norm)
         trace.add(state, err, iter_seconds=iter_seconds)
@@ -423,7 +412,7 @@ def accaltproj_solve(d, params):
     below ``params.epsilon`` or ``params.max_iter`` iterations have run.
     Deterministic for fixed inputs.
     """
-    return _solve(d, params, _accelerated_step)
+    return _solve(d, params, _tangent_l_update)
 
 
 def altproj_solve(d, params):
@@ -434,4 +423,4 @@ def altproj_solve(d, params):
     singular values of D - S_k, with the same stopping rule as
     :func:`accaltproj_solve`.
     """
-    return _solve(d, params, _baseline_step)
+    return _solve(d, params, _svd_l_update)

@@ -150,7 +150,7 @@ def test_criterion_4_initialization_on_exact_low_rank():
             )
             s_first, _ = initial_sparse_guess(d, params)
             assert np.count_nonzero(s_first) == 0
-            state = initialize(d, params)
+            state, _ = initialize(d, params)
             assert np.count_nonzero(state.sparse) == 0
             gap = np.linalg.norm(state.low_rank.matrix() - d) / np.linalg.norm(d)
             assert gap <= 1e-12

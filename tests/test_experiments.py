@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rpca.experiments
 from rpca.experiments import (
     SOLVER_IDS,
     PhaseConfig,
@@ -116,6 +117,15 @@ class TestRuntimeExperiment:
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError, match="at least one size"):
             run_runtime_experiment([])
+
+    @pytest.mark.parametrize("solvers", [("nope",), ("accaltproj_trim", "nope"), ()])
+    def test_bad_solver_ids_rejected_before_any_solve(self, solvers, monkeypatch):
+        def no_problem(spec):
+            raise AssertionError("a problem was generated before the solver ids were checked")
+
+        monkeypatch.setattr(rpca.experiments, "generate", no_problem)
+        with pytest.raises(ValueError, match="solver"):
+            run_runtime_experiment([40], rank=2, solvers=solvers)
 
 
 class TestBenchmark:

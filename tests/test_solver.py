@@ -1,30 +1,46 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpca.kernel import spectral_norm, svd_truncated
-from rpca.metrics import factor_incoherence
+from rpca.metrics import factor_incoherence, relative_error
 from rpca.solver import (
     FactoredLowRank,
     IterationState,
     RpcaParams,
     accaltproj_solve,
-    accaltproj_step,
     altproj_solve,
     hard_threshold,
     initial_sparse_guess,
     initialize,
     structured_truncate,
-    tangent_complement_project,
     tangent_project,
     threshold_value,
     trim,
 )
-from rpca.solver import _baseline_step
+from rpca.solver import _check_conforming, _step, _svd_l_update, _tangent_l_update
 from rpca.synthetic import SyntheticSpec, generate
 
 
 def frob(a):
     return np.linalg.norm(a)
+
+
+def tangent_complement_project(low_rank, z):
+    """Oracle: projection onto the orthogonal complement of the tangent space,
+    (I - U U^T) Z (I - V V^T)."""
+    _check_conforming(low_rank, z)
+    u, v = low_rank.U, low_rank.V
+    w = z - u @ (u.T @ z)
+    return w - (w @ v) @ v.T
+
+
+def accaltproj_step(state, d, params):
+    """One accelerated iteration: trim, tangent-space truncation, re-threshold."""
+    return _step(state, d, params, _tangent_l_update)[0]
 
 
 def random_factored(rng, m, n, r, sigma=None):
@@ -33,6 +49,16 @@ def random_factored(rng, m, n, r, sigma=None):
     if sigma is None:
         sigma = np.sort(rng.random(r) * 9.0 + 1.0)[::-1]
     return FactoredLowRank(qu, np.asarray(sigma, dtype=np.float64), qv)
+
+
+@st.composite
+def truncation_cases(draw):
+    # Tall or wide (square when the extra length is 0), r <= min(m, n) / 2.
+    short = draw(st.integers(2, 24))
+    long_side = short + draw(st.integers(0, 24))
+    m, n = (long_side, short) if draw(st.booleans()) else (short, long_side)
+    r = draw(st.integers(1, short // 2))
+    return m, n, r, draw(st.integers(0, 2**32 - 1))
 
 
 def tight_example():
@@ -277,6 +303,28 @@ class TestStructuredTruncate:
             # projected residual has numerical rank at most 2r
             assert (s[2 * r :] <= 1e-10 * max(s[0], 1.0)).all()
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(truncation_cases())
+    def test_property_matches_dense_oracle(self, case):
+        m, n, r, seed = case
+        rng = np.random.default_rng(seed)
+        low = random_factored(rng, m, n, r)
+        w = rng.standard_normal((m, n))
+        out, window = structured_truncate(low, w, r)
+        projected = tangent_project(low, w)
+        s = np.linalg.svd(projected, compute_uv=False)
+        scale = max(s[0], 1.0)
+        # the 2r core values are the top of the projection's spectrum, the
+        # rest of which is numerically zero
+        assert np.allclose(window, s[: 2 * r], atol=1e-10 * scale)
+        assert (s[2 * r :] <= 1e-10 * scale).all()
+        # a best rank-r approximation (Eckart-Young), stable under close
+        # singular values where the truncated factors themselves are not
+        tail = np.sqrt(np.sum(s[r:] ** 2))
+        assert abs(frob(projected - out.matrix()) - tail) <= 1e-9 * scale
+        assert frob(out.U.T @ out.U - np.eye(r)) <= 1e-10
+        assert frob(out.V.T @ out.V - np.eye(r)) <= 1e-10
+
     def test_factor_invariants(self):
         rng = np.random.default_rng(12)
         low = random_factored(rng, 30, 22, 4)
@@ -376,7 +424,7 @@ class Hand6x6:
 class TestInitialize:
     def test_zero_matrix(self):
         params = RpcaParams(rank=1, mu=1.0, beta=0.1, beta_init=0.2)
-        state = initialize(np.zeros((4, 4)), params)
+        state, _ = initialize(np.zeros((4, 4)), params)
         assert frob(state.low_rank.matrix()) == 0.0
         assert np.array_equal(state.sparse, np.zeros((4, 4)))
         assert state.k == 0 and state.zeta == 0.0
@@ -392,7 +440,7 @@ class TestInitialize:
         )
         s_first, _ = initial_sparse_guess(d, params)
         assert np.count_nonzero(s_first) == 0
-        state = initialize(d, params)
+        state, _ = initialize(d, params)
         assert frob(state.low_rank.matrix() - d) <= 1e-12 * frob(d)
         assert np.count_nonzero(state.sparse) == 0
 
@@ -413,7 +461,7 @@ class TestInitialize:
         guess, zeta_guess = initial_sparse_guess(d, params)
         assert np.allclose(guess, s_first, atol=1e-12)
         assert zeta_guess == pytest.approx(zeta_first, rel=1e-12)
-        state = initialize(d, params)
+        state, _ = initialize(d, params)
         assert frob(state.low_rank.matrix() - l0) <= 1e-12 * frob(l0)
         assert frob(state.sparse - s0) <= 1e-12
         assert state.zeta == pytest.approx(zeta0, rel=1e-12)
@@ -424,13 +472,21 @@ class TestInitialize:
         with pytest.raises(ValueError, match="out of range"):
             initialize(np.ones((3, 3)), params)
 
+    def test_non_finite_rejected(self):
+        # a direct call, without a solver's validation in front of it
+        params = RpcaParams(rank=1, mu=1.0, beta=0.1, beta_init=0.2)
+        d = np.ones((4, 4))
+        d[1, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            initialize(d, params)
+
     def test_thresholds_match_dense_oracle(self):
         prob = generate(SyntheticSpec(300, 300, 5, 0.1, 1.0, 808))
         d, params = prob.data, desk_params(prob, 0.1)
         s_first, zeta_first = initial_sparse_guess(d, params)
         sigma_d = np.linalg.svd(d, compute_uv=False)[0]
         assert zeta_first == pytest.approx(params.beta_init * sigma_d, rel=1e-12)
-        state = initialize(d, params)
+        state, _ = initialize(d, params)
         sigma_first = np.linalg.svd(d - s_first, compute_uv=False)[0]
         assert state.zeta == pytest.approx(params.beta * sigma_first, rel=1e-12)
 
@@ -453,7 +509,7 @@ class TestAccAltProjStep:
     def test_matches_dense_oracle_pipeline(self):
         inst = Hand6x6()
         d, params = inst.data, inst.params
-        state = initialize(d, params)
+        state, _ = initialize(d, params)
 
         basis = trim(state.low_rank, params.mu)
         projected = tangent_project(basis, d - state.sparse)
@@ -472,9 +528,9 @@ class TestAccAltProjStep:
         rng = np.random.default_rng(19)
         prob = generate(SyntheticSpec(30, 30, 2, 0.05, 1.0, 77))
         params = RpcaParams.defaults(prob.data.shape, 2, mu=max(1.0, 1.1 * prob.mu_true))
-        state = initialize(prob.data, params)
+        state, _ = initialize(prob.data, params)
         with_trim = accaltproj_step(state, prob.data, params)
-        without = accaltproj_step(state, prob.data, params.with_trim(False))
+        without = accaltproj_step(state, prob.data, replace(params, trim_enabled=False))
         assert np.array_equal(with_trim.low_rank.matrix(), without.low_rank.matrix())
         assert np.array_equal(with_trim.sparse, without.sparse)
         assert with_trim.zeta == without.zeta
@@ -531,12 +587,19 @@ class TestSolvers:
     def test_baseline_l_update_is_plain_truncation(self):
         prob = generate(SyntheticSpec(40, 40, 3, 0.1, 1.0, 505))
         params = desk_params(prob, 0.1)
-        state = initialize(prob.data, params)
-        out, _ = _baseline_step(state, prob.data, params)
+        state, _ = initialize(prob.data, params)
+        out, _ = _step(state, prob.data, params, _svd_l_update)
         w = prob.data - state.sparse
         u, s, vt = np.linalg.svd(w)
         dense = (u[:, :3] * s[:3]) @ vt[:3]
         assert frob(out.low_rank.matrix() - dense) <= 1e-10 * frob(dense)
+
+    def test_final_err_is_the_relative_error_of_the_output(self):
+        prob = generate(SyntheticSpec(90, 150, 3, 0.1, 1.0, 515))
+        params = desk_params(prob, 0.1)
+        for solve in (accaltproj_solve, altproj_solve):
+            sol = solve(prob.data, params)
+            assert sol.final_err == relative_error(prob.data, sol.low_rank, sol.sparse)
 
     def test_trace_is_deterministic(self):
         prob = generate(SyntheticSpec(80, 80, 3, 0.1, 1.0, 606))
