@@ -114,9 +114,14 @@ class FactoredLowRank:
     def rank(self):
         return int(self.sigma.size)
 
-    def matrix(self):
-        """Dense reconstruction U diag(sigma) V^T."""
-        return (self.U * self.sigma) @ self.V.T
+    def matrix(self, out=None):
+        """Dense reconstruction U diag(sigma) V^T.
+
+        With ``out``, a C-contiguous float64 array of shape :attr:`shape`,
+        the product is written into it and ``out`` is returned; no m x n
+        buffer is allocated.
+        """
+        return np.matmul(self.U * self.sigma, self.V.T, out=out)
 
     @classmethod
     def from_svd(cls, svd_result):
@@ -309,18 +314,37 @@ def threshold_value(sigma_window, rank, beta, gamma, k):
 
 
 def hard_threshold(z, zeta):
-    """Keep entries with magnitude strictly above ``zeta``, zero the rest."""
+    """Keep entries with magnitude strictly above ``zeta``, zero the rest.
+
+    ``z`` must be finite.  The result is built in one new array, without a
+    mask: |z|, then 1.0 where that exceeds ``zeta`` and 0.0 elsewhere, times
+    ``z``, plus 0.0 to turn the -0.0 of dropped negative entries into +0.0.
+    On finite input that equals ``np.where(np.abs(z) > zeta, z, 0.0)`` bit
+    for bit; a NaN entry would stay NaN (0 * NaN) instead of becoming 0.
+    ``z`` is not modified.
+    """
     if zeta < 0.0:
         raise ValueError(f"threshold must be non-negative, got {zeta}")
     z = np.asarray(z, dtype=np.float64)
-    return np.where(np.abs(z) > zeta, z, 0.0)
+    out = np.abs(z)
+    np.greater(out, zeta, out=out)
+    out *= z
+    out += 0.0
+    return out
 
 
-def _sparse_update(d, low, zeta):
-    """S = H_zeta(D - L) and the residual D - L - S."""
-    resid = d - low.matrix()
-    sparse = hard_threshold(resid, zeta)
-    return sparse, resid - sparse
+def _sparse_update(d, low, zeta, work):
+    """S = H_zeta(D - L), with ``work`` left holding the residual D - L - S.
+
+    ``work`` (shape of ``d``, C-contiguous float64) receives L, then D - L,
+    then D - L - S, so S is the only m x n array allocated.  Its previous
+    contents are overwritten; ``d`` and ``low`` are only read.
+    """
+    low.matrix(out=work)
+    np.subtract(d, work, out=work)
+    sparse = hard_threshold(work, zeta)
+    work -= sparse
+    return sparse
 
 
 def initial_sparse_guess(d, params):
@@ -345,45 +369,56 @@ def initialize(d, params):
     top singular value only.
 
     Returns ``(state, residual)`` like a loop step: the iteration-0 state and
-    D - L_0 - S_0.  ``d`` is validated by :func:`spectral_norm`; the solvers
-    validate it once before calling.
+    D - L_0 - S_0.  The residual is the workspace that the first
+    :func:`_step` overwrites.  ``d`` is validated by :func:`spectral_norm`;
+    the solvers validate it once before calling.
     """
     s_init, _ = initial_sparse_guess(d, params)  # validates d before the shape is read
     m, n = np.shape(d)
     if not 1 <= params.rank <= min(m, n):
         raise ValueError(f"rank {params.rank} out of range for a {m} x {n} matrix")
     t0 = perf_counter()
-    f = svd_truncated(d - s_init, params.rank)
+    work = d - s_init
+    del s_init  # so that at most D, the workspace and one S are live
+    f = svd_truncated(work, params.rank)
     l_seconds = perf_counter() - t0
     low = FactoredLowRank.from_svd(f)
     zeta_0 = params.beta * float(f.sigma[0])
-    sparse, residual = _sparse_update(d, low, zeta_0)
-    return IterationState(low, sparse, 0, zeta_0, f.window, l_seconds), residual
+    sparse = _sparse_update(d, low, zeta_0, work)
+    return IterationState(low, sparse, 0, zeta_0, f.window, l_seconds), work
 
 
-def _tangent_l_update(state, d, params):
-    # AccAltProj: trim, then truncate the tangent-space projection of D - S.
-    basis = trim(state.low_rank, params.mu) if params.trim_enabled else state.low_rank
-    return structured_truncate(basis, d - state.sparse, params.rank)
+def _tangent_l_update(low_rank, w, params):
+    # AccAltProj: trim, then truncate the tangent-space projection of W = D - S.
+    basis = trim(low_rank, params.mu) if params.trim_enabled else low_rank
+    return structured_truncate(basis, w, params.rank)
 
 
-def _svd_l_update(state, d, params):
-    # AltProj: truncated SVD of the whole D - S.
-    f = svd_truncated(d - state.sparse, params.rank)
+def _svd_l_update(low_rank, w, params):
+    # AltProj: truncated SVD of the whole W = D - S.
+    f = svd_truncated(w, params.rank)
     return FactoredLowRank.from_svd(f), f.window
 
 
-def _step(state, d, params, l_update):
+def _step(state, d, params, l_update, work):
     """One iteration: L-update, next threshold, sparse update.
 
-    Returns ``(state, residual)`` with residual = D - L_{k+1} - S_{k+1}.
+    ``work`` is the m x n workspace (shape of ``d``, C-contiguous float64),
+    in the solvers the residual that the previous step or :func:`initialize`
+    returned.  It first receives W = D - S_k, which
+    ``l_update(low_rank, W, params)`` reads, then the sparse update.
+    ``d`` and ``state`` are only read.
+
+    Returns ``(state, residual)`` with residual = D - L_{k+1} - S_{k+1}: that
+    is ``work`` itself, which the next step overwrites.
     """
     t0 = perf_counter()
-    low, window = l_update(state, d, params)
+    np.subtract(d, state.sparse, out=work)
+    low, window = l_update(state.low_rank, work, params)
     l_seconds = perf_counter() - t0
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
-    sparse, residual = _sparse_update(d, low, zeta)
-    return IterationState(low, sparse, state.k + 1, zeta, window, l_seconds), residual
+    sparse = _sparse_update(d, low, zeta, work)
+    return IterationState(low, sparse, state.k + 1, zeta, window, l_seconds), work
 
 
 def _solve(d, params, l_update):
@@ -398,7 +433,7 @@ def _solve(d, params, l_update):
         if state is None:
             state, residual = initialize(d, params)
         else:
-            state, residual = _step(state, d, params, l_update)
+            state, residual = _step(state, d, params, l_update, residual)
         iter_seconds = perf_counter() - t0
         err = float(np.linalg.norm(residual) / d_norm)
         trace.add(state, err, iter_seconds=iter_seconds)

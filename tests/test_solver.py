@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,7 @@ def tangent_complement_project(low_rank, z):
 
 def accaltproj_step(state, d, params):
     """One accelerated iteration: trim, tangent-space truncation, re-threshold."""
-    return _step(state, d, params, _tangent_l_update)[0]
+    return _step(state, d, params, _tangent_l_update, np.empty(np.shape(d)))[0]
 
 
 def random_factored(rng, m, n, r, sigma=None):
@@ -59,6 +60,25 @@ def truncation_cases(draw):
     m, n = (long_side, short) if draw(st.booleans()) else (short, long_side)
     r = draw(st.integers(1, short // 2))
     return m, n, r, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def threshold_cases(draw):
+    # A finite matrix mixing signed zeros, subnormals, entries at exactly
+    # +/-zeta and arbitrary finite values, with zeta = 0 among the thresholds.
+    zeta = draw(
+        st.one_of(
+            st.just(0.0),
+            st.sampled_from([5e-324, 1e-310, 1.0]),
+            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        )
+    )
+    special = st.sampled_from([0.0, -0.0, zeta, -zeta, 5e-324, -5e-324, 2e-310, -2e-310])
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = draw(st.lists(st.one_of(special, finite), min_size=m * n, max_size=m * n))
+    z = np.array(values, dtype=np.float64).reshape(m, n)
+    return (z.T if draw(st.booleans()) else z), zeta
 
 
 def tight_example():
@@ -402,6 +422,18 @@ class TestHardThreshold:
         with pytest.raises(ValueError):
             hard_threshold(np.ones((2, 2)), -0.1)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(threshold_cases())
+    def test_property_matches_where_bit_for_bit(self, case):
+        z, zeta = case
+        before = z.tobytes()
+        out = hard_threshold(z, zeta)
+        expected = np.where(np.abs(z) > zeta, z, 0.0)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        assert not np.signbit(out[out == 0.0]).any()  # no -0.0
+        assert z.tobytes() == before  # input untouched
+
 
 class Hand6x6:
     """Rank-1 matrix with entries +/-1 plus two +5 spikes."""
@@ -588,7 +620,7 @@ class TestSolvers:
         prob = generate(SyntheticSpec(40, 40, 3, 0.1, 1.0, 505))
         params = desk_params(prob, 0.1)
         state, _ = initialize(prob.data, params)
-        out, _ = _step(state, prob.data, params, _svd_l_update)
+        out, _ = _step(state, prob.data, params, _svd_l_update, np.empty_like(prob.data))
         w = prob.data - state.sparse
         u, s, vt = np.linalg.svd(w)
         dense = (u[:, :3] * s[:3]) @ vt[:3]
@@ -654,6 +686,71 @@ class TestSolvers:
         assert sol.converged
         rec = frob(sol.low_rank.matrix() - prob.low_rank) / frob(prob.low_rank)
         assert rec <= 1e-4
+
+
+class TestWorkspaceReuse:
+    """The solvers reuse one m x n workspace; nothing they return may alias it."""
+
+    def setup_method(self):
+        self.prob = generate(SyntheticSpec(60, 50, 2, 0.1, 1.0, 919))
+        self.params = desk_params(self.prob, 0.1)
+
+    def test_matrix_writes_into_out(self):
+        rng = np.random.default_rng(30)
+        low = random_factored(rng, 7, 5, 2)
+        out = np.full((7, 5), np.nan)
+        assert low.matrix(out=out) is out
+        assert out.tobytes() == low.matrix().tobytes()
+
+    def test_solvers_leave_d_unchanged(self):
+        d = self.prob.data
+        before = d.tobytes()
+        for solve in (accaltproj_solve, altproj_solve):
+            sol = solve(d, self.params)
+            assert d.tobytes() == before
+            assert not np.shares_memory(sol.sparse, d)
+
+    def test_step_reads_state_and_returns_fresh_sparse(self):
+        d = self.prob.data
+        for l_update in (_tangent_l_update, _svd_l_update):
+            state, residual = initialize(d, self.params)
+            assert not np.shares_memory(state.sparse, d)
+            assert not np.shares_memory(state.sparse, residual)
+            before = state.sparse.tobytes()
+            out, again = _step(state, d, self.params, l_update, residual)
+            assert again is residual  # the workspace is the returned residual
+            assert state.sparse.tobytes() == before
+            for other in (d, state.sparse, again):
+                assert not np.shares_memory(out.sparse, other)
+            assert again.tobytes() == (d - out.low_rank.matrix() - out.sparse).tobytes()
+
+    def test_kept_state_survives_later_steps(self):
+        d = self.prob.data
+        state, residual = initialize(d, self.params)
+        state, residual = _step(state, d, self.params, _tangent_l_update, residual)
+        kept, kept_bytes = state, state.sparse.tobytes()
+        for _ in range(3):
+            state, residual = _step(state, d, self.params, _tangent_l_update, residual)
+        assert kept.sparse.tobytes() == kept_bytes
+        assert state.k == kept.k + 3
+
+    @pytest.mark.parametrize("solve", [accaltproj_solve, altproj_solve])
+    def test_peak_memory_is_three_buffers(self, solve):
+        # Above what is live at the call: the workspace, S_k and S_{k+1}.
+        prob = generate(SyntheticSpec(400, 400, 5, 0.1, 1.0, 929))
+        params = desk_params(prob, 0.1)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sol = solve(prob.data, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert sol.converged
+        assert peak <= 3.2 * prob.data.nbytes, f"peak {peak / prob.data.nbytes:.2f} buffers"
 
 
 class TestSparseSpectralBound:
