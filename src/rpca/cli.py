@@ -18,12 +18,12 @@ from pathlib import Path
 from time import perf_counter
 
 from .experiments import (
-    SOLVER_IDS,
     PhaseConfig,
     paper_phase_config,
     run_phase_experiment,
     run_runtime_experiment,
 )
+from .kernel import SKETCH_SEED
 from .matio import MatrixIOError, read_matrix, write_matrix
 from .metrics import incoherence_of
 from .solver import RpcaParams, accaltproj_solve, altproj_solve
@@ -33,8 +33,26 @@ __all__ = ["CliError", "build_parser", "main", "run"]
 
 _PAPER_BENCH_SIZES = (1000, 2500, 5000, 10000, 15000)
 
-_GRID_KEYS = {"n", "m", "rank", "alphas", "cs", "trials", "seed", "tol", "max_iter", "gamma", "solvers"}
+# Grid-file key -> (PhaseConfig field, conversion).  Keys left out of a grid
+# file take the PhaseConfig defaults.
+_GRID_KEYS = {
+    "n": ("n", int),
+    "m": ("m", int),
+    "rank": ("rank", int),
+    "alphas": ("alphas", lambda values: tuple(float(a) for a in values)),
+    "cs": ("amplitudes", lambda values: tuple(float(c) for c in values)),
+    "trials": ("trials", int),
+    "seed": ("master_seed", int),
+    "tol": ("tol", float),
+    "max_iter": ("max_iter", int),
+    "gamma": ("gamma", lambda value: None if value is None else float(value)),
+    "solvers": ("solvers", tuple),
+}
 _REQUIRED_GRID_KEYS = {"n", "rank", "alphas", "cs", "trials"}
+_ARRAY_GRID_KEYS = {"alphas", "cs", "solvers"}
+
+# The RpcaParams fields that `rpca solve` sets from a flag of the same name.
+_SOLVE_OVERRIDES = ("beta", "beta_init", "gamma", "epsilon", "max_iter")
 
 
 class CliError(Exception):
@@ -63,6 +81,12 @@ def _cmd_solve(args):
     m, n = d.shape
     if not 1 <= args.rank <= min(m, n):
         raise CliError(f"--rank {args.rank} out of range for a {m} x {n} input")
+    out_dir = _output_dir(args, Path(args.input).parent)
+    fmt = "csv" if Path(args.input).suffix.lower() == ".csv" else "bin"
+    outputs = [out_dir / f"{key}.{fmt}" for key in ("L", "S")]
+    for path in outputs:
+        if path.exists() and path.samefile(args.input):
+            raise CliError(f"{path} is the input file; choose another --output-dir")
     if args.mu is None:
         mu = incoherence_of(d, args.rank)
         print(
@@ -72,37 +96,25 @@ def _cmd_solve(args):
         )
     else:
         mu = args.mu
-    overrides = {}
-    for name in ("beta", "beta_init", "gamma"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    params = RpcaParams.defaults(
-        (m, n),
-        args.rank,
-        mu,
-        epsilon=args.eps,
-        max_iter=args.max_iter,
-        trim_enabled=not args.no_trim,
-        **overrides,
-    )
+    overrides = {
+        name: getattr(args, name) for name in _SOLVE_OVERRIDES if getattr(args, name) is not None
+    }
+    params = RpcaParams.defaults((m, n), args.rank, mu, trim_enabled=not args.no_trim, **overrides)
     solve = accaltproj_solve if args.solver == "accaltproj" else altproj_solve
 
     t0 = perf_counter()
     solution = solve(d, params)
     total_seconds = perf_counter() - t0
 
-    out_dir = _output_dir(args, Path(args.input).parent)
-    fmt = "csv" if Path(args.input).suffix.lower() == ".csv" else "bin"
-    write_matrix(solution.low_rank.matrix(), out_dir / f"L.{fmt}")
-    write_matrix(solution.sparse, out_dir / f"S.{fmt}")
+    write_matrix(solution.low_rank.matrix(), outputs[0])
+    write_matrix(solution.sparse, outputs[1])
     _write_json(
         out_dir / "trace.json",
         {
             "schema_version": 1,
             "kind": "solve",
             "solver": args.solver,
-            "seed": 0,  # the truncated-SVD sketch seed; solve is otherwise deterministic
+            "seed": SKETCH_SEED,  # the truncated-SVD sketch seed; solve is otherwise deterministic
             "params": asdict(params),
             "input": {"path": str(args.input), "rows": m, "cols": n},
             "converged": solution.converged,
@@ -144,14 +156,7 @@ def _cmd_synth(args):
             "kind": "synth",
             "seed": spec.seed,
             "rng": RNG_ID,
-            "spec": {
-                "m": spec.m,
-                "n": spec.n,
-                "rank": spec.rank,
-                "alpha": spec.alpha,
-                "amplitude": spec.amplitude,
-                "seed": spec.seed,
-            },
+            "spec": asdict(spec),
             "support_size": int(problem.support.size),
             "mu_true": problem.mu_true,
             "kappa_true": problem.kappa_true,
@@ -170,25 +175,18 @@ def _load_phase_config(path):
         raise CliError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise CliError(f"{path}: grid file must hold a JSON object")
-    unknown = sorted(set(raw) - _GRID_KEYS)
+    unknown = sorted(set(raw) - set(_GRID_KEYS))
     if unknown:
         raise CliError(f"{path}: unknown keys {unknown}")
     missing = sorted(_REQUIRED_GRID_KEYS - set(raw))
     if missing:
         raise CliError(f"{path}: missing keys {missing}")
+    not_arrays = sorted(key for key in _ARRAY_GRID_KEYS & set(raw) if not isinstance(raw[key], list))
+    if not_arrays:
+        raise CliError(f"{path}: keys {not_arrays} must be JSON arrays")
     try:
         return PhaseConfig(
-            alphas=tuple(float(a) for a in raw["alphas"]),
-            amplitudes=tuple(float(c) for c in raw["cs"]),
-            trials=int(raw["trials"]),
-            n=int(raw["n"]),
-            m=int(raw["m"]) if "m" in raw else None,
-            rank=int(raw["rank"]),
-            master_seed=int(raw.get("seed", 0)),
-            tol=float(raw.get("tol", 1e-6)),
-            max_iter=int(raw.get("max_iter", 100)),
-            gamma=float(raw["gamma"]) if raw.get("gamma") is not None else None,
-            solvers=tuple(raw.get("solvers", SOLVER_IDS)),
+            **{field: convert(raw[key]) for key, (field, convert) in _GRID_KEYS.items() if key in raw}
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from None
@@ -262,9 +260,11 @@ def build_parser():
     solve.add_argument("--mu", type=float, help="incoherence level (measured on the input if omitted)")
     solve.add_argument("--beta", type=float, help="threshold scale (default 1.1*mu*r/(2*sqrt(mn)))")
     solve.add_argument("--beta-init", type=float, help="initial threshold scale (default 2*beta)")
-    solve.add_argument("--gamma", type=float, help="threshold decay rate (default 0.5)")
-    solve.add_argument("--eps", type=float, default=1e-6, help="relative-residual stopping tolerance")
-    solve.add_argument("--max-iter", type=int, default=100, help="iteration cap")
+    solve.add_argument("--gamma", type=float, help=f"threshold decay rate (default {RpcaParams.gamma})")
+    solve.add_argument(
+        "--eps", dest="epsilon", metavar="EPS", type=float, help="relative-residual stopping tolerance"
+    )
+    solve.add_argument("--max-iter", type=int, help="iteration cap")
     solve.add_argument("--no-trim", action="store_true", help="skip the incoherence trim step")
     solve.add_argument("--solver", choices=("accaltproj", "altproj"), default="accaltproj")
     solve.add_argument("--output-dir", help="where to write L, S and trace.json (default: input directory)")

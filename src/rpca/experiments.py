@@ -13,9 +13,15 @@ from time import perf_counter
 
 import numpy as np
 
-from .kernel import svd_truncated
 from .metrics import recovery_success
-from .solver import RpcaParams, accaltproj_solve, altproj_solve, initialize, structured_truncate, trim
+from .solver import (
+    RpcaParams,
+    _svd_l_update,
+    _tangent_l_update,
+    accaltproj_solve,
+    altproj_solve,
+    initialize,
+)
 from .synthetic import SyntheticSpec, generate
 
 __all__ = [
@@ -35,6 +41,13 @@ SOLVER_IDS = ("accaltproj_trim", "accaltproj_notrim", "altproj")
 # Per-iteration timing summaries skip the initialization row and the first
 # loop iteration (warm-up); wall clocks are monotonic (perf_counter).
 _TIMING_SKIP = 2
+
+# Problems and stopping rule of the runtime harnesses (run_runtime_experiment
+# and benchmark_l_updates).
+_RUNTIME_ALPHA = 0.1
+_RUNTIME_AMPLITUDE = 1.0
+_RUNTIME_TOL = 1e-4
+_RUNTIME_MAX_ITER = 100
 
 
 def trial_seed(master_seed, cell_index, trial_index):
@@ -147,7 +160,7 @@ class PhaseConfig:
     """Grid specification for a phase-transition experiment.
 
     ``gamma`` overrides the threshold decay rate for every cell; leave it
-    None to follow the declared-alpha policy (0.5, or 0.65 at alpha >= 0.55),
+    None to follow the declared-alpha policy of :meth:`RpcaParams.defaults`,
     which matches the published full-scale protocol.  Desk-scale grids
     (n of a few hundred) need the slower gamma = 0.7: the error of the
     low-rank update contracts more slowly on small problems, and a faster
@@ -222,7 +235,7 @@ def _record_trial(solver_id, problem, solution, wall_seconds):
         iterations=solution.iterations,
         final_err=solution.final_err,
         converged=solution.converged,
-        success=recovery_success(problem.low_rank, solution.low_rank.matrix()),
+        success=recovery_success(problem.low_rank, solution.low_rank),
         wall_seconds=float(wall_seconds),
         mean_iter_seconds=mean_iter,
         mean_l_update_seconds=mean_l,
@@ -287,22 +300,13 @@ def run_phase_experiment(config):
     return report
 
 
-def run_runtime_experiment(
-    sizes,
-    rank=5,
-    alpha=0.1,
-    amplitude=1.0,
-    master_seed=0,
-    tol=1e-4,
-    max_iter=100,
-    gamma=None,
-    solvers=SOLVER_IDS,
-):
+def run_runtime_experiment(sizes, rank=5, master_seed=0, gamma=None, solvers=SOLVER_IDS):
     """Wall-time comparison across problem sizes (square, one trial per size).
 
-    The solvers stop at a relative residual of ``tol``; per-iteration
-    L-update timings are kept in each record so the per-iteration advantage
-    of the accelerated update is measurable separately from totals.
+    The corrupted fraction, the amplitude and the stopping rule are fixed
+    (the report's ``config`` block records them); per-iteration L-update
+    timings are kept in each record so the per-iteration advantage of the
+    accelerated update is measurable separately from totals.
     """
     sizes = list(sizes)
     if not sizes:
@@ -310,58 +314,46 @@ def run_runtime_experiment(
     config = {
         "sizes": sizes,
         "rank": rank,
-        "alpha": alpha,
-        "amplitude": amplitude,
+        "alpha": _RUNTIME_ALPHA,
+        "amplitude": _RUNTIME_AMPLITUDE,
         "master_seed": master_seed,
-        "tol": tol,
-        "max_iter": max_iter,
+        "tol": _RUNTIME_TOL,
+        "max_iter": _RUNTIME_MAX_ITER,
         "gamma": gamma,
         "solvers": list(solvers),
     }
     report = ExperimentReport(kind="runtime", config=config)
     specs = (
-        SyntheticSpec(n, n, rank, alpha, amplitude, trial_seed(master_seed, index, 0))
+        SyntheticSpec(n, n, rank, _RUNTIME_ALPHA, _RUNTIME_AMPLITUDE, trial_seed(master_seed, index, 0))
         for index, n in enumerate(sizes)
     )
-    _run_trials(report, specs, solvers, gamma, tol, max_iter)
+    _run_trials(report, specs, solvers, gamma, _RUNTIME_TOL, _RUNTIME_MAX_ITER)
     return report
 
 
-def benchmark_l_updates(n, rank, iters=20, seed=0, alpha=0.1, amplitude=1.0):
+def benchmark_l_updates(n, rank, iters=20, seed=0):
     """Mean wall seconds of a single L-update, accelerated vs baseline.
 
-    Both updates run on the same residual D - S_0 of a seeded synthetic
-    problem: the accelerated path times trim plus the factored tangent-space
-    truncation, the baseline times the certified truncated SVD of the whole
+    Both of the solvers' L-updates run on the same residual D - S_0 of a
+    seeded synthetic problem (the runtime harness's corrupted fraction and
+    amplitude): the accelerated one is trim plus the factored tangent-space
+    truncation, the baseline the certified truncated SVD of the whole
     residual (:func:`rpca.kernel.svd_truncated`).  One untimed warm-up call
     precedes each series.
     """
-    problem, params = _problem_and_params(SyntheticSpec(n, n, rank, alpha, amplitude, seed))
+    spec = SyntheticSpec(n, n, rank, _RUNTIME_ALPHA, _RUNTIME_AMPLITUDE, seed)
+    problem, params = _problem_and_params(spec)
     state, _ = initialize(problem.data, params)
     w = problem.data - state.sparse
-
-    structured_truncate(trim(state.low_rank, params.mu), w, rank)  # warm-up
-    accelerated = []
-    for _ in range(iters):
-        t0 = perf_counter()
-        structured_truncate(trim(state.low_rank, params.mu), w, rank)
-        accelerated.append(perf_counter() - t0)
-
-    svd_truncated(w, rank)  # warm-up
-    baseline = []
-    for _ in range(iters):
-        t0 = perf_counter()
-        svd_truncated(w, rank)
-        baseline.append(perf_counter() - t0)
-
-    return {
-        "n": n,
-        "rank": rank,
-        "iters": iters,
-        "seed": seed,
-        "accelerated_mean_seconds": float(np.mean(accelerated)),
-        "baseline_mean_seconds": float(np.mean(baseline)),
+    out = {"n": n, "rank": rank, "iters": iters, "seed": seed}
+    for name, l_update in (("accelerated", _tangent_l_update), ("baseline", _svd_l_update)):
+        l_update(state.low_rank, w, params)  # warm-up
+        seconds = []
+        for _ in range(iters):
+            t0 = perf_counter()
+            l_update(state.low_rank, w, params)
+            seconds.append(perf_counter() - t0)
+        out[f"{name}_mean_seconds"] = float(np.mean(seconds))
         # medians are robust to scheduler/GC spikes on millisecond timings
-        "accelerated_median_seconds": float(np.median(accelerated)),
-        "baseline_median_seconds": float(np.median(baseline)),
-    }
+        out[f"{name}_median_seconds"] = float(np.median(seconds))
+    return out

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels: thin QR, small SVD, truncated SVD, spectral norm.
 
 Every routine is a pure function of its inputs and deterministic on a given
-platform; the truncated SVD starts from a sketch drawn from a generator
-seeded by the caller (default seed 0).
+platform; the truncated SVD starts from a sketch drawn from a generator with
+the fixed seed ``SKETCH_SEED``, which the caller does not choose.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numpy as np
 from scipy.sparse.linalg import svds
 
 __all__ = [
+    "SKETCH_SEED",
     "SvdResult",
     "ThinQR",
     "TruncatedSvd",
@@ -23,6 +24,7 @@ __all__ = [
     "thin_qr",
 ]
 
+SKETCH_SEED = 0
 _SKETCH_OVERSAMPLE = 10
 _CERTIFY_RTOL = 1e-10
 # Sweeps of subspace iteration before the dense fallback.  The residuals met
@@ -48,6 +50,12 @@ class TruncatedSvd(NamedTuple):
     window: np.ndarray  # sigma, then the (r+1)-th value when r < min(m, n)
 
 
+def _all_finite(a):
+    # min and max propagate NaN and reach any infinity; unlike
+    # np.isfinite(a).all() they allocate no temporary the size of ``a``.
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def ensure_matrix(a, name="matrix"):
     """Validate ``a`` as a non-empty finite real matrix; return float64, row-major."""
     out = np.ascontiguousarray(a, dtype=np.float64)
@@ -55,7 +63,7 @@ def ensure_matrix(a, name="matrix"):
         raise ValueError(f"{name} must be 2-dimensional, got shape {out.shape}")
     if out.size == 0:
         raise ValueError(f"{name} must be non-empty, got shape {out.shape}")
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -101,7 +109,7 @@ def svd_small(a):
     return SvdResult(u, s, v)
 
 
-def svd_truncated(a, r, seed=0):
+def svd_truncated(a, r):
     """Top-r singular triplets of ``a``, certified to a relative residual.
 
     Seeded subspace iteration (Halko, Martinsson & Tropp) on a sketch of
@@ -123,7 +131,7 @@ def svd_truncated(a, r, seed=0):
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} out of range for a {m} x {n} matrix")
     k = min(r + _SKETCH_OVERSAMPLE, m, n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SKETCH_SEED)
     q = np.linalg.qr(a @ rng.standard_normal((n, k)))[0]
     for _ in range(_MAX_SWEEPS):
         p, core_t = np.linalg.qr(a.T @ q)

@@ -3,17 +3,19 @@
 Binary layout (little-endian): magic ``RPCM``, version u16 = 1, rows u64,
 cols u64, then rows x cols float64 values in row-major order.  CSV files hold
 one row per line with comma-separated decimals printed at 17 significant
-digits, which round-trips float64 exactly.
+digits, which round-trips float64 exactly.  The file suffix, ``.bin`` or
+``.csv``, selects the format.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .kernel import ensure_matrix
+from .kernel import _all_finite, ensure_matrix
 
 __all__ = [
     "MAGIC",
@@ -47,31 +49,25 @@ class NonFiniteValuesError(MatrixIOError):
     """The file parses but contains NaN or infinite entries."""
 
 
-def _format_of(path, fmt):
-    if fmt is not None:
-        if fmt not in ("bin", "csv"):
-            raise ValueError(f"unknown matrix format {fmt!r}")
-        return fmt
+def _format_of(path):
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
         return "csv"
     if suffix == ".bin":
         return "bin"
-    raise ValueError(f"cannot infer matrix format from {path!r}; pass fmt='bin' or 'csv'")
+    raise ValueError(f"cannot infer matrix format from {path!r}; use a .bin or .csv suffix")
 
 
-def write_matrix(a, path, fmt=None):
-    """Write ``a`` to ``path``; the format is inferred from the suffix unless given.
+def write_matrix(a, path):
+    """Write ``a`` to ``path`` in the format its suffix names (.bin or .csv).
 
     Binary round-trips are bitwise exact.  Empty matrices are rejected.
     """
     a = ensure_matrix(a)
-    fmt = _format_of(path, fmt)
-    path = Path(path)
-    if fmt == "bin":
+    if _format_of(path) == "bin":
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, a.shape[0], a.shape[1]))
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(a, dtype="<f8").data)  # no copy on little-endian hosts
         return
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for row in a:
@@ -79,33 +75,35 @@ def write_matrix(a, path, fmt=None):
             fh.write("\n")
 
 
-def read_matrix(path, fmt=None):
-    """Read a matrix written by :func:`write_matrix`."""
-    fmt = _format_of(path, fmt)
-    if fmt == "bin":
+def read_matrix(path):
+    """Read a matrix written by :func:`write_matrix`; the suffix names the format."""
+    if _format_of(path) == "bin":
         return _read_bin(Path(path))
     return _read_csv(Path(path))
 
 
 def _read_bin(path):
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise MalformedHeaderError(f"{path}: file shorter than the {_HEADER.size}-byte header")
-    magic, version, rows, cols = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise MalformedHeaderError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise MalformedHeaderError(f"{path}: unsupported version {version}")
-    if rows == 0 or cols == 0:
-        raise MalformedHeaderError(f"{path}: empty matrix ({rows} x {cols})")
-    expected = _HEADER.size + 8 * rows * cols
-    if len(raw) != expected:
-        raise MalformedHeaderError(
-            f"{path}: payload holds {len(raw) - _HEADER.size} bytes, header promises {expected - _HEADER.size}"
-        )
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    out = values.reshape(rows, cols).astype(np.float64)
-    if not np.isfinite(out).all():
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise MalformedHeaderError(f"{path}: file shorter than the {_HEADER.size}-byte header")
+        magic, version, rows, cols = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise MalformedHeaderError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise MalformedHeaderError(f"{path}: unsupported version {version}")
+        if rows == 0 or cols == 0:
+            raise MalformedHeaderError(f"{path}: empty matrix ({rows} x {cols})")
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload != 8 * rows * cols:  # checked before the payload is allocated
+            raise MalformedHeaderError(
+                f"{path}: payload holds {payload} bytes, header promises {8 * rows * cols}"
+            )
+        out = np.empty((rows, cols), dtype="<f8")
+        if fh.readinto(out.data) != payload:
+            raise MalformedHeaderError(f"{path}: payload shorter than {payload} bytes")
+    out = out.astype(np.float64, copy=False)  # no copy on little-endian hosts
+    if not _all_finite(out):
         raise NonFiniteValuesError(f"{path}: non-finite entries")
     return out
 
@@ -130,6 +128,6 @@ def _read_csv(path):
     if not rows:
         raise MatrixIOError(f"{path}: empty matrix file")
     out = np.array(rows, dtype=np.float64)
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise NonFiniteValuesError(f"{path}: non-finite entries")
     return out

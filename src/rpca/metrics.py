@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import ensure_matrix, svd_truncated
+from .kernel import svd_truncated
 
 __all__ = [
     "RECOVERY_TOL",
@@ -56,7 +56,6 @@ def factor_incoherence(u, v):
 
 def incoherence_of(l, rank):
     """Incoherence of ``l`` measured on its rank-``rank`` SVD factors."""
-    l = ensure_matrix(l, "L")
     f = svd_truncated(l, rank)
     if f.sigma[0] == 0.0:
         raise ValueError("incoherence is undefined for a zero matrix")

@@ -81,19 +81,15 @@ class RpcaParams:
         """Parameter set from the standard experimental choices.
 
         beta = 1.1 mu r / (2 sqrt(mn)) and beta_init = 1.1 mu r / sqrt(mn).
-        gamma is 0.5, switched to 0.65 when the caller declares a sparsity
-        fraction alpha >= 0.55; it is never auto-detected.  Any field can be
-        overridden by keyword.
+        gamma keeps its field default, switched to 0.65 when the caller
+        declares a sparsity fraction alpha >= 0.55; it is never auto-detected.
+        Any field can be overridden by keyword.
         """
         m, n = shape
         scale = 1.1 * mu * rank / math.sqrt(m * n)
-        values = dict(
-            rank=rank,
-            mu=mu,
-            beta=scale / 2.0,
-            beta_init=scale,
-            gamma=0.65 if (alpha is not None and alpha >= 0.55) else 0.5,
-        )
+        values = dict(rank=rank, mu=mu, beta=scale / 2.0, beta_init=scale)
+        if alpha is not None and alpha >= 0.55:
+            values["gamma"] = 0.65
         values.update(overrides)
         return cls(**values)
 
@@ -182,9 +178,6 @@ class ConvergenceTrace:
             )
         )
 
-    def __len__(self):
-        return len(self.records)
-
     def errors(self):
         return np.array([rec.err for rec in self.records])
 
@@ -268,23 +261,20 @@ def tangent_project(low_rank, z):
     return u @ utz + ((z @ v) - u @ (utz @ v)) @ v.T
 
 
-def structured_truncate(low_rank, w, rank):
-    """Best rank-``rank`` approximation of the tangent-space projection of ``w``.
+def structured_truncate(low_rank, w):
+    """Best rank-r approximation of the tangent-space projection of ``w``.
 
-    The projection of ``w`` at the basis (U, V) factors as [U Q1] M [V Q2]^T
-    with M a 2r x 2r core built from two thin QR factorizations, so the
-    truncation reduces to a small SVD; the projected matrix is never formed
-    densely.  Returns the truncated factorization together with all 2r
-    singular values of the core (descending), which drive the threshold
-    schedule.
+    r is the rank of ``low_rank``.  The projection of ``w`` at the basis
+    (U, V) factors as [U Q1] M [V Q2]^T with M a 2r x 2r core built from two
+    thin QR factorizations, so the truncation reduces to a small SVD; the
+    projected matrix is never formed densely.  Returns the truncated
+    factorization together with all 2r singular values of the core
+    (descending), which drive the threshold schedule.
     """
     w = np.asarray(w)
     _check_conforming(low_rank, w)
     u, v = low_rank.U, low_rank.V
-    m, n = low_rank.shape
     r = low_rank.rank
-    if not 1 <= rank <= min(m, n) or rank > 2 * r:
-        raise ValueError(f"rank {rank} out of range for a {m} x {n} projection of width {2 * r}")
     utw = u.T @ w
     wv = w @ v
     utwv = utw @ v
@@ -295,9 +285,9 @@ def structured_truncate(low_rank, w, rank):
     core[:r, r:] = r2.T
     core[r:, :r] = r1
     um, sigma, vm = svd_small(core)
-    left = np.hstack([u, q1]) @ um[:, :rank]
-    right = np.hstack([v, q2]) @ vm[:, :rank]
-    return FactoredLowRank(left, sigma[:rank].copy(), right), sigma
+    left = np.hstack([u, q1]) @ um[:, :r]
+    right = np.hstack([v, q2]) @ vm[:, :r]
+    return FactoredLowRank(left, sigma[:r].copy(), right), sigma
 
 
 def threshold_value(sigma_window, rank, beta, gamma, k):
@@ -370,28 +360,26 @@ def initialize(d, params):
 
     Returns ``(state, residual)`` like a loop step: the iteration-0 state and
     D - L_0 - S_0.  The residual is the workspace that the first
-    :func:`_step` overwrites.  ``d`` is validated by :func:`spectral_norm`;
-    the solvers validate it once before calling.
+    :func:`_step` overwrites.  ``d`` is validated by :func:`spectral_norm`
+    and the rank by :func:`svd_truncated`; the solvers validate ``d`` once
+    before calling.
     """
-    s_init, _ = initial_sparse_guess(d, params)  # validates d before the shape is read
-    m, n = np.shape(d)
-    if not 1 <= params.rank <= min(m, n):
-        raise ValueError(f"rank {params.rank} out of range for a {m} x {n} matrix")
+    s_init, _ = initial_sparse_guess(d, params)
     t0 = perf_counter()
     work = d - s_init
     del s_init  # so that at most D, the workspace and one S are live
-    f = svd_truncated(work, params.rank)
+    # L_0 is an AltProj L-update of D - S_init; it needs no previous estimate.
+    low, window = _svd_l_update(None, work, params)
     l_seconds = perf_counter() - t0
-    low = FactoredLowRank.from_svd(f)
-    zeta_0 = params.beta * float(f.sigma[0])
+    zeta_0 = params.beta * float(low.sigma[0])
     sparse = _sparse_update(d, low, zeta_0, work)
-    return IterationState(low, sparse, 0, zeta_0, f.window, l_seconds), work
+    return IterationState(low, sparse, 0, zeta_0, window, l_seconds), work
 
 
 def _tangent_l_update(low_rank, w, params):
     # AccAltProj: trim, then truncate the tangent-space projection of W = D - S.
     basis = trim(low_rank, params.mu) if params.trim_enabled else low_rank
-    return structured_truncate(basis, w, params.rank)
+    return structured_truncate(basis, w)
 
 
 def _svd_l_update(low_rank, w, params):

@@ -82,7 +82,7 @@ def test_criterion_1_structured_truncation_matches_dense_oracle():
             r = int(rng.integers(1, 6))
             low = random_factored(rng, int(m), int(n), r)
             w = rng.standard_normal((int(m), int(n)))
-            out, _ = structured_truncate(low, w, r)
+            out, _ = structured_truncate(low, w)
             projected = tangent_project(low, w)
             u, s, vt = np.linalg.svd(projected)
             dense = (u[:, :r] * s[:r]) @ vt[:r]

@@ -1,11 +1,13 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from rpca.cli import main
+from rpca.experiments import PhaseConfig
 from rpca.matio import read_matrix, write_matrix
-from rpca.solver import threshold_value
+from rpca.solver import RpcaParams, threshold_value
 from rpca.synthetic import SyntheticSpec, generate
 
 
@@ -117,6 +119,25 @@ class TestSolveCommand:
         code = main(["solve", "--input", str(tmp_path / "nope.bin"), "--rank", "2"])
         assert code == 1
 
+    def test_unset_flags_take_the_params_defaults(self, tmp_path):
+        out = run_synth(tmp_path, n=40, rank=2, seed=3)
+        code = main(["solve", "--input", str(out / "D.bin"), "--rank", "2", "--mu", "2"])
+        assert code in (0, 2)
+        params = json.loads((out / "trace.json").read_text())["params"]
+        assert params == asdict(RpcaParams.defaults((40, 40), 2, 2.0))
+
+    @pytest.mark.parametrize("name, fmt", [("L", "bin"), ("S", "bin"), ("S", "csv")])
+    @pytest.mark.parametrize("explicit_dir", [False, True])
+    def test_refuses_to_overwrite_its_input(self, tmp_path, capsys, name, fmt, explicit_dir):
+        out = run_synth(tmp_path, n=40, rank=2, seed=3, fmt=fmt)
+        source = out / f"{name}.{fmt}"
+        before = source.read_bytes()
+        argv = ["solve", "--input", str(source), "--rank", "2"]
+        code = main(argv + (["--output-dir", str(out)] if explicit_dir else []))
+        assert code == 1
+        assert "is the input file" in capsys.readouterr().err
+        assert source.read_bytes() == before
+
     def test_csv_input_writes_csv_outputs(self, tmp_path):
         rng = np.random.default_rng(2)
         low = rng.standard_normal((30, 2)) @ rng.standard_normal((30, 2)).T
@@ -170,6 +191,24 @@ class TestPhaseCommand:
         path.write_text(json.dumps({"n": 20}))
         assert main(["phase", "--grid", str(path), "--output-dir", str(tmp_path)]) == 1
         assert "missing keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("cs", "15"), ("alphas", "0"), ("solvers", "altproj"), ("alphas", 0.1)]
+    )
+    def test_non_array_values_exit_one(self, tmp_path, capsys, key, value):
+        grid = write_grid(tmp_path, **{key: value})
+        assert main(["phase", "--grid", str(grid), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"['{key}'] must be JSON arrays" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_omitted_keys_take_the_config_defaults(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"n": 20, "rank": 1, "alphas": [0.0], "cs": [1.0], "trials": 1}))
+        assert main(["phase", "--grid", str(path), "--output-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        expected = PhaseConfig(alphas=(0.0,), amplitudes=(1.0,), trials=1, n=20, rank=1)
+        assert report["config"] == expected.as_dict()
 
     def test_grid_or_paper_required(self, tmp_path, capsys):
         assert main(["phase", "--output-dir", str(tmp_path)]) == 1

@@ -1,7 +1,11 @@
 import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpca.matio import (
     MAGIC,
@@ -128,11 +132,63 @@ class TestFormatSelection:
         a = np.ones((2, 2))
         with pytest.raises(ValueError, match="infer"):
             write_matrix(a, tmp_path / "m.dat")
-        write_matrix(a, tmp_path / "m.dat", fmt="bin")
-        assert np.array_equal(read_matrix(tmp_path / "m.dat", fmt="bin"), a)
 
     def test_format_mismatch_is_detected(self, tmp_path):
         path = tmp_path / "m.csv"
         write_matrix(np.ones((2, 2)), path)
+        path = path.rename(tmp_path / "m.bin")  # CSV text behind a .bin suffix
         with pytest.raises(MalformedHeaderError):
-            read_matrix(path, fmt="bin")
+            read_matrix(path)
+
+
+MAX = sys.float_info.max
+
+
+@st.composite
+def matrices(draw):
+    # 1 x 1 to 6 x 6, so 1 x n and n x 1 too, with signed zeros, subnormals
+    # and the largest finite magnitudes among ordinary values.
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2e-310, -2e-310, MAX, -MAX])
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = draw(st.lists(st.one_of(special, finite), min_size=m * n, max_size=m * n))
+    return np.array(values, dtype=np.float64).reshape(m, n)
+
+
+@pytest.mark.parametrize("suffix", ["bin", "csv"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a=matrices())
+def test_roundtrip_property(tmp_path_factory, suffix, a):
+    path = tmp_path_factory.getbasetemp() / f"property.{suffix}"
+    write_matrix(a, path)
+    back = read_matrix(path)
+    # bytes, because np.array_equal does not see the sign of -0.0
+    assert back.dtype == np.float64 and back.shape == a.shape
+    assert back.tobytes() == a.tobytes()
+
+
+def _peak_buffers(fn, nbytes):
+    """tracemalloc peak of ``fn()`` above what was live at the call, in buffers."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / nbytes
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class TestBinaryMemory:
+    def test_write_makes_no_full_size_copy(self, tmp_path):
+        a = np.random.default_rng(3).standard_normal((400, 400))
+        peak = _peak_buffers(lambda: write_matrix(a, tmp_path / "a.bin"), a.nbytes)
+        assert peak <= 0.1, f"peak {peak:.2f} buffers"
+
+    def test_read_allocates_the_matrix_once(self, tmp_path):
+        a = np.random.default_rng(4).standard_normal((400, 400))
+        write_matrix(a, tmp_path / "a.bin")
+        peak = _peak_buffers(lambda: read_matrix(tmp_path / "a.bin"), a.nbytes)
+        assert peak <= 1.1, f"peak {peak:.2f} buffers"

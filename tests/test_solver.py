@@ -301,7 +301,7 @@ class TestStructuredTruncate:
     def test_fixed_point_of_own_basis(self):
         rng = np.random.default_rng(10)
         low = random_factored(rng, 14, 11, 3, sigma=[7.0, 4.0, 2.0])
-        out, window = structured_truncate(low, low.matrix(), 3)
+        out, window = structured_truncate(low, low.matrix())
         assert frob(out.matrix() - low.matrix()) <= 1e-12 * frob(low.matrix())
         assert np.allclose(window[:3], [7.0, 4.0, 2.0], atol=1e-10)
         assert np.allclose(window[3:], 0.0, atol=1e-10)
@@ -313,7 +313,7 @@ class TestStructuredTruncate:
             r = int(rng.integers(1, min(5, min(m, n) // 2) + 1))
             low = random_factored(rng, m, n, r)
             w = rng.standard_normal((m, n))
-            out, window = structured_truncate(low, w, r)
+            out, window = structured_truncate(low, w)
             projected = tangent_project(low, w)
             u, s, vt = np.linalg.svd(projected)
             dense = (u[:, :r] * s[:r]) @ vt[:r]
@@ -330,7 +330,7 @@ class TestStructuredTruncate:
         rng = np.random.default_rng(seed)
         low = random_factored(rng, m, n, r)
         w = rng.standard_normal((m, n))
-        out, window = structured_truncate(low, w, r)
+        out, window = structured_truncate(low, w)
         projected = tangent_project(low, w)
         s = np.linalg.svd(projected, compute_uv=False)
         scale = max(s[0], 1.0)
@@ -349,25 +349,16 @@ class TestStructuredTruncate:
         rng = np.random.default_rng(12)
         low = random_factored(rng, 30, 22, 4)
         w = rng.standard_normal((30, 22))
-        out, window = structured_truncate(low, w, 4)
+        out, window = structured_truncate(low, w)
         assert frob(out.U.T @ out.U - np.eye(4)) <= 1e-10
         assert frob(out.V.T @ out.V - np.eye(4)) <= 1e-10
         assert (np.diff(window) <= 1e-12 * window[0]).all()
-
-    def test_rank_out_of_range(self):
-        rng = np.random.default_rng(13)
-        low = random_factored(rng, 8, 8, 2)
-        w = np.ones((8, 8))
-        with pytest.raises(ValueError, match="out of range"):
-            structured_truncate(low, w, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            structured_truncate(low, w, 5)  # wider than the 2r = 4 core
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(14)
         low = random_factored(rng, 8, 8, 2)
         with pytest.raises(ValueError, match="shape"):
-            structured_truncate(low, np.ones((8, 7)), 2)
+            structured_truncate(low, np.ones((8, 7)))
 
 
 class TestThresholdValue:
