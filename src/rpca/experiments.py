@@ -334,24 +334,24 @@ def run_runtime_experiment(sizes, rank=5, master_seed=0, gamma=None, solvers=SOL
 def benchmark_l_updates(n, rank, iters=20, seed=0):
     """Mean wall seconds of a single L-update, accelerated vs baseline.
 
-    Both of the solvers' L-updates run on the same residual D - S_0 of a
-    seeded synthetic problem (the runtime harness's corrupted fraction and
-    amplitude): the accelerated one is trim plus the factored tangent-space
-    truncation, the baseline the certified truncated SVD of the whole
-    residual (:func:`rpca.kernel.svd_truncated`).  One untimed warm-up call
-    precedes each series.
+    Both of the solvers' L-updates run, as the solvers call them, on the
+    same D and S_0 of a seeded synthetic problem (the runtime harness's
+    corrupted fraction and amplitude): the accelerated one is trim, one
+    row-tiled pass over D - S_0 and the factored tangent-space truncation,
+    the baseline forms D - S_0 and takes its certified truncated SVD
+    (:func:`rpca.kernel.svd_truncated`).  One untimed warm-up call precedes
+    each series.
     """
     spec = SyntheticSpec(n, n, rank, _RUNTIME_ALPHA, _RUNTIME_AMPLITUDE, seed)
     problem, params = _problem_and_params(spec)
     state, _ = initialize(problem.data, params)
-    w = problem.data - state.sparse
     out = {"n": n, "rank": rank, "iters": iters, "seed": seed}
     for name, l_update in (("accelerated", _tangent_l_update), ("baseline", _svd_l_update)):
-        l_update(state.low_rank, w, params)  # warm-up
+        l_update(state.low_rank, problem.data, state.sparse, params)  # warm-up
         seconds = []
         for _ in range(iters):
             t0 = perf_counter()
-            l_update(state.low_rank, w, params)
+            l_update(state.low_rank, problem.data, state.sparse, params)
             seconds.append(perf_counter() - t0)
         out[f"{name}_mean_seconds"] = float(np.mean(seconds))
         # medians are robust to scheduler/GC spikes on millisecond timings

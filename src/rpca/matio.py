@@ -109,25 +109,29 @@ def _read_bin(path):
 
 
 def _read_csv(path):
-    rows = []
-    width = None
+    # Each line becomes a float64 row as it is read.  The rows go into one
+    # array that doubles when full and is cut to size at the end, both by
+    # resizing in place (realloc), so the peak is at most about 2 buffers.
+    out, rows = None, 0
     with open(path, "r", encoding="ascii") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
+            fields = line.rstrip("\r\n").split(",")
+            if out is None:
+                out = np.empty((1, len(fields)))
+            elif len(fields) != out.shape[1]:
                 raise RaggedRowsError(
-                    f"{path}: row {line_no} has {len(fields)} fields, expected {width}"
+                    f"{path}: row {line_no} has {len(fields)} fields, expected {out.shape[1]}"
                 )
+            if rows == out.shape[0]:
+                out.resize((2 * rows, out.shape[1]), refcheck=False)  # no views of out exist
             try:
-                rows.append([float(f) for f in fields])
+                out[rows] = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
             except ValueError:
                 raise MatrixIOError(f"{path}: unparseable value in row {line_no}") from None
-    if not rows:
+            rows += 1
+    if out is None:
         raise MatrixIOError(f"{path}: empty matrix file")
-    out = np.array(rows, dtype=np.float64)
+    out.resize((rows, out.shape[1]), refcheck=False)
     if not _all_finite(out):
         raise NonFiniteValuesError(f"{path}: non-finite entries")
     return out

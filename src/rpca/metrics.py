@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import svd_truncated
+from .solver import FactoredLowRank, _residual_norm
 
 __all__ = [
     "RECOVERY_TOL",
@@ -24,12 +25,20 @@ def _dense(a):
 
 
 def relative_error(d, low_rank, sparse):
-    """Relative residual ||D - L - S||_F / ||D||_F."""
+    """Relative residual ||D - L - S||_F / ||D||_F.
+
+    A factored L goes through the row-tiled pass that gives the solvers
+    their stopping metric, so a solution's ``final_err`` is exactly the
+    relative error of its output; a dense L is subtracted whole.
+    """
     d = np.asarray(d, dtype=np.float64)
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
         raise ValueError("relative error is undefined for an identically zero matrix")
-    return float(np.linalg.norm(d - _dense(low_rank) - _dense(sparse)) / d_norm)
+    sparse = _dense(sparse)
+    if isinstance(low_rank, FactoredLowRank):
+        return float(_residual_norm(d, low_rank, sparse) / d_norm)
+    return float(np.linalg.norm(d - _dense(low_rank) - sparse) / d_norm)
 
 
 def recovery_success(l_true, l_estimate, tol=RECOVERY_TOL):

@@ -9,6 +9,14 @@ part is updated by entrywise hard thresholding with a geometrically decaying
 threshold.  A plain alternating-projections baseline (full truncated SVD per
 iteration) is provided for comparison.
 
+Each half-iteration reads the m x n operands in one pass over row tiles, so
+no m x n workspace is kept: the L-update of the accelerated solver gathers
+U^T (D - S_k) and (D - S_k) V tile by tile, and the shared sparse update
+builds L_{k+1}, D - L_{k+1}, S_{k+1} and the residual norm tile by tile.  An
+iteration allocates S_{k+1} and tiles; a solve peaks at D plus 2 buffers
+(S_k and S_{k+1}), or, for the baseline, D plus S_k and the D - S_k its SVD
+reads.
+
 All solver entry points are pure functions of their arguments (states and
 parameter sets are frozen), so concurrent solves never share mutable state.
 """
@@ -23,6 +31,13 @@ import numpy as np
 
 from .kernel import ensure_matrix, spectral_norm, svd_small, svd_truncated, thin_qr
 
+# A pass over an m x n operand goes in row tiles of about 1/_TILES of its
+# rows, so that a tile adds little to the peak memory, clamped to between
+# 64 KiB of float64 (below which the per-tile overhead shows) and 256 KiB
+# (above which the tiles a pass touches drop out of cache).
+_TILES = 16
+_TILE_BYTES = (64 * 1024, 256 * 1024)
+
 __all__ = [
     "ConvergenceTrace",
     "FactoredLowRank",
@@ -36,7 +51,6 @@ __all__ = [
     "initial_sparse_guess",
     "initialize",
     "structured_truncate",
-    "tangent_project",
     "threshold_value",
     "trim",
 ]
@@ -110,14 +124,9 @@ class FactoredLowRank:
     def rank(self):
         return int(self.sigma.size)
 
-    def matrix(self, out=None):
-        """Dense reconstruction U diag(sigma) V^T.
-
-        With ``out``, a C-contiguous float64 array of shape :attr:`shape`,
-        the product is written into it and ``out`` is returned; no m x n
-        buffer is allocated.
-        """
-        return np.matmul(self.U * self.sigma, self.V.T, out=out)
+    def matrix(self):
+        """Dense reconstruction U diag(sigma) V^T."""
+        return (self.U * self.sigma) @ self.V.T
 
     @classmethod
     def from_svd(cls, svd_result):
@@ -241,42 +250,38 @@ def trim(low_rank, mu):
     return FactoredLowRank(qa @ core.U, core.sigma, qb @ core.V)
 
 
-def _check_conforming(low_rank, z):
-    if z.shape != low_rank.shape:
+def _row_tiles(shape, floor=1):
+    """Row slices that cover an m x n matrix in order; the last may be shorter.
+
+    A tile is ceil(m / ``_TILES``) rows, clamped to ``_TILE_BYTES``, then
+    raised to at least ``floor`` rows and cut to at most m.
+    """
+    m, n = shape
+    fewest, most = (size // (8 * n) for size in _TILE_BYTES)
+    rows = min(max(-(-m // _TILES), fewest), most)
+    rows = min(max(rows, floor, 1), m)
+    return [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
+
+
+def structured_truncate(low_rank, utw, wv):
+    """Best rank-r approximation of the tangent-space projection of a matrix W.
+
+    r is the rank of ``low_rank``.  W enters only through ``utw`` = U^T W
+    (r x n) and ``wv`` = W V (m x r), taken with the factors of
+    ``low_rank``.  The projection of W at the basis (U, V) factors as
+    [U Q1] M [V Q2]^T with M a 2r x 2r core built from two thin QR
+    factorizations, so the truncation reduces to a small SVD; neither W nor
+    its projection is formed.  Returns the truncated factorization together
+    with all 2r singular values of the core (descending), which drive the
+    threshold schedule.
+    """
+    u, v = low_rank.U, low_rank.V
+    (m, n), r = low_rank.shape, low_rank.rank
+    if np.shape(utw) != (r, n) or np.shape(wv) != (m, r):
         raise ValueError(
-            f"matrix shape {z.shape} does not match factorization shape {low_rank.shape}"
+            f"product shapes {np.shape(utw)} and {np.shape(wv)} do not match "
+            f"a rank-{r} factorization of shape {low_rank.shape}"
         )
-
-
-def tangent_project(low_rank, z):
-    """Project ``z`` onto the tangent space of the rank-r manifold at ``low_rank``.
-
-    Dense reference form U U^T Z + Z V V^T - U U^T Z V V^T, intended for
-    tests and small problems; the solver itself uses the factored route in
-    :func:`structured_truncate`.
-    """
-    _check_conforming(low_rank, z)
-    u, v = low_rank.U, low_rank.V
-    utz = u.T @ z
-    return u @ utz + ((z @ v) - u @ (utz @ v)) @ v.T
-
-
-def structured_truncate(low_rank, w):
-    """Best rank-r approximation of the tangent-space projection of ``w``.
-
-    r is the rank of ``low_rank``.  The projection of ``w`` at the basis
-    (U, V) factors as [U Q1] M [V Q2]^T with M a 2r x 2r core built from two
-    thin QR factorizations, so the truncation reduces to a small SVD; the
-    projected matrix is never formed densely.  Returns the truncated
-    factorization together with all 2r singular values of the core
-    (descending), which drive the threshold schedule.
-    """
-    w = np.asarray(w)
-    _check_conforming(low_rank, w)
-    u, v = low_rank.U, low_rank.V
-    r = low_rank.rank
-    utw = u.T @ w
-    wv = w @ v
     utwv = utw @ v
     q1, r1 = thin_qr(wv - u @ utwv)
     q2, r2 = thin_qr(utw.T - v @ utwv.T)
@@ -303,38 +308,63 @@ def threshold_value(sigma_window, rank, beta, gamma, k):
     return float(beta * (sigma_r_plus_1 + gamma ** (k + 1) * sigma_1))
 
 
-def hard_threshold(z, zeta):
+def hard_threshold(z, zeta, out=None):
     """Keep entries with magnitude strictly above ``zeta``, zero the rest.
 
-    ``z`` must be finite.  The result is built in one new array, without a
-    mask: |z|, then 1.0 where that exceeds ``zeta`` and 0.0 elsewhere, times
-    ``z``, plus 0.0 to turn the -0.0 of dropped negative entries into +0.0.
-    On finite input that equals ``np.where(np.abs(z) > zeta, z, 0.0)`` bit
-    for bit; a NaN entry would stay NaN (0 * NaN) instead of becoming 0.
-    ``z`` is not modified.
+    ``z`` must be finite.  The result is built in ``out``, a new array when
+    it is None, without a mask: |z|, then 1.0 where that exceeds ``zeta``
+    and 0.0 elsewhere, times ``z``, plus 0.0 to turn the -0.0 of dropped
+    negative entries into +0.0.  On finite input that equals
+    ``np.where(np.abs(z) > zeta, z, 0.0)`` bit for bit; a NaN entry would
+    stay NaN (0 * NaN) instead of becoming 0.  A given ``out`` must be a
+    float64 array of the shape of ``z`` that shares no memory with it.
+    ``z`` is not modified; the result is returned.
     """
     if zeta < 0.0:
         raise ValueError(f"threshold must be non-negative, got {zeta}")
     z = np.asarray(z, dtype=np.float64)
-    out = np.abs(z)
+    if out is None:
+        out = np.empty_like(z)
+    elif out.shape != z.shape or out.dtype != np.float64 or np.shares_memory(out, z):
+        raise ValueError("out must be a float64 array of the shape of z that does not overlap it")
+    np.abs(z, out=out)
     np.greater(out, zeta, out=out)
     out *= z
     out += 0.0
     return out
 
 
-def _sparse_update(d, low, zeta, work):
-    """S = H_zeta(D - L), with ``work`` left holding the residual D - L - S.
+def _residual_norm(d, low, sparse, zeta=None):
+    """||D - L - S||_F with L = ``low``, in one pass over row tiles of D.
 
-    ``work`` (shape of ``d``, C-contiguous float64) receives L, then D - L,
-    then D - L - S, so S is the only m x n array allocated.  Its previous
-    contents are overwritten; ``d`` and ``low`` are only read.
+    Each tile of L is formed from the factors, subtracted from D, and, with
+    ``zeta``, thresholded into the same rows of ``sparse`` (the sparse
+    update); then S is subtracted and the squares are summed.  Without
+    ``zeta``, ``sparse`` is only read.  One tile buffer is allocated.
     """
-    low.matrix(out=work)
-    np.subtract(d, work, out=work)
-    sparse = hard_threshold(work, zeta)
-    work -= sparse
-    return sparse
+    us, vt = low.U * low.sigma, low.V.T
+    tiles = _row_tiles(d.shape)
+    buf = np.empty((tiles[0].stop, d.shape[1]))
+    total = 0.0
+    for t in tiles:
+        residual = np.matmul(us[t], vt, out=buf[: t.stop - t.start])
+        np.subtract(d[t], residual, out=residual)
+        if zeta is not None:
+            hard_threshold(residual, zeta, out=sparse[t])
+        residual -= sparse[t]
+        flat = residual.ravel()
+        total += float(flat @ flat)
+    return math.sqrt(total)
+
+
+def _sparse_update(d, low, zeta):
+    """S = H_zeta(D - L) and ||D - L - S||_F, from one pass over row tiles.
+
+    S is the only m x n array allocated; ``d`` and ``low`` are only read.
+    """
+    sparse = np.empty(d.shape)
+    residual_norm = _residual_norm(d, low, sparse, zeta)
+    return sparse, residual_norm
 
 
 def initial_sparse_guess(d, params):
@@ -358,55 +388,70 @@ def initialize(d, params):
     threshold differs in form from the schedule used afterwards: it uses the
     top singular value only.
 
-    Returns ``(state, residual)`` like a loop step: the iteration-0 state and
-    D - L_0 - S_0.  The residual is the workspace that the first
-    :func:`_step` overwrites.  ``d`` is validated by :func:`spectral_norm`
-    and the rank by :func:`svd_truncated`; the solvers validate ``d`` once
-    before calling.
+    Returns ``(state, residual_norm)`` like a loop step: the iteration-0
+    state and ||D - L_0 - S_0||_F.  ``d`` is validated by
+    :func:`spectral_norm` and the rank by :func:`svd_truncated`; the solvers
+    validate ``d`` once before calling.
     """
-    s_init, _ = initial_sparse_guess(d, params)
+    w, _ = initial_sparse_guess(d, params)
     t0 = perf_counter()
-    work = d - s_init
-    del s_init  # so that at most D, the workspace and one S are live
-    # L_0 is an AltProj L-update of D - S_init; it needs no previous estimate.
-    low, window = _svd_l_update(None, work, params)
-    l_seconds = perf_counter() - t0
-    zeta_0 = params.beta * float(low.sigma[0])
-    sparse = _sparse_update(d, low, zeta_0, work)
-    return IterationState(low, sparse, 0, zeta_0, window, l_seconds), work
-
-
-def _tangent_l_update(low_rank, w, params):
-    # AccAltProj: trim, then truncate the tangent-space projection of W = D - S.
-    basis = trim(low_rank, params.mu) if params.trim_enabled else low_rank
-    return structured_truncate(basis, w)
-
-
-def _svd_l_update(low_rank, w, params):
-    # AltProj: truncated SVD of the whole W = D - S.
+    np.subtract(d, w, out=w)  # W = D - S_init, in the buffer of S_init
+    # L_0 is the truncated SVD of W, as in AltProj; there is no previous
+    # estimate to project at.
     f = svd_truncated(w, params.rank)
+    low, window = FactoredLowRank.from_svd(f), f.window
+    l_seconds = perf_counter() - t0
+    del w  # so that S_0 is the only m x n array beside D from here on
+    zeta_0 = params.beta * float(low.sigma[0])
+    sparse, residual_norm = _sparse_update(d, low, zeta_0)
+    return IterationState(low, sparse, 0, zeta_0, window, l_seconds), residual_norm
+
+
+def _tangent_l_update(low_rank, d, sparse, params):
+    """AccAltProj: trim, then truncate the tangent-space projection of W = D - S.
+
+    U^T W and W V are summed over row tiles, so W is never formed.  A tile
+    is at least 4r rows high: U_t^T W_t has the tile height as its inner
+    dimension, and BLAS runs such a product poorly when that is small next
+    to r.
+    """
+    basis = trim(low_rank, params.mu) if params.trim_enabled else low_rank
+    u, v = basis.U, basis.V
+    r, n = basis.rank, d.shape[1]
+    tiles = _row_tiles(d.shape, floor=4 * r)
+    buf = np.empty((tiles[0].stop, n))
+    utw = np.zeros((r, n))
+    wv = np.empty((d.shape[0], r))
+    for t in tiles:
+        w = np.subtract(d[t], sparse[t], out=buf[: t.stop - t.start])
+        utw += u[t].T @ w
+        np.matmul(w, v, out=wv[t])
+    return structured_truncate(basis, utw, wv)
+
+
+def _svd_l_update(low_rank, d, sparse, params):
+    # AltProj: truncated SVD of the whole W = D - S, formed in a temporary
+    # that is freed on return.
+    f = svd_truncated(d - sparse, params.rank)
     return FactoredLowRank.from_svd(f), f.window
 
 
-def _step(state, d, params, l_update, work):
+def _step(state, d, params, l_update):
     """One iteration: L-update, next threshold, sparse update.
 
-    ``work`` is the m x n workspace (shape of ``d``, C-contiguous float64),
-    in the solvers the residual that the previous step or :func:`initialize`
-    returned.  It first receives W = D - S_k, which
-    ``l_update(low_rank, W, params)`` reads, then the sparse update.
-    ``d`` and ``state`` are only read.
+    ``l_update(low_rank, D, S_k, params)`` returns the next low-rank
+    iterate and its singular-value window from W = D - S_k.  ``d`` and
+    ``state`` are only read.
 
-    Returns ``(state, residual)`` with residual = D - L_{k+1} - S_{k+1}: that
-    is ``work`` itself, which the next step overwrites.
+    Returns ``(state, residual_norm)`` with residual_norm =
+    ||D - L_{k+1} - S_{k+1}||_F.
     """
     t0 = perf_counter()
-    np.subtract(d, state.sparse, out=work)
-    low, window = l_update(state.low_rank, work, params)
+    low, window = l_update(state.low_rank, d, state.sparse, params)
     l_seconds = perf_counter() - t0
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
-    sparse = _sparse_update(d, low, zeta, work)
-    return IterationState(low, sparse, state.k + 1, zeta, window, l_seconds), work
+    sparse, residual_norm = _sparse_update(d, low, zeta)
+    return IterationState(low, sparse, state.k + 1, zeta, window, l_seconds), residual_norm
 
 
 def _solve(d, params, l_update):
@@ -419,11 +464,11 @@ def _solve(d, params, l_update):
     while err >= params.epsilon and (state is None or state.k < params.max_iter):
         t0 = perf_counter()
         if state is None:
-            state, residual = initialize(d, params)
+            state, residual_norm = initialize(d, params)
         else:
-            state, residual = _step(state, d, params, l_update, residual)
+            state, residual_norm = _step(state, d, params, l_update)
         iter_seconds = perf_counter() - t0
-        err = float(np.linalg.norm(residual) / d_norm)
+        err = residual_norm / d_norm
         trace.add(state, err, iter_seconds=iter_seconds)
     return RpcaSolution(state.low_rank, state.sparse, trace, converged=bool(err < params.epsilon))
 

@@ -192,3 +192,12 @@ class TestBinaryMemory:
         write_matrix(a, tmp_path / "a.bin")
         peak = _peak_buffers(lambda: read_matrix(tmp_path / "a.bin"), a.nbytes)
         assert peak <= 1.1, f"peak {peak:.2f} buffers"
+
+
+class TestCsvMemory:
+    def test_read_converts_rows_as_it_reads(self, tmp_path):
+        # the float64 rows and the matrix stacked from them, not Python floats
+        a = np.random.default_rng(5).standard_normal((400, 400))
+        write_matrix(a, tmp_path / "a.csv")
+        peak = _peak_buffers(lambda: read_matrix(tmp_path / "a.csv"), a.nbytes)
+        assert peak <= 2.1, f"peak {peak:.2f} buffers"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpca.solver
 from rpca.kernel import spectral_norm, svd_truncated
 from rpca.metrics import factor_incoherence, relative_error
 from rpca.solver import (
@@ -18,11 +19,10 @@ from rpca.solver import (
     initial_sparse_guess,
     initialize,
     structured_truncate,
-    tangent_project,
     threshold_value,
     trim,
 )
-from rpca.solver import _check_conforming, _step, _svd_l_update, _tangent_l_update
+from rpca.solver import _residual_norm, _row_tiles, _step, _svd_l_update, _tangent_l_update
 from rpca.synthetic import SyntheticSpec, generate
 
 
@@ -30,18 +30,56 @@ def frob(a):
     return np.linalg.norm(a)
 
 
+def check_conforming(low_rank, z):
+    if z.shape != low_rank.shape:
+        raise ValueError(
+            f"matrix shape {z.shape} does not match factorization shape {low_rank.shape}"
+        )
+
+
+def tangent_project(low_rank, z):
+    """Oracle: projection onto the tangent space of the rank-r manifold at
+    ``low_rank``, U U^T Z + Z V V^T - U U^T Z V V^T, formed densely."""
+    check_conforming(low_rank, z)
+    u, v = low_rank.U, low_rank.V
+    utz = u.T @ z
+    return u @ utz + ((z @ v) - u @ (utz @ v)) @ v.T
+
+
 def tangent_complement_project(low_rank, z):
     """Oracle: projection onto the orthogonal complement of the tangent space,
     (I - U U^T) Z (I - V V^T)."""
-    _check_conforming(low_rank, z)
+    check_conforming(low_rank, z)
     u, v = low_rank.U, low_rank.V
     w = z - u @ (u.T @ z)
     return w - (w @ v) @ v.T
 
 
+def truncate_dense(low_rank, w):
+    """structured_truncate of a whole W, with both products formed from it."""
+    return structured_truncate(low_rank, low_rank.U.T @ w, w @ low_rank.V)
+
+
+def dense_step(state, d, params, l_update):
+    """Oracle: one iteration with W = D - S_k, L, D - L and S each formed as a
+    whole m x n matrix.  Returns (state, ||D - L - S||_F)."""
+    w = d - state.sparse
+    if l_update is _tangent_l_update:
+        basis = trim(state.low_rank, params.mu) if params.trim_enabled else state.low_rank
+        low, window = truncate_dense(basis, w)
+    else:
+        f = svd_truncated(w, params.rank)
+        low, window = FactoredLowRank.from_svd(f), f.window
+    zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
+    residual = d - low.matrix()
+    sparse = hard_threshold(residual, zeta)
+    residual -= sparse
+    return IterationState(low, sparse, state.k + 1, zeta, window), float(np.linalg.norm(residual))
+
+
 def accaltproj_step(state, d, params):
     """One accelerated iteration: trim, tangent-space truncation, re-threshold."""
-    return _step(state, d, params, _tangent_l_update, np.empty(np.shape(d)))[0]
+    return _step(state, d, params, _tangent_l_update)[0]
 
 
 def random_factored(rng, m, n, r, sigma=None):
@@ -301,7 +339,7 @@ class TestStructuredTruncate:
     def test_fixed_point_of_own_basis(self):
         rng = np.random.default_rng(10)
         low = random_factored(rng, 14, 11, 3, sigma=[7.0, 4.0, 2.0])
-        out, window = structured_truncate(low, low.matrix())
+        out, window = truncate_dense(low, low.matrix())
         assert frob(out.matrix() - low.matrix()) <= 1e-12 * frob(low.matrix())
         assert np.allclose(window[:3], [7.0, 4.0, 2.0], atol=1e-10)
         assert np.allclose(window[3:], 0.0, atol=1e-10)
@@ -313,7 +351,7 @@ class TestStructuredTruncate:
             r = int(rng.integers(1, min(5, min(m, n) // 2) + 1))
             low = random_factored(rng, m, n, r)
             w = rng.standard_normal((m, n))
-            out, window = structured_truncate(low, w)
+            out, window = truncate_dense(low, w)
             projected = tangent_project(low, w)
             u, s, vt = np.linalg.svd(projected)
             dense = (u[:, :r] * s[:r]) @ vt[:r]
@@ -330,7 +368,7 @@ class TestStructuredTruncate:
         rng = np.random.default_rng(seed)
         low = random_factored(rng, m, n, r)
         w = rng.standard_normal((m, n))
-        out, window = structured_truncate(low, w)
+        out, window = truncate_dense(low, w)
         projected = tangent_project(low, w)
         s = np.linalg.svd(projected, compute_uv=False)
         scale = max(s[0], 1.0)
@@ -349,7 +387,7 @@ class TestStructuredTruncate:
         rng = np.random.default_rng(12)
         low = random_factored(rng, 30, 22, 4)
         w = rng.standard_normal((30, 22))
-        out, window = structured_truncate(low, w)
+        out, window = truncate_dense(low, w)
         assert frob(out.U.T @ out.U - np.eye(4)) <= 1e-10
         assert frob(out.V.T @ out.V - np.eye(4)) <= 1e-10
         assert (np.diff(window) <= 1e-12 * window[0]).all()
@@ -358,7 +396,9 @@ class TestStructuredTruncate:
         rng = np.random.default_rng(14)
         low = random_factored(rng, 8, 8, 2)
         with pytest.raises(ValueError, match="shape"):
-            structured_truncate(low, np.ones((8, 7)))
+            structured_truncate(low, np.ones((2, 7)), np.ones((8, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            structured_truncate(low, np.ones((2, 8)), np.ones((7, 2)))
 
 
 class TestThresholdValue:
@@ -418,12 +458,33 @@ class TestHardThreshold:
     def test_property_matches_where_bit_for_bit(self, case):
         z, zeta = case
         before = z.tobytes()
-        out = hard_threshold(z, zeta)
         expected = np.where(np.abs(z) > zeta, z, 0.0)
-        assert out.shape == expected.shape
-        assert out.tobytes() == expected.tobytes()
-        assert not np.signbit(out[out == 0.0]).any()  # no -0.0
+        # out= path: rows 1..m of a larger array, whose other rows stay as they were
+        larger = np.full((z.shape[0] + 2, z.shape[1]), np.nan)
+        into = larger[1:-1]
+        assert hard_threshold(z, zeta, out=into) is into
+        assert np.isnan(larger[[0, -1]]).all()
+        for out in (hard_threshold(z, zeta), into):
+            assert out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
+            assert not np.signbit(out[out == 0.0]).any()  # no -0.0
         assert z.tobytes() == before  # input untouched
+
+    def test_out_overlapping_input_rejected(self):
+        z = np.arange(12.0).reshape(3, 4)
+        for out in (z, z[::-1], z.view()):
+            with pytest.raises(ValueError, match="overlap"):
+                hard_threshold(z, 1.0, out=out)
+        # other rows of the same array are no overlap
+        larger = np.arange(24.0).reshape(6, 4)
+        out = hard_threshold(larger[:3], 5.0, out=larger[3:])
+        assert np.array_equal(out, [[0, 0, 0, 0], [0, 0, 6, 7], [8, 9, 10, 11]])
+
+    def test_out_of_wrong_shape_or_dtype_rejected(self):
+        z = np.ones((3, 4))
+        for out in (np.empty((4, 3)), np.empty((3, 4), dtype=np.float32)):
+            with pytest.raises(ValueError, match="shape"):
+                hard_threshold(z, 0.5, out=out)
 
 
 class Hand6x6:
@@ -611,7 +672,7 @@ class TestSolvers:
         prob = generate(SyntheticSpec(40, 40, 3, 0.1, 1.0, 505))
         params = desk_params(prob, 0.1)
         state, _ = initialize(prob.data, params)
-        out, _ = _step(state, prob.data, params, _svd_l_update, np.empty_like(prob.data))
+        out, _ = _step(state, prob.data, params, _svd_l_update)
         w = prob.data - state.sparse
         u, s, vt = np.linalg.svd(w)
         dense = (u[:, :3] * s[:3]) @ vt[:3]
@@ -680,18 +741,12 @@ class TestSolvers:
 
 
 class TestWorkspaceReuse:
-    """The solvers reuse one m x n workspace; nothing they return may alias it."""
+    """The solvers keep no m x n workspace: an iteration allocates S_{k+1}
+    and row tiles, and nothing they return may alias D or a kept state."""
 
     def setup_method(self):
         self.prob = generate(SyntheticSpec(60, 50, 2, 0.1, 1.0, 919))
         self.params = desk_params(self.prob, 0.1)
-
-    def test_matrix_writes_into_out(self):
-        rng = np.random.default_rng(30)
-        low = random_factored(rng, 7, 5, 2)
-        out = np.full((7, 5), np.nan)
-        assert low.matrix(out=out) is out
-        assert out.tobytes() == low.matrix().tobytes()
 
     def test_solvers_leave_d_unchanged(self):
         d = self.prob.data
@@ -704,30 +759,41 @@ class TestWorkspaceReuse:
     def test_step_reads_state_and_returns_fresh_sparse(self):
         d = self.prob.data
         for l_update in (_tangent_l_update, _svd_l_update):
-            state, residual = initialize(d, self.params)
+            state, residual_norm = initialize(d, self.params)
             assert not np.shares_memory(state.sparse, d)
-            assert not np.shares_memory(state.sparse, residual)
+            assert residual_norm == _residual_norm(d, state.low_rank, state.sparse)
             before = state.sparse.tobytes()
-            out, again = _step(state, d, self.params, l_update, residual)
-            assert again is residual  # the workspace is the returned residual
+            out, residual_norm = _step(state, d, self.params, l_update)
             assert state.sparse.tobytes() == before
-            for other in (d, state.sparse, again):
+            for other in (d, state.sparse):
                 assert not np.shares_memory(out.sparse, other)
-            assert again.tobytes() == (d - out.low_rank.matrix() - out.sparse).tobytes()
+            # the returned norm is that of D - L - S for the returned state,
+            # and the read-only pass recomputes it bit for bit
+            assert residual_norm == _residual_norm(d, out.low_rank, out.sparse)
+            dense = frob(d - out.low_rank.matrix() - out.sparse)
+            assert abs(residual_norm - dense) <= 1e-12 * dense
 
     def test_kept_state_survives_later_steps(self):
         d = self.prob.data
-        state, residual = initialize(d, self.params)
-        state, residual = _step(state, d, self.params, _tangent_l_update, residual)
+        state, _ = initialize(d, self.params)
+        state, _ = _step(state, d, self.params, _tangent_l_update)
         kept, kept_bytes = state, state.sparse.tobytes()
         for _ in range(3):
-            state, residual = _step(state, d, self.params, _tangent_l_update, residual)
+            state, _ = _step(state, d, self.params, _tangent_l_update)
         assert kept.sparse.tobytes() == kept_bytes
         assert state.k == kept.k + 3
 
-    @pytest.mark.parametrize("solve", [accaltproj_solve, altproj_solve])
-    def test_peak_memory_is_three_buffers(self, solve):
-        # Above what is live at the call: the workspace, S_k and S_{k+1}.
+    @pytest.mark.parametrize(
+        "solve, bound",
+        [
+            # S_k and S_{k+1}, plus row tiles and thin factors
+            pytest.param(accaltproj_solve, 2.2, id="accaltproj_solve"),
+            # S_k and the D - S_k its SVD reads, plus the SVD's thin factors
+            pytest.param(altproj_solve, 2.5, id="altproj_solve"),
+        ],
+    )
+    def test_peak_memory_is_two_buffers(self, solve, bound):
+        # Measured above what is live at the call, which includes D.
         prob = generate(SyntheticSpec(400, 400, 5, 0.1, 1.0, 929))
         params = desk_params(prob, 0.1)
         was_tracing = tracemalloc.is_tracing()
@@ -741,7 +807,89 @@ class TestWorkspaceReuse:
             if not was_tracing:
                 tracemalloc.stop()
         assert sol.converged
-        assert peak <= 3.2 * prob.data.nbytes, f"peak {peak / prob.data.nbytes:.2f} buffers"
+        assert peak <= bound * prob.data.nbytes, f"peak {peak / prob.data.nbytes:.2f} buffers"
+
+
+# (m, n, r), with the tile heights of _row_tiles: a sixteenth of the rows,
+# clamped to 64-256 KiB of rows, at least 4r rows in the L-update.
+TILED_CASES = [
+    pytest.param(300, 300, 3, id="ragged-last-tile"),     # 11 tiles of 27 rows, then 3
+    pytest.param(20, 300, 3, id="m-below-one-tile"),      # a 27-row tile cut to 20
+    pytest.param(40, 300, 3, id="wide"),                  # 27 rows, then 13
+    pytest.param(300, 40, 3, id="tall"),                  # 204 rows, then 96
+    pytest.param(1, 300, 1, id="one-row"),
+    pytest.param(300, 1, 1, id="one-column"),
+    pytest.param(215, 1200, 10, id="rank-floored-tile"),  # L-update 40 rows, sparse 14
+]
+
+
+class TestTiledStep:
+    """The row-tiled step against the whole-matrix oracle ``dense_step``.
+
+    The tiles sum U^T W and ||D - L - S||_F in another order than whole-matrix
+    products do, so values agree to rounding and the support exactly.
+    """
+
+    @pytest.mark.parametrize(
+        "shape, floor, heights",
+        [
+            ((400, 400), 1, [25] * 16),  # a sixteenth of the rows
+            ((2000, 2000), 1, [16] * 125),  # 256 KiB
+            ((200, 200), 1, [40] * 5),  # 64 KiB
+            ((300, 300), 1, [27] * 11 + [3]),
+            ((215, 1200), 40, [40] * 5 + [15]),  # the floor over 14 rows
+            ((20, 300), 1, [20]),
+            ((1, 300), 1, [1]),
+            ((300, 1), 1, [300]),
+            ((5, 40000), 1, [1] * 5),  # one row is more than 256 KiB
+        ],
+    )
+    def test_tiles_cover_the_rows(self, shape, floor, heights):
+        tiles = _row_tiles(shape, floor)
+        assert [t.stop - t.start for t in tiles] == heights
+        assert tiles[0].start == 0 and tiles[-1].stop == shape[0]
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+
+    def test_l_update_tiles_are_at_least_4r_rows(self, monkeypatch):
+        # U_t^T W_t has the tile height as its inner dimension
+        heights = []
+
+        def recording(shape, floor=1):
+            tiles = _row_tiles(shape, floor)
+            heights.append(tiles[0].stop)
+            return tiles
+
+        monkeypatch.setattr(rpca.solver, "_row_tiles", recording)
+        prob = generate(SyntheticSpec(215, 1200, 10, 0.1, 1.0, 1))
+        params = desk_params(prob, 0.1)
+        state, _ = initialize(prob.data, params)
+        heights.clear()
+        _tangent_l_update(state.low_rank, prob.data, state.sparse, params)
+        assert heights == [40]  # 4r, over the 14 rows of a sixteenth
+
+    @pytest.mark.parametrize("l_update", [_tangent_l_update, _svd_l_update])
+    @pytest.mark.parametrize("m, n, r", TILED_CASES)
+    def test_step_matches_dense_oracle(self, m, n, r, l_update):
+        prob = generate(SyntheticSpec(m, n, r, 0.1, 1.0, 1000 + m + n + r))
+        d = prob.data
+        params = desk_params(prob, 0.1)
+        state, _ = initialize(d, params)
+        while state.k < 10:  # past the start of the schedule, where S_k stays empty
+            state, _ = _step(state, d, params, l_update)
+        tiled, tiled_norm = _step(state, d, params, l_update)
+        dense, dense_norm = dense_step(state, d, params, l_update)
+
+        assert np.array_equal(tiled.sparse != 0.0, dense.sparse != 0.0)
+        if min(m, n) > r:
+            assert np.count_nonzero(dense.sparse) > 0
+        assert frob(tiled.sparse - dense.sparse) <= 1e-12 * frob(dense.sparse)
+        l_dense = dense.low_rank.matrix()
+        assert frob(tiled.low_rank.matrix() - l_dense) <= 1e-12 * frob(l_dense)
+        assert tiled.zeta == pytest.approx(dense.zeta, rel=1e-12)
+        assert np.allclose(tiled.sigma_window, dense.sigma_window, rtol=1e-12, atol=0.0)
+        # with one row or column L is D up to rounding, and so is the residual:
+        # it has no relative accuracy below the rounding level of D
+        assert abs(tiled_norm - dense_norm) <= 1e-12 * dense_norm + 1e-15 * frob(d)
 
 
 class TestSparseSpectralBound:
