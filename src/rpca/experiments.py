@@ -43,25 +43,20 @@ SOLVER_IDS = ("accaltproj_trim", "accaltproj_notrim", "altproj")
 _TIMING_SKIP = 2
 
 # Problems and stopping rule of the runtime harnesses (run_runtime_experiment
-# and benchmark_l_updates).
+# and benchmark_l_updates); run_runtime_experiment times every solver with
+# gamma following the declared alpha.
 _RUNTIME_ALPHA = 0.1
 _RUNTIME_AMPLITUDE = 1.0
 _RUNTIME_TOL = 1e-4
 _RUNTIME_MAX_ITER = 100
+_RUNTIME_GAMMA = None
+_RUNTIME_SOLVERS = SOLVER_IDS
 
 
 def trial_seed(master_seed, cell_index, trial_index):
     """Stable 64-bit seed for one trial, derived from the master seed."""
     words = np.random.SeedSequence([master_seed, cell_index, trial_index]).generate_state(2)
     return (int(words[0]) << 32) | int(words[1])
-
-
-def _check_solvers(solvers):
-    if not solvers:
-        raise ValueError("at least one solver is required")
-    unknown = set(solvers) - set(SOLVER_IDS)
-    if unknown:
-        raise ValueError(f"unknown solver ids: {sorted(unknown)}")
 
 
 def _run_solver(solver_id, data, params):
@@ -185,7 +180,11 @@ class PhaseConfig:
             raise ValueError("phase grid must contain at least one alpha and one amplitude")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        _check_solvers(self.solvers)
+        if not self.solvers:
+            raise ValueError("at least one solver is required")
+        unknown = set(self.solvers) - set(SOLVER_IDS)
+        if unknown:
+            raise ValueError(f"unknown solver ids: {sorted(unknown)}")
 
     @property
     def rows(self):
@@ -264,8 +263,11 @@ def _problem_and_params(spec, gamma=None, **overrides):
 
 
 def _run_trials(report, specs, solvers, gamma, tol, max_iter):
-    """Solve the problem of each spec with every solver id, one record per run."""
-    _check_solvers(solvers)
+    """Solve the problem of each spec with every solver id, one record per run.
+
+    ``specs`` is a list that the caller builds in full, so that a bad cell
+    fails before the first solve.
+    """
     for spec in specs:
         problem, params = _problem_and_params(spec, gamma, epsilon=tol, max_iter=max_iter)
         for solver_id in solvers:
@@ -284,7 +286,7 @@ def run_phase_experiment(config):
     """
     report = ExperimentReport(kind="phase", config=config.as_dict())
     cells = list(itertools.product(config.alphas, config.amplitudes))
-    specs = (
+    specs = [
         SyntheticSpec(
             config.rows,
             config.n,
@@ -295,18 +297,19 @@ def run_phase_experiment(config):
         )
         for cell_index, (alpha, amplitude) in enumerate(cells)
         for trial in range(config.trials)
-    )
+    ]
     _run_trials(report, specs, config.solvers, config.gamma, config.tol, config.max_iter)
     return report
 
 
-def run_runtime_experiment(sizes, rank=5, master_seed=0, gamma=None, solvers=SOLVER_IDS):
+def run_runtime_experiment(sizes, rank=5, master_seed=0):
     """Wall-time comparison across problem sizes (square, one trial per size).
 
-    The corrupted fraction, the amplitude and the stopping rule are fixed
-    (the report's ``config`` block records them); per-iteration L-update
-    timings are kept in each record so the per-iteration advantage of the
-    accelerated update is measurable separately from totals.
+    The corrupted fraction, the amplitude, the stopping rule, gamma and the
+    solvers are fixed (the report's ``config`` block records them);
+    per-iteration L-update timings are kept in each record so the
+    per-iteration advantage of the accelerated update is measurable
+    separately from totals.
     """
     sizes = list(sizes)
     if not sizes:
@@ -319,15 +322,15 @@ def run_runtime_experiment(sizes, rank=5, master_seed=0, gamma=None, solvers=SOL
         "master_seed": master_seed,
         "tol": _RUNTIME_TOL,
         "max_iter": _RUNTIME_MAX_ITER,
-        "gamma": gamma,
-        "solvers": list(solvers),
+        "gamma": _RUNTIME_GAMMA,
+        "solvers": list(_RUNTIME_SOLVERS),
     }
     report = ExperimentReport(kind="runtime", config=config)
-    specs = (
+    specs = [
         SyntheticSpec(n, n, rank, _RUNTIME_ALPHA, _RUNTIME_AMPLITUDE, trial_seed(master_seed, index, 0))
         for index, n in enumerate(sizes)
-    )
-    _run_trials(report, specs, solvers, gamma, _RUNTIME_TOL, _RUNTIME_MAX_ITER)
+    ]
+    _run_trials(report, specs, _RUNTIME_SOLVERS, _RUNTIME_GAMMA, _RUNTIME_TOL, _RUNTIME_MAX_ITER)
     return report
 
 

@@ -1,8 +1,10 @@
 """Dense linear-algebra kernels: thin QR, small SVD, truncated SVD, spectral norm.
 
-Every routine is a pure function of its inputs and deterministic on a given
-platform; the truncated SVD starts from a sketch drawn from a generator with
-the fixed seed ``SKETCH_SEED``, which the caller does not choose.
+The SVDs return a :class:`FactoredLowRank`, the one container of a thin
+factorization.  Every routine is a pure function of its inputs and
+deterministic on a given platform; the truncated SVD starts from a sketch
+drawn from a generator with the fixed seed ``SKETCH_SEED``, which the caller
+does not choose.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from scipy.sparse.linalg import svds
 
 __all__ = [
     "SKETCH_SEED",
-    "SvdResult",
-    "ThinQR",
-    "TruncatedSvd",
+    "FactoredLowRank",
     "ensure_matrix",
     "spectral_norm",
     "svd_small",
@@ -32,22 +32,24 @@ _CERTIFY_RTOL = 1e-10
 _MAX_SWEEPS = 10
 
 
-class ThinQR(NamedTuple):
-    Q: np.ndarray  # (n, r), orthonormal columns
-    R: np.ndarray  # (r, r), upper triangular
+class FactoredLowRank(NamedTuple):
+    """Thin factorization U diag(sigma) V^T of a rank-r matrix."""
 
+    U: np.ndarray      # (m, r), orthonormal columns
+    sigma: np.ndarray  # (r,), descending, non-negative
+    V: np.ndarray      # (n, r), orthonormal columns
 
-class SvdResult(NamedTuple):
-    U: np.ndarray      # orthonormal columns
-    sigma: np.ndarray  # non-negative, descending
-    V: np.ndarray      # orthonormal columns
+    @property
+    def shape(self):
+        return (self.U.shape[0], self.V.shape[0])
 
+    @property
+    def rank(self):
+        return int(self.sigma.size)
 
-class TruncatedSvd(NamedTuple):
-    U: np.ndarray       # (m, r), orthonormal columns
-    sigma: np.ndarray   # (r,), non-negative, descending
-    V: np.ndarray       # (n, r), orthonormal columns
-    window: np.ndarray  # sigma, then the (r+1)-th value when r < min(m, n)
+    def matrix(self):
+        """Dense reconstruction U diag(sigma) V^T."""
+        return (self.U * self.sigma) @ self.V.T
 
 
 def _all_finite(a):
@@ -74,6 +76,7 @@ def thin_qr(a):
     Householder-based (LAPACK); column signs are then normalized so that
     diag(R) >= 0, which pins the factorization down for full-rank input.
     Rank-deficient input is allowed and simply yields a singular R.
+    Returns the pair ``(Q, R)``.
     """
     a = ensure_matrix(a, "A")
     n, r = a.shape
@@ -84,7 +87,7 @@ def thin_qr(a):
     if flip.any():
         q[:, flip] *= -1.0
         rr[flip, :] *= -1.0
-    return ThinQR(q, rr)
+    return q, rr
 
 
 def _fix_svd_signs(u, v):
@@ -106,7 +109,7 @@ def svd_small(a):
     a = ensure_matrix(a, "A")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     u, v = _fix_svd_signs(u, vh.T)
-    return SvdResult(u, s, v)
+    return FactoredLowRank(u, s, v)
 
 
 def svd_truncated(a, r):
@@ -122,9 +125,10 @@ def svd_truncated(a, r):
     certified within a fixed number of sweeps (a flat spectrum), the result
     comes from the dense SVD instead.
 
-    ``window`` holds sigma followed by the (r+1)-th value when r < min(m, n):
-    the next Ritz value of the sketch, a lower bound on sigma_{r+1}, or the
-    exact value on the dense fallback.
+    Returns ``(low_rank, window)``: the rank-r factorization, and sigma
+    followed by the (r+1)-th value when r < min(m, n): the next Ritz value of
+    the sketch, a lower bound on sigma_{r+1}, or the exact value on the dense
+    fallback.
     """
     a = ensure_matrix(a, "A")
     m, n = a.shape
@@ -141,10 +145,10 @@ def svd_truncated(a, r):
         residual = np.linalg.norm(ap @ wb[:, :r] - u * s[:r], axis=0)
         if (residual <= _CERTIFY_RTOL * s[0]).all():
             u, v = _fix_svd_signs(u, p @ wb[:, :r])
-            return TruncatedSvd(u, s[:r].copy(), v, s[: r + 1].copy())
+            return FactoredLowRank(u, s[:r].copy(), v), s[: r + 1].copy()
         q = np.linalg.qr(ap)[0]
     u, s, v = svd_small(a)
-    return TruncatedSvd(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy(), s[: r + 1].copy())
+    return FactoredLowRank(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()), s[: r + 1].copy()
 
 
 def spectral_norm(a):

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import svd_truncated
-from .solver import FactoredLowRank, _residual_norm
+from .kernel import FactoredLowRank, svd_truncated
+from .solver import _residual_norm
 
 __all__ = [
     "RECOVERY_TOL",
@@ -65,7 +65,7 @@ def factor_incoherence(u, v):
 
 def incoherence_of(l, rank):
     """Incoherence of ``l`` measured on its rank-``rank`` SVD factors."""
-    f = svd_truncated(l, rank)
-    if f.sigma[0] == 0.0:
+    low, _ = svd_truncated(l, rank)
+    if low.sigma[0] == 0.0:
         raise ValueError("incoherence is undefined for a zero matrix")
-    return factor_incoherence(f.U, f.V)
+    return factor_incoherence(low.U, low.V)

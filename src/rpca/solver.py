@@ -29,7 +29,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .kernel import ensure_matrix, spectral_norm, svd_small, svd_truncated, thin_qr
+from .kernel import FactoredLowRank, ensure_matrix, spectral_norm, svd_small, svd_truncated, thin_qr
 
 # A pass over an m x n operand goes in row tiles of about 1/_TILES of its
 # rows, so that a tile adds little to the peak memory, clamped to between
@@ -40,7 +40,6 @@ _TILE_BYTES = (64 * 1024, 256 * 1024)
 
 __all__ = [
     "ConvergenceTrace",
-    "FactoredLowRank",
     "IterationRecord",
     "IterationState",
     "RpcaParams",
@@ -106,31 +105,6 @@ class RpcaParams:
             values["gamma"] = 0.65
         values.update(overrides)
         return cls(**values)
-
-
-@dataclass(frozen=True)
-class FactoredLowRank:
-    """Thin factorization U diag(sigma) V^T of a rank-r estimate."""
-
-    U: np.ndarray      # (m, r), orthonormal columns
-    sigma: np.ndarray  # (r,), descending, non-negative
-    V: np.ndarray      # (n, r), orthonormal columns
-
-    @property
-    def shape(self):
-        return (self.U.shape[0], self.V.shape[0])
-
-    @property
-    def rank(self):
-        return int(self.sigma.size)
-
-    def matrix(self):
-        """Dense reconstruction U diag(sigma) V^T."""
-        return (self.U * self.sigma) @ self.V.T
-
-    @classmethod
-    def from_svd(cls, svd_result):
-        return cls(svd_result.U, svd_result.sigma, svd_result.V)
 
 
 @dataclass(frozen=True)
@@ -398,8 +372,7 @@ def initialize(d, params):
     np.subtract(d, w, out=w)  # W = D - S_init, in the buffer of S_init
     # L_0 is the truncated SVD of W, as in AltProj; there is no previous
     # estimate to project at.
-    f = svd_truncated(w, params.rank)
-    low, window = FactoredLowRank.from_svd(f), f.window
+    low, window = svd_truncated(w, params.rank)
     l_seconds = perf_counter() - t0
     del w  # so that S_0 is the only m x n array beside D from here on
     zeta_0 = params.beta * float(low.sigma[0])
@@ -432,8 +405,7 @@ def _tangent_l_update(low_rank, d, sparse, params):
 def _svd_l_update(low_rank, d, sparse, params):
     # AltProj: truncated SVD of the whole W = D - S, formed in a temporary
     # that is freed on return.
-    f = svd_truncated(d - sparse, params.rank)
-    return FactoredLowRank.from_svd(f), f.window
+    return svd_truncated(d - sparse, params.rank)
 
 
 def _step(state, d, params, l_update):

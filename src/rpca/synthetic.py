@@ -91,13 +91,13 @@ def generate(spec):
         bound = spec.amplitude * float(np.mean(np.abs(low)))
         sparse.ravel()[support] = rng.uniform(-bound, bound, size=support.size)
 
-    f = svd_truncated(low, spec.rank)
+    factored, _ = svd_truncated(low, spec.rank)
     return SyntheticProblem(
         data=low + sparse,
         low_rank=low,
         sparse=sparse,
         support=support,
         spec=spec,
-        mu_true=factor_incoherence(f.U, f.V),
-        kappa_true=float(f.sigma[0] / f.sigma[-1]),
+        mu_true=factor_incoherence(factored.U, factored.V),
+        kappa_true=float(factored.sigma[0] / factored.sigma[-1]),
     )

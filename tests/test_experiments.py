@@ -1,3 +1,5 @@
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,37 @@ from rpca.experiments import (
     run_runtime_experiment,
     trial_seed,
 )
+from rpca.solver import _tangent_l_update, initialize
+from rpca.synthetic import SyntheticSpec
+
+
+def never_generate(spec):
+    raise AssertionError("a problem was generated before every cell was checked")
+
+
+def alternated_l_update_medians(shapes, calls=20):
+    """Median seconds of the accelerated L-update at each (n, rank).
+
+    Each state is built first, as :func:`benchmark_l_updates` builds it
+    (seed 0); then one untimed round and ``calls`` timed rounds call the
+    update once per shape in turn, so host drift slows every shape alike.
+    """
+    cases = []
+    for n, rank in shapes:
+        spec = SyntheticSpec(
+            n, n, rank, rpca.experiments._RUNTIME_ALPHA, rpca.experiments._RUNTIME_AMPLITUDE, 0
+        )
+        problem, params = rpca.experiments._problem_and_params(spec)
+        state, _ = initialize(problem.data, params)
+        cases.append((state.low_rank, problem.data, state.sparse, params))
+    seconds = [[] for _ in cases]
+    for round_index in range(calls + 1):
+        for case, times in zip(cases, seconds):
+            t0 = perf_counter()
+            _tangent_l_update(*case)
+            if round_index:
+                times.append(perf_counter() - t0)
+    return [float(np.median(times)) for times in seconds]
 
 
 def small_config(**overrides):
@@ -54,6 +87,8 @@ class TestPhaseConfig:
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="unknown solver"):
             small_config(solvers=("accaltproj_trim", "gradient_descent"))
+        with pytest.raises(ValueError, match="at least one solver"):
+            small_config(solvers=())
 
     def test_paper_config_shape(self):
         config = paper_phase_config()
@@ -105,11 +140,17 @@ class TestPhaseExperiment:
         encoded = json.dumps(payload, allow_nan=False)
         assert "success_counts" in encoded
 
+    def test_bad_cell_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(rpca.experiments, "generate", never_generate)
+        with pytest.raises(ValueError, match="alpha"):
+            run_phase_experiment(small_config(alphas=(0.1, 1.0)))
+
 
 class TestRuntimeExperiment:
     def test_single_size_rows(self):
-        report = run_runtime_experiment([80], rank=2, master_seed=3, gamma=0.7)
+        report = run_runtime_experiment([80], rank=2, master_seed=3)
         assert len(report.records) == len(SOLVER_IDS)
+        assert report.config["gamma"] is None and report.config["solvers"] == list(SOLVER_IDS)
         for rec in report.records:
             assert rec.n == 80 and rec.wall_seconds > 0.0
             assert rec.mean_l_update_seconds is None or rec.mean_l_update_seconds > 0.0
@@ -118,14 +159,10 @@ class TestRuntimeExperiment:
         with pytest.raises(ValueError, match="at least one size"):
             run_runtime_experiment([])
 
-    @pytest.mark.parametrize("solvers", [("nope",), ("accaltproj_trim", "nope"), ()])
-    def test_bad_solver_ids_rejected_before_any_solve(self, solvers, monkeypatch):
-        def no_problem(spec):
-            raise AssertionError("a problem was generated before the solver ids were checked")
-
-        monkeypatch.setattr(rpca.experiments, "generate", no_problem)
-        with pytest.raises(ValueError, match="solver"):
-            run_runtime_experiment([40], rank=2, solvers=solvers)
+    def test_bad_size_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(rpca.experiments, "generate", never_generate)
+        with pytest.raises(ValueError, match="out of range"):
+            run_runtime_experiment([100, 3], rank=5)
 
 
 class TestBenchmark:
@@ -140,8 +177,7 @@ class TestBenchmark:
     def test_quadratic_scaling_in_n(self):
         # Doubling n at fixed r should scale the accelerated update by about
         # 4x (it is dominated by two (n x n)(n x r) products); allow a
-        # factor-2 band around that on measured medians.
-        small = benchmark_l_updates(1000, 5, iters=20, seed=0)
-        large = benchmark_l_updates(2000, 5, iters=20, seed=0)
-        ratio = large["accelerated_median_seconds"] / small["accelerated_median_seconds"]
+        # factor-2 band around that on medians timed in alternation.
+        small, large = alternated_l_update_medians([(1000, 5), (2000, 5)])
+        ratio = large / small
         assert 2.0 <= ratio <= 8.0, f"doubling n scaled the update by {ratio:.2f}x"

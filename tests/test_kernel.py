@@ -3,6 +3,7 @@ import pytest
 
 import rpca.kernel
 from rpca.kernel import (
+    FactoredLowRank,
     ensure_matrix,
     spectral_norm,
     svd_small,
@@ -164,12 +165,12 @@ class TestSvdTruncated:
         u = rng.standard_normal(12)
         v = rng.standard_normal(9)
         a = np.outer(u, v)
-        f = svd_truncated(a, 1)
+        f, _ = svd_truncated(a, 1)
         assert frob((f.U * f.sigma) @ f.V.T - a) <= 1e-12 * frob(a)
         assert abs(f.sigma[0] - np.linalg.norm(u) * np.linalg.norm(v)) <= 1e-12 * frob(a)
 
     def test_diagonal_truncation(self):
-        f = svd_truncated(np.diag([3.0, 1.0]), 1)
+        f, _ = svd_truncated(np.diag([3.0, 1.0]), 1)
         assert np.allclose((f.U * f.sigma) @ f.V.T, np.diag([3.0, 0.0]), atol=1e-14)
 
     def test_residual_matches_tail(self):
@@ -177,7 +178,7 @@ class TestSvdTruncated:
         # squares of the trailing singular values of the full SVD.
         rng = np.random.default_rng(19)
         a = rng.standard_normal((50, 40))
-        f = svd_truncated(a, 5)
+        f, _ = svd_truncated(a, 5)
         tail = np.sqrt(np.sum(np.linalg.svd(a, compute_uv=False)[5:] ** 2))
         residual = frob(a - (f.U * f.sigma) @ f.V.T)
         assert abs(residual - tail) <= 1e-10 * frob(a)
@@ -188,7 +189,7 @@ class TestSvdTruncated:
             p, q = rng.integers(2, 60, size=2)
             r = int(rng.integers(1, min(p, q) + 1))
             a = rng.standard_normal((p, q))
-            f = svd_truncated(a, r)
+            f, _ = svd_truncated(a, r)
             tail = np.sqrt(np.sum(np.linalg.svd(a, compute_uv=False)[r:] ** 2))
             residual = frob(a - (f.U * f.sigma) @ f.V.T)
             assert abs(residual - tail) <= 1e-10 * max(frob(a), 1.0)
@@ -206,20 +207,20 @@ class TestSvdTruncated:
         right = np.linalg.qr(rng.standard_normal((n, r)))[0]
         a = (left * np.array([10.0, 8.0, 5.0, 2.0])) @ right.T
         a += 1e-8 * rng.standard_normal((m, n))
-        f = svd_truncated(a, r)
+        f, _ = svd_truncated(a, r)
         assert f.U.shape == (m, r) and f.V.shape == (n, r)
         assert frob(f.U.T @ f.U - np.eye(r)) <= 1e-10 * r
         assert frob(f.V.T @ f.V - np.eye(r)) <= 1e-10 * r
         assert (np.diff(f.sigma) <= 0).all()
         assert frob(a - (f.U * f.sigma) @ f.V.T) <= 1e-5 * frob(a)
-        again = svd_truncated(a, r)
+        again, _ = svd_truncated(a, r)
         assert np.array_equal(f.U, again.U) and np.array_equal(f.sigma, again.sigma)
 
     @pytest.mark.parametrize("shape", [(400, 120), (120, 400), (300, 300)])
     @pytest.mark.parametrize("r", [1, 5, 20])
     def test_certified_triplets_match_lapack(self, shape, r, svd_small_shapes):
         a = low_rank_plus_sparse(np.random.default_rng(37 + r), *shape, r)
-        f = svd_truncated(a, r)
+        f, _ = svd_truncated(a, r)
         assert shape not in svd_small_shapes  # certified, no dense fallback
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         tol = 1e-10 * s[0]
@@ -233,19 +234,19 @@ class TestSvdTruncated:
 
     def test_flat_spectrum_takes_the_dense_fallback(self, svd_small_shapes):
         a = np.random.default_rng(41).standard_normal((60, 50))
-        f = svd_truncated(a, 5)
+        f, window = svd_truncated(a, 5)
         assert (60, 50) in svd_small_shapes
         dense = svd_small(a)
         assert np.array_equal(f.U, dense.U[:, :5])
         assert np.array_equal(f.sigma, dense.sigma[:5])
         assert np.array_equal(f.V, dense.V[:, :5])
-        assert np.array_equal(f.window, dense.sigma[:6])
+        assert np.array_equal(window, dense.sigma[:6])
 
     def test_two_calls_are_bit_identical(self):
         a = low_rank_plus_sparse(np.random.default_rng(43), 200, 150, 5)
-        first = svd_truncated(a, 5)
-        second = svd_truncated(a, 5)
-        for x, y in zip(first, second):
+        first, first_window = svd_truncated(a, 5)
+        second, second_window = svd_truncated(a, 5)
+        for x, y in zip((*first, first_window), (*second, second_window)):
             assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("shape", [(400, 120), (120, 400), (500, 500)])
@@ -254,18 +255,27 @@ class TestSvdTruncated:
         # exceed sigma_{r+1}; the baseline threshold built on it sits a little low.
         r = 5
         a = low_rank_plus_sparse(np.random.default_rng(47), *shape, r)
-        f = svd_truncated(a, r)
+        f, window = svd_truncated(a, r)
         exact = np.linalg.svd(a, compute_uv=False)
-        assert f.window.shape == (r + 1,)
-        assert np.array_equal(f.window[:r], f.sigma)
-        gap = 1.0 - f.window[r] / exact[r]
+        assert window.shape == (r + 1,)
+        assert np.array_equal(window[:r], f.sigma)
+        gap = 1.0 - window[r] / exact[r]
         print(f"{shape}: sigma_(r+1) Ritz value {gap:.2%} below the exact value")
         assert -1e-12 <= gap <= 0.1
 
+    def test_returns_a_factorization_and_its_window(self):
+        # The SVDs share one factorization type; thin QR is a plain pair.
+        a = low_rank_plus_sparse(np.random.default_rng(59), 30, 20, 3)
+        low, window = svd_truncated(a, 3)
+        assert type(low) is FactoredLowRank and type(svd_small(a)) is FactoredLowRank
+        assert low.shape == (30, 20) and low.rank == 3 and window.shape == (4,)
+        assert np.array_equal(low.matrix(), (low.U * low.sigma) @ low.V.T)
+        assert type(thin_qr(a)) is tuple and len(thin_qr(a)) == 2
+
     def test_window_has_no_next_value_at_full_rank(self):
         a = np.random.default_rng(53).standard_normal((7, 4))
-        f = svd_truncated(a, 4)
-        assert np.array_equal(f.window, f.sigma)
+        f, window = svd_truncated(a, 4)
+        assert np.array_equal(window, f.sigma)
 
 
 class TestSpectralNorm:

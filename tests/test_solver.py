@@ -68,8 +68,7 @@ def dense_step(state, d, params, l_update):
         basis = trim(state.low_rank, params.mu) if params.trim_enabled else state.low_rank
         low, window = truncate_dense(basis, w)
     else:
-        f = svd_truncated(w, params.rank)
-        low, window = FactoredLowRank.from_svd(f), f.window
+        low, window = svd_truncated(w, params.rank)
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
     residual = d - low.matrix()
     sparse = hard_threshold(residual, zeta)
@@ -243,14 +242,14 @@ class TestTrim:
         m = n = 60
         r = 3
         truth = rng.standard_normal((m, r)) @ rng.standard_normal((n, r)).T
-        f_truth = svd_truncated(truth, r)
+        f_truth, _ = svd_truncated(truth, r)
         mu = factor_incoherence(f_truth.U, f_truth.V)
         budget = f_truth.sigma[-1] / (20.0 * np.sqrt(r))
         cap = (10.0 / 9.0) * np.sqrt(mu * r / m)
 
         noise = rng.standard_normal((m, n))
         noise *= (0.5 * budget) / spectral_norm(noise)
-        near = FactoredLowRank.from_svd(svd_truncated(truth + noise, r))
+        near, _ = svd_truncated(truth + noise, r)
         assert spectral_norm(near.matrix() - truth) <= budget
         out = trim(near, mu)
         assert (np.linalg.norm(out.U, axis=1) <= cap + 1e-12).all()
@@ -260,7 +259,7 @@ class TestTrim:
         boosted = near.matrix()
         row = int(np.argmax(np.linalg.norm(near.U, axis=1)))
         boosted[row, :] *= 1.10
-        spiked = FactoredLowRank.from_svd(svd_truncated(boosted, r))
+        spiked, _ = svd_truncated(boosted, r)
         out = trim(spiked, mu)
         assert out is not spiked
         assert (np.linalg.norm(out.U, axis=1) <= cap + 1e-12).all()
