@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success (solve: converged), 1 on usage or configuration
 errors (message on stderr), 2 when solve stops at the iteration cap without
-reaching the tolerance.  All JSON outputs carry ``schema_version`` 1, the
-solver id, the full parameter set, the seed, and per-iteration error and
-threshold arrays, so every reported number can be re-derived from artifacts.
+reaching the tolerance.  JSON outputs carry ``schema_version`` 1 (2 for
+``trace.json``), the solver id, the full parameter set, the seed, and
+per-iteration error and threshold arrays, so any number can be re-derived.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ def _cmd_solve(args):
     overrides = {
         name: getattr(args, name) for name in _SOLVE_OVERRIDES if getattr(args, name) is not None
     }
-    params = RpcaParams.defaults((m, n), args.rank, mu, trim_enabled=not args.no_trim, **overrides)
+    trim_enabled = args.solver == "accaltproj" and not args.no_trim  # altproj has no trim step
+    params = RpcaParams.defaults((m, n), args.rank, mu, trim_enabled=trim_enabled, **overrides)
     solve = accaltproj_solve if args.solver == "accaltproj" else altproj_solve
 
     t0 = perf_counter()
@@ -111,7 +112,7 @@ def _cmd_solve(args):
     _write_json(
         out_dir / "trace.json",
         {
-            "schema_version": 1,
+            "schema_version": 2,
             "kind": "solve",
             "solver": args.solver,
             "seed": SKETCH_SEED,  # the truncated-SVD sketch seed; solve is otherwise deterministic
@@ -265,7 +266,7 @@ def build_parser():
         "--eps", dest="epsilon", metavar="EPS", type=float, help="relative-residual stopping tolerance"
     )
     solve.add_argument("--max-iter", type=int, help="iteration cap")
-    solve.add_argument("--no-trim", action="store_true", help="skip the incoherence trim step")
+    solve.add_argument("--no-trim", action="store_true", help="skip the trim step (accaltproj only)")
     solve.add_argument("--solver", choices=("accaltproj", "altproj"), default="accaltproj")
     solve.add_argument("--output-dir", help="where to write L, S and trace.json (default: input directory)")
     solve.set_defaults(func=_cmd_solve)
@@ -305,13 +306,14 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MatrixIOError, ValueError, OSError) as exc:
+    except (CliError, MatrixIOError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

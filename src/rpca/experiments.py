@@ -51,6 +51,8 @@ _RUNTIME_TOL = 1e-4
 _RUNTIME_MAX_ITER = 100
 _RUNTIME_GAMMA = None
 _RUNTIME_SOLVERS = SOLVER_IDS
+_BENCH_ITERS = 20  # timed rounds of benchmark_l_updates
+_BENCH_SEED = 0  # seed of its problem
 
 
 def trial_seed(master_seed, cell_index, trial_index):
@@ -89,9 +91,6 @@ class TrialRecord:
     mean_l_update_seconds: float | None
     err_history: list[float]
     zeta_history: list[float]
-
-    def as_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -132,7 +131,7 @@ class ExperimentReport:
             "schema_version": 1,
             "kind": self.kind,
             "config": self.config,
-            "records": [rec.as_dict() for rec in self.records],
+            "records": [asdict(rec) for rec in self.records],
             "success_counts": [
                 {
                     "alpha": alpha,
@@ -225,12 +224,7 @@ def _record_trial(solver_id, problem, solution, wall_seconds):
     mean_iter, mean_l = _timing_means(solution.trace)
     return TrialRecord(
         solver=solver_id,
-        seed=problem.spec.seed,
-        m=problem.spec.m,
-        n=problem.spec.n,
-        rank=problem.spec.rank,
-        alpha=problem.spec.alpha,
-        amplitude=problem.spec.amplitude,
+        **asdict(problem.spec),
         iterations=solution.iterations,
         final_err=solution.final_err,
         converged=solution.converged,
@@ -334,29 +328,30 @@ def run_runtime_experiment(sizes, rank=5, master_seed=0):
     return report
 
 
-def benchmark_l_updates(n, rank, iters=20, seed=0):
-    """Mean wall seconds of a single L-update, accelerated vs baseline.
+def benchmark_l_updates(n, rank):
+    """Mean and median wall seconds of a single L-update, accelerated vs baseline.
 
     Both of the solvers' L-updates run, as the solvers call them, on the
     same D and S_0 of a seeded synthetic problem (the runtime harness's
     corrupted fraction and amplitude): the accelerated one is trim, one
     row-tiled pass over D - S_0 and the factored tangent-space truncation,
     the baseline forms D - S_0 and takes its certified truncated SVD
-    (:func:`rpca.kernel.svd_truncated`).  One untimed warm-up call precedes
-    each series.
+    (:func:`rpca.kernel.svd_truncated`).  The two alternate, one call each
+    per round, so that host drift slows both alike.
     """
-    spec = SyntheticSpec(n, n, rank, _RUNTIME_ALPHA, _RUNTIME_AMPLITUDE, seed)
+    spec = SyntheticSpec(n, n, rank, _RUNTIME_ALPHA, _RUNTIME_AMPLITUDE, _BENCH_SEED)
     problem, params = _problem_and_params(spec)
     state, _ = initialize(problem.data, params)
-    out = {"n": n, "rank": rank, "iters": iters, "seed": seed}
-    for name, l_update in (("accelerated", _tangent_l_update), ("baseline", _svd_l_update)):
-        l_update(state.low_rank, problem.data, state.sparse, params)  # warm-up
-        seconds = []
-        for _ in range(iters):
+    updates = {"accelerated": _tangent_l_update, "baseline": _svd_l_update}
+    seconds = {name: [] for name in updates}
+    for _ in range(1 + _BENCH_ITERS):  # the first round is a warm-up, dropped below
+        for name, l_update in updates.items():
             t0 = perf_counter()
             l_update(state.low_rank, problem.data, state.sparse, params)
-            seconds.append(perf_counter() - t0)
-        out[f"{name}_mean_seconds"] = float(np.mean(seconds))
+            seconds[name].append(perf_counter() - t0)
+    out = {"n": n, "rank": rank, "iters": _BENCH_ITERS, "seed": _BENCH_SEED}
+    for name, times in seconds.items():
+        out[f"{name}_mean_seconds"] = float(np.mean(times[1:]))
         # medians are robust to scheduler/GC spikes on millisecond timings
-        out[f"{name}_median_seconds"] = float(np.median(seconds))
+        out[f"{name}_median_seconds"] = float(np.median(times[1:]))
     return out

@@ -24,7 +24,7 @@ parameter sets are frozen), so concurrent solves never share mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 
 import numpy as np
@@ -132,8 +132,6 @@ class IterationRecord:
     k: int
     err: float
     zeta: float
-    sigma_r: float
-    sigma_r_plus_1: float
     sigma_window: np.ndarray
     iter_seconds: float
     l_update_seconds: float
@@ -146,16 +144,12 @@ class ConvergenceTrace:
     records: list[IterationRecord] = field(default_factory=list)
 
     def add(self, state, err, iter_seconds):
-        window = np.asarray(state.sigma_window, dtype=np.float64)
-        r = state.low_rank.rank
         self.records.append(
             IterationRecord(
                 k=state.k,
                 err=float(err),
                 zeta=float(state.zeta),
-                sigma_r=float(window[r - 1]) if window.size >= r else 0.0,
-                sigma_r_plus_1=float(window[r]) if window.size > r else 0.0,
-                sigma_window=window.copy(),
+                sigma_window=np.array(state.sigma_window, dtype=np.float64),
                 iter_seconds=float(iter_seconds),
                 l_update_seconds=float(state.l_update_seconds),
             )
@@ -168,16 +162,10 @@ class ConvergenceTrace:
         return np.array([rec.zeta for rec in self.records])
 
     def as_dict(self):
-        """JSON-ready dict of per-iteration arrays."""
+        """JSON-ready dict of per-iteration lists, one per IterationRecord field."""
         return {
-            "k": [rec.k for rec in self.records],
-            "err": [rec.err for rec in self.records],
-            "zeta": [rec.zeta for rec in self.records],
-            "sigma_r": [rec.sigma_r for rec in self.records],
-            "sigma_r_plus_1": [rec.sigma_r_plus_1 for rec in self.records],
-            "sigma_window": [rec.sigma_window.tolist() for rec in self.records],
-            "iter_seconds": [rec.iter_seconds for rec in self.records],
-            "l_update_seconds": [rec.l_update_seconds for rec in self.records],
+            f.name: [np.asarray(getattr(rec, f.name)).tolist() for rec in self.records]
+            for f in fields(IterationRecord)
         }
 
 
@@ -190,11 +178,11 @@ class RpcaSolution:
 
     @property
     def iterations(self):
-        return self.trace.records[-1].k if self.trace.records else 0
+        return self.trace.records[-1].k
 
     @property
     def final_err(self):
-        return self.trace.records[-1].err if self.trace.records else math.inf
+        return self.trace.records[-1].err
 
 
 def trim(low_rank, mu):
@@ -439,9 +427,8 @@ def _solve(d, params, l_update):
             state, residual_norm = initialize(d, params)
         else:
             state, residual_norm = _step(state, d, params, l_update)
-        iter_seconds = perf_counter() - t0
         err = residual_norm / d_norm
-        trace.add(state, err, iter_seconds=iter_seconds)
+        trace.add(state, err, iter_seconds=perf_counter() - t0)
     return RpcaSolution(state.low_rank, state.sparse, trace, converged=bool(err < params.epsilon))
 
 

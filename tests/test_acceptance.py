@@ -182,7 +182,7 @@ def test_criterion_5_tangent_projection_norm_bound():
 
 def test_criterion_6_per_iteration_cost_direction():
     with criterion(6, "accelerated L-update beats the full SVD and scales near-linearly in r"):
-        r5 = benchmark_l_updates(1000, 5, iters=20, seed=0)
+        r5 = benchmark_l_updates(1000, 5)
         assert r5["accelerated_mean_seconds"] < r5["baseline_mean_seconds"], (
             f"accelerated {r5['accelerated_mean_seconds']:.4f}s "
             f"vs baseline {r5['baseline_mean_seconds']:.4f}s"

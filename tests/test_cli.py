@@ -1,5 +1,9 @@
 import json
-from dataclasses import asdict
+import os
+import subprocess
+import sys
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import pytest
 from rpca.cli import main
 from rpca.experiments import PhaseConfig
 from rpca.matio import read_matrix, write_matrix
-from rpca.solver import RpcaParams, threshold_value
+from rpca.solver import IterationRecord, RpcaParams, threshold_value
 from rpca.synthetic import SyntheticSpec, generate
 
 
@@ -64,7 +68,7 @@ class TestSolveCommand:
         trace = json.loads((out / "trace.json").read_text())
         assert trace["converged"] is True
         assert trace["trace"]["err"][-1] < 1e-6
-        assert trace["schema_version"] == 1
+        assert trace["schema_version"] == 2
         l = read_matrix(out / "L.bin")
         s = read_matrix(out / "S.bin")
         d = read_matrix(out / "D.bin")
@@ -91,12 +95,33 @@ class TestSolveCommand:
 
     def test_altproj_and_no_trim(self, tmp_path):
         out = run_synth(tmp_path, n=60, rank=2, seed=4)
-        for extra in (["--solver", "altproj"], ["--no-trim"]):
+        # altproj has no trim step, so its trace must not claim one
+        for extra, trimmed in (([], True), (["--solver", "altproj"], False), (["--no-trim"], False)):
             code = main(
                 ["solve", "--input", str(out / "D.bin"), "--rank", "2",
                  "--gamma", "0.7", "--output-dir", str(out)] + extra
             )
             assert code == 0
+            trace = json.loads((out / "trace.json").read_text())
+            assert trace["params"]["trim_enabled"] is trimmed
+
+    def test_trace_columns_are_the_record_fields(self, tmp_path):
+        out = run_synth(tmp_path, n=60, rank=2, seed=4)
+        for solver in ("accaltproj", "altproj"):
+            code = main(
+                ["solve", "--input", str(out / "D.bin"), "--rank", "2", "--gamma", "0.7",
+                 "--solver", solver, "--output-dir", str(out)]
+            )
+            assert code == 0
+            trace = json.loads((out / "trace.json").read_text())
+            columns = trace["trace"]
+            assert set(columns) == {f.name for f in fields(IterationRecord)}
+            assert set(columns) == {
+                "k", "err", "zeta", "sigma_window", "iter_seconds", "l_update_seconds"
+            }
+            assert columns["k"] == list(range(trace["iterations"] + 1))
+            for values in columns.values():
+                assert len(values) == trace["iterations"] + 1
 
     def test_rank_out_of_range_exits_one(self, tmp_path, capsys):
         out = run_synth(tmp_path, n=20, rank=2, seed=6)
@@ -238,3 +263,14 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert main(["solve"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_the_command(self, tmp_path):
+        # `python -m rpca.cli` with the package source first on the import path
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
+        done = subprocess.run(
+            [sys.executable, "-m", "rpca.cli", "phase", "--grid", str(tmp_path / "missing.json")],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "error:" in done.stderr

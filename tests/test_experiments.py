@@ -1,3 +1,5 @@
+import itertools
+from dataclasses import asdict
 from time import perf_counter
 
 import numpy as np
@@ -100,9 +102,20 @@ class TestPhaseConfig:
 
 class TestPhaseExperiment:
     def test_report_structure_and_clean_cells(self):
-        report = run_phase_experiment(small_config())
+        config = small_config()
+        report = run_phase_experiment(config)
         # 2 cells x 2 trials x 3 solvers
         assert len(report.records) == 12
+        # each record carries the spec of the problem it solved, in (cell, trial, solver) order
+        cells = list(itertools.product(config.alphas, config.amplitudes))
+        for index, row in enumerate(report.as_dict()["records"]):
+            cell, trial = divmod(index // len(SOLVER_IDS), config.trials)
+            alpha, amplitude = cells[cell]
+            spec = SyntheticSpec(
+                config.rows, config.n, config.rank, alpha, amplitude,
+                trial_seed(config.master_seed, cell, trial),
+            )
+            assert {key: row[key] for key in asdict(spec)} == asdict(spec)
         counts = report.success_counts()
         for solver in SOLVER_IDS:
             assert counts[(0.0, 1.0, solver)] == (2, 2)  # no corruption: always recovered
@@ -167,8 +180,9 @@ class TestRuntimeExperiment:
 
 class TestBenchmark:
     def test_structure(self):
-        out = benchmark_l_updates(100, 3, iters=3, seed=1)
-        assert out["n"] == 100 and out["rank"] == 3 and out["iters"] == 3
+        out = benchmark_l_updates(100, 3)
+        assert out["n"] == 100 and out["rank"] == 3
+        assert out["iters"] == 20 and out["seed"] == 0
         assert out["accelerated_mean_seconds"] > 0.0
         assert out["baseline_mean_seconds"] > 0.0
         assert out["accelerated_median_seconds"] > 0.0
