@@ -29,9 +29,7 @@ def run_demo():
 
     # the solvers receive a slightly inflated incoherence level, as one would
     # use in practice when the exact value is only estimated
-    params = RpcaParams.defaults(
-        problem.data.shape, rank, mu=1.1 * problem.mu_true, alpha=alpha, gamma=0.7
-    )
+    params = RpcaParams.defaults(problem.data.shape, rank, mu=1.1 * problem.mu_true, gamma=0.7)
     print(f"params: beta={params.beta:.4f} beta_init={params.beta_init:.4f} "
           f"gamma={params.gamma} tol={params.epsilon:g}")
 

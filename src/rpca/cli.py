@@ -18,6 +18,7 @@ from pathlib import Path
 from time import perf_counter
 
 from .experiments import (
+    PAPER_RUNTIME_SIZES,
     PhaseConfig,
     paper_phase_config,
     run_phase_experiment,
@@ -30,8 +31,6 @@ from .solver import RpcaParams, accaltproj_solve, altproj_solve
 from .synthetic import RNG_ID, SyntheticSpec, generate
 
 __all__ = ["CliError", "build_parser", "main", "run"]
-
-_PAPER_BENCH_SIZES = (1000, 2500, 5000, 10000, 15000)
 
 # Grid-file key -> (PhaseConfig field, conversion).  Keys left out of a grid
 # file take the PhaseConfig defaults.
@@ -217,11 +216,11 @@ def _write_report_csv(path, report):
 
 def _cmd_phase(args):
     if args.paper:
-        config = paper_phase_config(master_seed=args.seed)
-    elif args.grid:
-        config = _load_phase_config(args.grid)
+        config = paper_phase_config() if args.seed is None else paper_phase_config(args.seed)
+    elif args.seed is not None:
+        raise CliError("--seed applies to --paper only; a grid file sets its own seed")
     else:
-        raise CliError("either --grid FILE or --paper is required")
+        config = _load_phase_config(args.grid)
     report = run_phase_experiment(config)
     out_dir = _output_dir(args, ".")
     payload = report.as_dict()
@@ -242,7 +241,7 @@ def _parse_sizes(text):
 
 
 def _cmd_bench(args):
-    sizes = list(_PAPER_BENCH_SIZES) if args.paper else _parse_sizes(args.sizes)
+    sizes = list(PAPER_RUNTIME_SIZES) if args.paper else _parse_sizes(args.sizes)
     report = run_runtime_experiment(sizes, rank=args.rank, master_seed=args.seed)
     out_dir = _output_dir(args, ".")
     payload = report.as_dict()
@@ -283,17 +282,19 @@ def build_parser():
     synth.set_defaults(func=_cmd_synth)
 
     phase = sub.add_parser("phase", help="success-rate grid over (alpha, c)")
-    phase.add_argument("--grid", help="JSON grid file")
-    phase.add_argument("--paper", action="store_true", help="run the full-scale published grid (slow)")
-    phase.add_argument("--seed", type=int, default=0, help="master seed for --paper")
+    source = phase.add_mutually_exclusive_group(required=True)
+    source.add_argument("--grid", help="JSON grid file (it sets its own seed)")
+    source.add_argument("--paper", action="store_true", help="run the full-scale published grid (slow)")
+    phase.add_argument("--seed", type=int, help="master seed for --paper (default 0)")
     phase.add_argument("--output-dir", help="default: current directory")
     phase.set_defaults(func=_cmd_phase)
 
     bench = sub.add_parser("bench", help="runtime comparison across sizes")
-    bench.add_argument("--sizes", default="200,500,1000", help="comma-separated sizes")
+    sizes = bench.add_mutually_exclusive_group()
+    sizes.add_argument("--sizes", default="200,500,1000", help="comma-separated sizes")
+    sizes.add_argument("--paper", action="store_true", help="published sizes up to 15000 (slow)")
     bench.add_argument("--rank", type=int, default=5)
     bench.add_argument("--seed", type=int, default=0, help="master seed")
-    bench.add_argument("--paper", action="store_true", help="published sizes up to 15000 (slow)")
     bench.add_argument("--output-dir", help="default: current directory")
     bench.set_defaults(func=_cmd_bench)
 

@@ -1,4 +1,4 @@
-"""Experiment harnesses: phase-transition grids and runtime benchmarks.
+"""The experiment protocol and its harnesses: phase grids, runtime benchmarks.
 
 Trial seeds are derived deterministically from a master seed, so a report is
 reproducible from its configuration alone.  Trials run sequentially in a
@@ -25,6 +25,7 @@ from .solver import (
 from .synthetic import SyntheticSpec, generate
 
 __all__ = [
+    "PAPER_RUNTIME_SIZES",
     "SOLVER_IDS",
     "ExperimentReport",
     "PhaseConfig",
@@ -36,21 +37,29 @@ __all__ = [
     "trial_seed",
 ]
 
-SOLVER_IDS = ("accaltproj_trim", "accaltproj_notrim", "altproj")
+# Solver id -> (entry point, trim on); AltProj has no trim step.
+_SOLVERS = {
+    "accaltproj_trim": (accaltproj_solve, True),
+    "accaltproj_notrim": (accaltproj_solve, False),
+    "altproj": (altproj_solve, False),
+}
+SOLVER_IDS = tuple(_SOLVERS)
 
 # Per-iteration timing summaries skip the initialization row and the first
 # loop iteration (warm-up); wall clocks are monotonic (perf_counter).
 _TIMING_SKIP = 2
 
-# Problems and stopping rule of the runtime harnesses (run_runtime_experiment
-# and benchmark_l_updates); run_runtime_experiment times every solver with
-# gamma following the declared alpha.
-_RUNTIME_ALPHA = 0.1
-_RUNTIME_AMPLITUDE = 1.0
-_RUNTIME_TOL = 1e-4
-_RUNTIME_MAX_ITER = 100
-_RUNTIME_GAMMA = None
-_RUNTIME_SOLVERS = SOLVER_IDS
+# Problems and stopping rule of the runtime harnesses: run_runtime_experiment
+# (its report's ``config`` block records them) times every solver with gamma
+# following the declared alpha; benchmark_l_updates shares its problems.
+_RUNTIME = {
+    "alpha": 0.1,
+    "amplitude": 1.0,
+    "tol": 1e-4,
+    "max_iter": 100,
+    "gamma": None,
+    "solvers": SOLVER_IDS,
+}
 _BENCH_ITERS = 20  # timed rounds of benchmark_l_updates
 _BENCH_SEED = 0  # seed of its problem
 
@@ -59,16 +68,6 @@ def trial_seed(master_seed, cell_index, trial_index):
     """Stable 64-bit seed for one trial, derived from the master seed."""
     words = np.random.SeedSequence([master_seed, cell_index, trial_index]).generate_state(2)
     return (int(words[0]) << 32) | int(words[1])
-
-
-def _run_solver(solver_id, data, params):
-    if solver_id == "accaltproj_trim":
-        return accaltproj_solve(data, replace(params, trim_enabled=True))
-    if solver_id == "accaltproj_notrim":
-        return accaltproj_solve(data, replace(params, trim_enabled=False))
-    if solver_id == "altproj":
-        return altproj_solve(data, params)
-    raise ValueError(f"unknown solver id {solver_id!r}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ class PhaseConfig:
     """Grid specification for a phase-transition experiment.
 
     ``gamma`` overrides the threshold decay rate for every cell; leave it
-    None to follow the declared-alpha policy of :meth:`RpcaParams.defaults`,
+    None to follow the declared-alpha rule of :func:`_problem_and_params`,
     which matches the published full-scale protocol.  Desk-scale grids
     (n of a few hundred) need the slower gamma = 0.7: the error of the
     low-rank update contracts more slowly on small problems, and a faster
@@ -181,20 +180,13 @@ class PhaseConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
-        unknown = set(self.solvers) - set(SOLVER_IDS)
+        unknown = set(self.solvers) - set(_SOLVERS)
         if unknown:
             raise ValueError(f"unknown solver ids: {sorted(unknown)}")
 
     @property
     def rows(self):
         return self.m if self.m is not None else self.n
-
-    def as_dict(self):
-        d = asdict(self)
-        d["alphas"] = list(self.alphas)
-        d["amplitudes"] = list(self.amplitudes)
-        d["solvers"] = list(self.solvers)
-        return d
 
 
 def paper_phase_config(master_seed=0):
@@ -212,6 +204,9 @@ def paper_phase_config(master_seed=0):
     )
 
 
+PAPER_RUNTIME_SIZES = (1000, 2500, 5000, 10000, 15000)  # the published runtime sizes
+
+
 def _timing_means(trace):
     iters = [rec.iter_seconds for rec in trace.records[_TIMING_SKIP:]]
     l_updates = [rec.l_update_seconds for rec in trace.records[_TIMING_SKIP:]]
@@ -220,16 +215,20 @@ def _timing_means(trace):
     return float(np.mean(iters)), float(np.mean(l_updates))
 
 
-def _record_trial(solver_id, problem, solution, wall_seconds):
+def _run_trial(solver_id, spec, d, l_true, params):
+    solve, trim_enabled = _SOLVERS[solver_id]
+    t0 = perf_counter()
+    solution = solve(d, replace(params, trim_enabled=trim_enabled))
+    wall_seconds = perf_counter() - t0
     mean_iter, mean_l = _timing_means(solution.trace)
     return TrialRecord(
         solver=solver_id,
-        **asdict(problem.spec),
+        **asdict(spec),
         iterations=solution.iterations,
         final_err=solution.final_err,
         converged=solution.converged,
-        success=recovery_success(problem.low_rank, solution.low_rank),
-        wall_seconds=float(wall_seconds),
+        success=recovery_success(l_true, solution.low_rank),
+        wall_seconds=wall_seconds,
         mean_iter_seconds=mean_iter,
         mean_l_update_seconds=mean_l,
         err_history=[rec.err for rec in solution.trace.records],
@@ -241,16 +240,17 @@ def _problem_and_params(spec, gamma=None, **overrides):
     """Seeded problem for ``spec`` and its solver parameters.
 
     The solvers receive 1.1x the measured ground-truth incoherence (at least
-    1); gamma follows the declared alpha unless ``gamma`` overrides it.
+    1); gamma is 0.65 if the declared alpha is at least 0.55, else the field
+    default 0.5, unless ``gamma`` overrides it.
     """
     problem = generate(spec)
-    if gamma is not None:
-        overrides["gamma"] = gamma
+    if gamma is None:
+        gamma = 0.65 if spec.alpha >= 0.55 else RpcaParams.gamma
     params = RpcaParams.defaults(
         problem.data.shape,
         spec.rank,
         mu=max(1.0, 1.1 * problem.mu_true),
-        alpha=spec.alpha,
+        gamma=gamma,
         **overrides,
     )
     return problem, params
@@ -260,16 +260,15 @@ def _run_trials(report, specs, solvers, gamma, tol, max_iter):
     """Solve the problem of each spec with every solver id, one record per run.
 
     ``specs`` is a list that the caller builds in full, so that a bad cell
-    fails before the first solve.
+    fails before the first solve.  A solve runs beside D and the dense L of
+    its problem only: neither the problem's S nor an earlier solution is kept.
     """
     for spec in specs:
         problem, params = _problem_and_params(spec, gamma, epsilon=tol, max_iter=max_iter)
+        d, l_true = problem.data, problem.low_rank
+        del problem
         for solver_id in solvers:
-            t0 = perf_counter()
-            solution = _run_solver(solver_id, problem.data, params)
-            report.records.append(
-                _record_trial(solver_id, problem, solution, perf_counter() - t0)
-            )
+            report.records.append(_run_trial(solver_id, spec, d, l_true, params))
 
 
 def run_phase_experiment(config):
@@ -278,7 +277,7 @@ def run_phase_experiment(config):
     Each trial generates a fresh seeded problem; the solvers receive 1.1x the
     measured ground-truth incoherence, and gamma follows the declared alpha.
     """
-    report = ExperimentReport(kind="phase", config=config.as_dict())
+    report = ExperimentReport(kind="phase", config=asdict(config))
     cells = list(itertools.product(config.alphas, config.amplitudes))
     specs = [
         SyntheticSpec(
@@ -308,23 +307,18 @@ def run_runtime_experiment(sizes, rank=5, master_seed=0):
     sizes = list(sizes)
     if not sizes:
         raise ValueError("at least one size is required")
-    config = {
-        "sizes": sizes,
-        "rank": rank,
-        "alpha": _RUNTIME_ALPHA,
-        "amplitude": _RUNTIME_AMPLITUDE,
-        "master_seed": master_seed,
-        "tol": _RUNTIME_TOL,
-        "max_iter": _RUNTIME_MAX_ITER,
-        "gamma": _RUNTIME_GAMMA,
-        "solvers": list(_RUNTIME_SOLVERS),
-    }
+    config = {"sizes": sizes, "rank": rank, "master_seed": master_seed, **_RUNTIME}
+    config["solvers"] = list(_RUNTIME["solvers"])  # a list, as timings.json holds it
     report = ExperimentReport(kind="runtime", config=config)
     specs = [
-        SyntheticSpec(n, n, rank, _RUNTIME_ALPHA, _RUNTIME_AMPLITUDE, trial_seed(master_seed, index, 0))
+        SyntheticSpec(
+            n, n, rank, _RUNTIME["alpha"], _RUNTIME["amplitude"], trial_seed(master_seed, index, 0)
+        )
         for index, n in enumerate(sizes)
     ]
-    _run_trials(report, specs, _RUNTIME_SOLVERS, _RUNTIME_GAMMA, _RUNTIME_TOL, _RUNTIME_MAX_ITER)
+    _run_trials(
+        report, specs, _RUNTIME["solvers"], _RUNTIME["gamma"], _RUNTIME["tol"], _RUNTIME["max_iter"]
+    )
     return report
 
 
@@ -339,7 +333,7 @@ def benchmark_l_updates(n, rank):
     (:func:`rpca.kernel.svd_truncated`).  The two alternate, one call each
     per round, so that host drift slows both alike.
     """
-    spec = SyntheticSpec(n, n, rank, _RUNTIME_ALPHA, _RUNTIME_AMPLITUDE, _BENCH_SEED)
+    spec = SyntheticSpec(n, n, rank, _RUNTIME["alpha"], _RUNTIME["amplitude"], _BENCH_SEED)
     problem, params = _problem_and_params(spec)
     state, _ = initialize(problem.data, params)
     updates = {"accelerated": _tangent_l_update, "baseline": _svd_l_update}

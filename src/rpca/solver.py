@@ -47,7 +47,6 @@ __all__ = [
     "accaltproj_solve",
     "altproj_solve",
     "hard_threshold",
-    "initial_sparse_guess",
     "initialize",
     "structured_truncate",
     "threshold_value",
@@ -90,19 +89,16 @@ class RpcaParams:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
     @classmethod
-    def defaults(cls, shape, rank, mu, alpha=None, **overrides):
+    def defaults(cls, shape, rank, mu, **overrides):
         """Parameter set from the standard experimental choices.
 
-        beta = 1.1 mu r / (2 sqrt(mn)) and beta_init = 1.1 mu r / sqrt(mn).
-        gamma keeps its field default, switched to 0.65 when the caller
-        declares a sparsity fraction alpha >= 0.55; it is never auto-detected.
-        Any field can be overridden by keyword.
+        beta = 1.1 mu r / (2 sqrt(mn)) and beta_init = 1.1 mu r / sqrt(mn);
+        the other fields keep their defaults.  Any field can be overridden
+        by keyword.
         """
         m, n = shape
         scale = 1.1 * mu * rank / math.sqrt(m * n)
         values = dict(rank=rank, mu=mu, beta=scale / 2.0, beta_init=scale)
-        if alpha is not None and alpha >= 0.55:
-            values["gamma"] = 0.65
         values.update(overrides)
         return cls(**values)
 
@@ -329,33 +325,22 @@ def _sparse_update(d, low, zeta):
     return sparse, residual_norm
 
 
-def initial_sparse_guess(d, params):
-    """First thresholding pass of the initialization.
-
-    Returns (S_init, zeta_init) with zeta_init = beta_init * sigma_1(D) and
-    S_init the hard thresholding of D at that level.  sigma_1(D) comes from
-    :func:`spectral_norm` (Lanczos): a rank-1 subspace iteration stalls when
-    the top singular values of D cluster.
-    """
-    zeta = params.beta_init * spectral_norm(d)
-    return hard_threshold(d, zeta), zeta
-
-
 def initialize(d, params):
     """Build (L_0, S_0) by two projection steps from scratch.
 
     First D is thresholded at beta_init * sigma_1(D) to strip the largest
     outliers; L_0 is the best rank-r approximation of what remains; S_0 then
-    thresholds D - L_0 at beta * sigma_1(D - S_init).  Note the first loop
-    threshold differs in form from the schedule used afterwards: it uses the
-    top singular value only.
+    thresholds D - L_0 at beta * sigma_1(D - S_init), a threshold that, unlike
+    the later schedule, uses the top singular value only.  sigma_1(D) comes
+    from Lanczos (:func:`spectral_norm`): a rank-1 subspace iteration stalls
+    on clustered top singular values.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d`` is validated by
     :func:`spectral_norm` and the rank by :func:`svd_truncated`; the solvers
     validate ``d`` once before calling.
     """
-    w, _ = initial_sparse_guess(d, params)
+    w = hard_threshold(d, params.beta_init * spectral_norm(d))  # S_init
     t0 = perf_counter()
     np.subtract(d, w, out=w)  # W = D - S_init, in the buffer of S_init
     # L_0 is the truncated SVD of W, as in AltProj; there is no previous

@@ -20,14 +20,14 @@ from rpca.solver import (
     FactoredLowRank,
     RpcaParams,
     accaltproj_solve,
-    initial_sparse_guess,
+    hard_threshold,
     initialize,
     structured_truncate,
     threshold_value,
 )
 from rpca.synthetic import SyntheticSpec, generate
 from test_experiments import alternated_l_update_medians
-from test_solver import tangent_project
+from test_solver import desk_params, random_factored, tangent_project
 
 # Desk-scale protocol: n = 200 with the slow threshold decay (gamma = 0.7,
 # from the published parameter family); at this size the faster published
@@ -48,28 +48,10 @@ def criterion(number, name):
         print(f"[criterion {number}] PASS - {name} ({time.perf_counter() - start:.1f}s)")
 
 
-def random_factored(rng, m, n, r):
-    qu = np.linalg.qr(rng.standard_normal((m, r)))[0]
-    qv = np.linalg.qr(rng.standard_normal((n, r)))[0]
-    sigma = np.sort(rng.random(r) * 9.0 + 1.0)[::-1]
-    return FactoredLowRank(qu, sigma, qv)
-
-
 def desk_problem(alpha, cell, trial):
     seed = trial_seed(DESK["master_seed"], cell, trial)
     return generate(
         SyntheticSpec(DESK["n"], DESK["n"], DESK["rank"], alpha, DESK["amplitude"], seed)
-    )
-
-
-def desk_params(problem, alpha, **overrides):
-    return RpcaParams.defaults(
-        problem.data.shape,
-        DESK["rank"],
-        mu=max(1.0, 1.1 * problem.mu_true),
-        alpha=alpha,
-        gamma=DESK["gamma"],
-        **overrides,
     )
 
 
@@ -122,7 +104,7 @@ def test_criterion_3_linear_convergence():
         for cell, alpha in enumerate(DESK_ALPHAS):
             for trial in range(10):
                 problem = desk_problem(alpha, cell, trial)
-                params = desk_params(problem, alpha, epsilon=1e-12, max_iter=100)
+                params = desk_params(problem, epsilon=1e-12, max_iter=100)
                 solution = accaltproj_solve(problem.data, params)
                 errs = solution.trace.errors()
                 assert solution.iterations <= 100
@@ -149,7 +131,7 @@ def test_criterion_4_initialization_on_exact_low_rank():
             params = RpcaParams(
                 rank=r, mu=mu, beta=mu * r / (2 * n), beta_init=beta_init
             )
-            s_first, _ = initial_sparse_guess(d, params)
+            s_first = hard_threshold(d, params.beta_init * spectral_norm(d))
             assert np.count_nonzero(s_first) == 0
             state, _ = initialize(d, params)
             assert np.count_nonzero(state.sparse) == 0

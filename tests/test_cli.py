@@ -33,6 +33,10 @@ def run_synth(tmp_path, n=60, rank=2, alpha=0.1, c=1.0, seed=5, fmt="bin"):
     return out
 
 
+def never_run(*args, **kwargs):
+    raise AssertionError("an experiment started despite conflicting flags")
+
+
 class TestSynthCommand:
     def test_writes_consistent_artifacts(self, tmp_path):
         out = run_synth(tmp_path)
@@ -233,7 +237,7 @@ class TestPhaseCommand:
         assert main(["phase", "--grid", str(path), "--output-dir", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         expected = PhaseConfig(alphas=(0.0,), amplitudes=(1.0,), trials=1, n=20, rank=1)
-        assert report["config"] == expected.as_dict()
+        assert report["config"] == json.loads(json.dumps(asdict(expected)))
 
     def test_grid_or_paper_required(self, tmp_path, capsys):
         assert main(["phase", "--output-dir", str(tmp_path)]) == 1
@@ -263,6 +267,26 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert main(["solve"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phase", "--grid", "{grid}", "--paper"],
+            ["phase", "--grid", "{grid}", "--seed", "99"],
+            ["bench", "--sizes", "64", "--paper"],
+        ],
+        ids=["phase-grid-paper", "phase-grid-seed", "bench-sizes-paper"],
+    )
+    def test_conflicting_flags_exit_one(self, tmp_path, capsys, monkeypatch, argv):
+        # A grid file carries its own seed, and --paper its own grid or sizes.
+        monkeypatch.setattr("rpca.cli.run_phase_experiment", never_run)
+        monkeypatch.setattr("rpca.cli.run_runtime_experiment", never_run)
+        grid = write_grid(tmp_path)
+        out = tmp_path / "out"
+        argv = [arg.format(grid=grid) for arg in argv] + ["--output-dir", str(out)]
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_module_entry_point_runs_the_command(self, tmp_path):
         # `python -m rpca.cli` with the package source first on the import path

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import asdict
 from time import perf_counter
 
@@ -30,11 +31,10 @@ def alternated_l_update_medians(shapes, calls=20):
     (seed 0); then one untimed round and ``calls`` timed rounds call the
     update once per shape in turn, so host drift slows every shape alike.
     """
+    protocol = rpca.experiments._RUNTIME
     cases = []
     for n, rank in shapes:
-        spec = SyntheticSpec(
-            n, n, rank, rpca.experiments._RUNTIME_ALPHA, rpca.experiments._RUNTIME_AMPLITUDE, 0
-        )
+        spec = SyntheticSpec(n, n, rank, protocol["alpha"], protocol["amplitude"], 0)
         problem, params = rpca.experiments._problem_and_params(spec)
         state, _ = initialize(problem.data, params)
         cases.append((state.low_rank, problem.data, state.sparse, params))
@@ -98,6 +98,17 @@ class TestPhaseConfig:
         assert config.alphas[0] == 0.3 and config.alphas[-1] == 0.75
         assert config.amplitudes == (0.2, 1.0, 5.0)
         assert config.gamma is None  # declared-alpha policy at full scale
+
+
+class TestProblemAndParams:
+    def test_gamma_switches_on_declared_alpha(self):
+        def gamma(alpha, **override):
+            spec = SyntheticSpec(50, 50, 2, alpha, 1.0, 3)
+            return rpca.experiments._problem_and_params(spec, **override)[1].gamma
+
+        assert gamma(0.54) == 0.5
+        assert gamma(0.55) == 0.65
+        assert gamma(0.55, gamma=0.7) == 0.7
 
 
 class TestPhaseExperiment:
@@ -167,6 +178,25 @@ class TestRuntimeExperiment:
         for rec in report.records:
             assert rec.n == 80 and rec.wall_seconds > 0.0
             assert rec.mean_l_update_seconds is None or rec.mean_l_update_seconds > 0.0
+
+    def test_trial_peak_memory(self):
+        # Peak above what was live, in 400 x 400 float64 buffers: D and the
+        # ground-truth L beside a solve's 2 buffers, or beside the solution's
+        # S and the dense L estimate of the recovery check.  Neither the
+        # problem's S nor the previous solution is held during a solve.
+        buffer_bytes = 400 * 400 * 8
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = run_runtime_experiment([400], rank=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert len(report.records) == len(SOLVER_IDS)
+        assert peak <= 4.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} buffers"
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError, match="at least one size"):

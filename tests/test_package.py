@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,8 @@ ENTRY_POINTS = [
     "run_runtime_experiment",
 ]
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_public_surface_is_the_entry_points():
@@ -41,3 +43,16 @@ def test_demo_imports_cleanly(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.run_demo)
+
+
+def test_readme_quickstart_runs_and_its_true_claims_hold():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    namespace = {}
+    exec(block, namespace)
+    claims = [
+        line.partition("#")[0].strip() for line in block.splitlines() if line.endswith("# True")
+    ]
+    assert len(claims) == 2
+    for claim in claims:
+        assert eval(claim, namespace) is True, claim

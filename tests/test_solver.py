@@ -16,7 +16,6 @@ from rpca.solver import (
     accaltproj_solve,
     altproj_solve,
     hard_threshold,
-    initial_sparse_guess,
     initialize,
     structured_truncate,
     threshold_value,
@@ -136,10 +135,6 @@ class TestParams:
         assert p.beta_init == pytest.approx(scale)
         assert p.gamma == 0.5
         assert p.epsilon == 1e-6 and p.max_iter == 100 and p.trim_enabled
-
-    def test_gamma_switches_on_declared_alpha(self):
-        assert RpcaParams.defaults((50, 50), 2, 1.5, alpha=0.54).gamma == 0.5
-        assert RpcaParams.defaults((50, 50), 2, 1.5, alpha=0.55).gamma == 0.65
 
     @pytest.mark.parametrize(
         "bad",
@@ -521,7 +516,7 @@ class TestInitialize:
         params = RpcaParams(
             rank=3, mu=mu, beta=mu * 3 / (2 * 40), beta_init=2.0 * mu * 3 / 40
         )
-        s_first, _ = initial_sparse_guess(d, params)
+        s_first = hard_threshold(d, params.beta_init * spectral_norm(d))
         assert np.count_nonzero(s_first) == 0
         state, _ = initialize(d, params)
         assert frob(state.low_rank.matrix() - d) <= 1e-12 * frob(d)
@@ -541,7 +536,8 @@ class TestInitialize:
         zeta0 = params.beta * s[0]
         s0 = np.where(np.abs(d - l0) > zeta0, d - l0, 0.0)
 
-        guess, zeta_guess = initial_sparse_guess(d, params)
+        zeta_guess = params.beta_init * spectral_norm(d)
+        guess = hard_threshold(d, zeta_guess)
         assert np.allclose(guess, s_first, atol=1e-12)
         assert zeta_guess == pytest.approx(zeta_first, rel=1e-12)
         state, _ = initialize(d, params)
@@ -565,8 +561,9 @@ class TestInitialize:
 
     def test_thresholds_match_dense_oracle(self):
         prob = generate(SyntheticSpec(300, 300, 5, 0.1, 1.0, 808))
-        d, params = prob.data, desk_params(prob, 0.1)
-        s_first, zeta_first = initial_sparse_guess(d, params)
+        d, params = prob.data, desk_params(prob)
+        zeta_first = params.beta_init * spectral_norm(d)
+        s_first = hard_threshold(d, zeta_first)
         sigma_d = np.linalg.svd(d, compute_uv=False)[0]
         assert zeta_first == pytest.approx(params.beta_init * sigma_d, rel=1e-12)
         state, _ = initialize(d, params)
@@ -619,13 +616,12 @@ class TestAccAltProjStep:
         assert with_trim.zeta == without.zeta
 
 
-def desk_params(problem, alpha, **overrides):
+def desk_params(problem, **overrides):
     # Desk-scale runs need the slower threshold decay; see PhaseConfig docs.
     return RpcaParams.defaults(
         problem.data.shape,
         problem.spec.rank,
         mu=max(1.0, 1.1 * problem.mu_true),
-        alpha=alpha,
         gamma=0.7,
         **overrides,
     )
@@ -649,7 +645,7 @@ class TestSolvers:
     def test_synthetic_recovery(self):
         for seed in (101, 202, 303):
             prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, seed))
-            sol = accaltproj_solve(prob.data, desk_params(prob, 0.1))
+            sol = accaltproj_solve(prob.data, desk_params(prob))
             assert sol.converged and sol.final_err < 1e-6
             rec = frob(sol.low_rank.matrix() - prob.low_rank) / frob(prob.low_rank)
             assert rec <= 1e-4
@@ -659,7 +655,7 @@ class TestSolvers:
 
     def test_cross_solver_agreement(self):
         prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 404))
-        params = desk_params(prob, 0.1)
+        params = desk_params(prob)
         accelerated = accaltproj_solve(prob.data, params)
         baseline = altproj_solve(prob.data, params)
         assert accelerated.converged and baseline.converged
@@ -669,7 +665,7 @@ class TestSolvers:
 
     def test_baseline_l_update_is_plain_truncation(self):
         prob = generate(SyntheticSpec(40, 40, 3, 0.1, 1.0, 505))
-        params = desk_params(prob, 0.1)
+        params = desk_params(prob)
         state, _ = initialize(prob.data, params)
         out, _ = _step(state, prob.data, params, _svd_l_update)
         w = prob.data - state.sparse
@@ -679,14 +675,14 @@ class TestSolvers:
 
     def test_final_err_is_the_relative_error_of_the_output(self):
         prob = generate(SyntheticSpec(90, 150, 3, 0.1, 1.0, 515))
-        params = desk_params(prob, 0.1)
+        params = desk_params(prob)
         for solve in (accaltproj_solve, altproj_solve):
             sol = solve(prob.data, params)
             assert sol.final_err == relative_error(prob.data, sol.low_rank, sol.sparse)
 
     def test_trace_is_deterministic(self):
         prob = generate(SyntheticSpec(80, 80, 3, 0.1, 1.0, 606))
-        params = desk_params(prob, 0.1)
+        params = desk_params(prob)
         first = accaltproj_solve(prob.data, params)
         second = accaltproj_solve(prob.data, params)
         assert np.array_equal(first.trace.errors(), second.trace.errors())
@@ -698,14 +694,14 @@ class TestSolvers:
 
     def test_trace_records_are_complete(self):
         prob = generate(SyntheticSpec(60, 60, 2, 0.1, 1.0, 707))
-        sol = accaltproj_solve(prob.data, desk_params(prob, 0.1))
+        sol = accaltproj_solve(prob.data, desk_params(prob))
         ks = [rec.k for rec in sol.trace.records]
         assert ks == list(range(len(ks)))
         assert all(rec.err >= 0 and rec.zeta >= 0 for rec in sol.trace.records)
 
     def test_init_row_times_the_truncation_only(self):
         prob = generate(SyntheticSpec(100, 100, 3, 0.1, 1.0, 909))
-        sol = accaltproj_solve(prob.data, desk_params(prob, 0.1))
+        sol = accaltproj_solve(prob.data, desk_params(prob))
         init = sol.trace.records[0]
         assert 0.0 < init.l_update_seconds < init.iter_seconds
 
@@ -728,7 +724,7 @@ class TestSolvers:
 
     def test_rectangular_problem(self):
         prob = generate(SyntheticSpec(120, 80, 3, 0.1, 1.0, 808))
-        sol = accaltproj_solve(prob.data, desk_params(prob, 0.1))
+        sol = accaltproj_solve(prob.data, desk_params(prob))
         assert sol.converged
         rec = frob(sol.low_rank.matrix() - prob.low_rank) / frob(prob.low_rank)
         assert rec <= 1e-4
@@ -740,7 +736,7 @@ class TestWorkspaceReuse:
 
     def setup_method(self):
         self.prob = generate(SyntheticSpec(60, 50, 2, 0.1, 1.0, 919))
-        self.params = desk_params(self.prob, 0.1)
+        self.params = desk_params(self.prob)
 
     def test_solvers_leave_d_unchanged(self):
         d = self.prob.data
@@ -789,7 +785,7 @@ class TestWorkspaceReuse:
     def test_peak_memory_is_two_buffers(self, solve, bound):
         # Measured above what is live at the call, which includes D.
         prob = generate(SyntheticSpec(400, 400, 5, 0.1, 1.0, 929))
-        params = desk_params(prob, 0.1)
+        params = desk_params(prob)
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -855,7 +851,7 @@ class TestTiledStep:
 
         monkeypatch.setattr(rpca.solver, "_row_tiles", recording)
         prob = generate(SyntheticSpec(215, 1200, 10, 0.1, 1.0, 1))
-        params = desk_params(prob, 0.1)
+        params = desk_params(prob)
         state, _ = initialize(prob.data, params)
         heights.clear()
         _tangent_l_update(state.low_rank, prob.data, state.sparse, params)
@@ -866,7 +862,7 @@ class TestTiledStep:
     def test_step_matches_dense_oracle(self, m, n, r, l_update):
         prob = generate(SyntheticSpec(m, n, r, 0.1, 1.0, 1000 + m + n + r))
         d = prob.data
-        params = desk_params(prob, 0.1)
+        params = desk_params(prob)
         state, _ = initialize(d, params)
         while state.k < 10:  # past the start of the schedule, where S_k stays empty
             state, _ = _step(state, d, params, l_update)

@@ -1,0 +1,160 @@
+"""Compare the command-line artifacts of a git revision with the working tree's.
+
+Usage: python3 tools/compare_artifacts.py REV
+
+Exports REV with ``git archive`` into a temporary directory.  Then it runs one
+pipeline of ``rpca`` commands on that tree and on the working tree, each in a
+subprocess with ``PYTHONPATH=<tree>/src``, one BLAS thread and no bytecode
+files.  The pipeline is:
+
+- the ``synth``, ``solve``, ``phase`` and ``bench`` commands of acceptance
+  criterion 7;
+- a ``solve`` of the same input with ``--solver altproj``;
+- a ``phase`` grid with an alpha >= 0.55 cell and no ``gamma``, so that the
+  declared-alpha rule for gamma runs.
+
+Each side must import ``rpca`` from its own tree.  Every ``.bin`` file must
+match byte for byte.  Every JSON file and ``report.csv`` must match once the
+timing fields (names containing ``seconds``) are removed; commands name their
+files relative to the output directory, so input paths match.  The exit codes
+of the commands are compared too.  One line is printed per file, and the exit
+status is 1 if any file differs.
+
+The bits depend on the BLAS build, so both sides run on the same machine.  A
+change that alters the bits on purpose makes this check fail by design.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+GRIDS = {
+    # acceptance criterion 7
+    "grid.json": {"n": 40, "rank": 2, "alphas": [0.0, 0.1], "cs": [1.0],
+                  "trials": 2, "seed": 11, "gamma": 0.7},
+    # no gamma: the 0.6 cell takes gamma = 0.65 from the declared alpha
+    "grid-alpha.json": {"n": 40, "rank": 2, "alphas": [0.1, 0.6], "cs": [1.0],
+                        "trials": 1, "seed": 5},
+}
+
+COMMANDS = [
+    ["synth", "--n", "64", "--rank", "2", "--alpha", "0.1", "--c", "1", "--seed", "17",
+     "--output-dir", "synth"],
+    ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7",
+     "--output-dir", "solve"],
+    ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7",
+     "--solver", "altproj", "--output-dir", "solve-altproj"],
+    ["phase", "--grid", "../grid.json", "--output-dir", "phase"],
+    ["phase", "--grid", "../grid-alpha.json", "--output-dir", "phase-alpha"],
+    ["bench", "--sizes", "48", "--rank", "2", "--output-dir", "bench"],
+]
+
+# Runs in the subprocess, in the output directory: prints where rpca came
+# from, then runs each command and writes the exit codes.
+DRIVER = """
+import json, sys
+import rpca
+from rpca.cli import main
+print(rpca.__file__)
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+with open("exit_codes.json", "w") as fh:
+    json.dump(codes, fh)
+"""
+
+
+def export(rev, dest):
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True
+    )
+    if archive.returncode != 0:
+        sys.exit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def run_pipeline(tree, work):
+    """Run the pipeline on ``tree``'s sources in a new ``work``/out; return that dir."""
+    work.mkdir()
+    for name, grid in GRIDS.items():
+        (work / name).write_text(json.dumps(grid))
+    out = work / "out"
+    out.mkdir()
+    src = (tree / "src").resolve()
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(src),
+        PYTHONDONTWRITEBYTECODE="1",
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", DRIVER, json.dumps(COMMANDS)],
+        cwd=out, env=env, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        sys.exit(f"pipeline failed on {tree}:\n{done.stderr}")
+    imported = Path(done.stdout.splitlines()[0]).resolve()
+    if src not in imported.parents:
+        sys.exit(f"rpca was imported from {imported}, not from {src}")
+    return out
+
+
+def strip_timing(obj):
+    if isinstance(obj, dict):
+        return {k: strip_timing(v) for k, v in obj.items() if "seconds" not in k}
+    if isinstance(obj, list):
+        return [strip_timing(item) for item in obj]
+    return obj
+
+
+def comparable(path):
+    if path.suffix == ".json":
+        return strip_timing(json.loads(path.read_text()))
+    if path.name == "report.csv":
+        rows = list(csv.reader(io.StringIO(path.read_text())))
+        keep = [i for i, column in enumerate(rows[0]) if "seconds" not in column]
+        return [[row[i] for i in keep] for row in rows]
+    return path.read_bytes()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare the working tree with")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        base_tree = scratch / "rev"
+        base_tree.mkdir()
+        export(args.rev, base_tree)
+        outputs = [
+            run_pipeline(base_tree, scratch / "run-rev"),
+            run_pipeline(ROOT, scratch / "run-work"),
+        ]
+        files = [{p.relative_to(out) for p in out.rglob("*") if p.is_file()} for out in outputs]
+        names = sorted(files[0] | files[1])
+        differ = 0
+        for name in names:
+            if name not in files[0] or name not in files[1]:
+                verdict = f"only in {'the working tree' if name in files[1] else args.rev}"
+            elif comparable(outputs[0] / name) == comparable(outputs[1] / name):
+                verdict = "identical"
+            else:
+                verdict = "DIFFERS"
+            differ += verdict != "identical"
+            print(f"{verdict:<24} {name}")
+    print(f"{differ} of {len(names)} files differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
