@@ -50,7 +50,9 @@ def run_demo():
                 else threshold_value(window, p["rank"], p["beta"], p["gamma"], k - 1)
             )
             worst = max(worst, abs(zeta - expected) / max(expected, 1e-300))
-        print(f"   max relative mismatch {worst:.2e}")
+        skipped = sum(trace["trace"]["skipped"])
+        print(f"   max relative mismatch {worst:.2e} over {len(trace['trace']['zeta'])} rows, "
+              f"{skipped} of them idle steps that were skipped")
 
         low = read_matrix(scratch / "L.bin")
         residual = read_matrix(scratch / "D.bin") - low - read_matrix(scratch / "S.bin")

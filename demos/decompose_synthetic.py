@@ -40,7 +40,8 @@ def run_demo():
         print("  k   err          zeta         sigma_r      sigma_r+1")
         for rec in solution.trace.records[:: max(1, len(solution.trace.records) // 10)]:
             print(f"  {rec.k:3d} {rec.err:.6e} {rec.zeta:.6e} "
-                  f"{rec.sigma_window[rank - 1]:.6e} {rec.sigma_window[rank]:.6e}")
+                  f"{rec.sigma_window[rank - 1]:.6e} {rec.sigma_window[rank]:.6e}"
+                  f"{'  (skipped idle step)' if rec.skipped else ''}")
         low = solution.low_rank.matrix()
         rec_err = np.linalg.norm(low - problem.low_rank) / np.linalg.norm(problem.low_rank)
         print(f"  low-rank recovery error {rec_err:.2e} "

@@ -46,7 +46,8 @@ _SOLVERS = {
 SOLVER_IDS = tuple(_SOLVERS)
 
 # Per-iteration timing summaries skip the initialization row and the first
-# loop iteration (warm-up); wall clocks are monotonic (perf_counter).
+# loop iteration (warm-up), and leave out the skipped idle steps, which did
+# no work and log zero seconds; wall clocks are monotonic (perf_counter).
 _TIMING_SKIP = 2
 
 # Problems and stopping rule of the runtime harnesses: run_runtime_experiment
@@ -208,10 +209,11 @@ PAPER_RUNTIME_SIZES = (1000, 2500, 5000, 10000, 15000)  # the published runtime 
 
 
 def _timing_means(trace):
-    iters = [rec.iter_seconds for rec in trace.records[_TIMING_SKIP:]]
-    l_updates = [rec.l_update_seconds for rec in trace.records[_TIMING_SKIP:]]
-    if not iters:
+    executed = [rec for rec in trace.records[_TIMING_SKIP:] if not rec.skipped]
+    if not executed:
         return None, None
+    iters = [rec.iter_seconds for rec in executed]
+    l_updates = [rec.l_update_seconds for rec in executed]
     return float(np.mean(iters)), float(np.mean(l_updates))
 
 

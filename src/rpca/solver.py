@@ -17,6 +17,19 @@ iteration allocates S_{k+1} and tiles; a solve peaks at D plus 2 buffers
 (S_k and S_{k+1}), or, for the baseline, D plus S_k and the D - S_k its SVD
 reads.
 
+The schedule starts above every corrupted entry, so a solve usually opens
+with a run of idle iterations.  While every sparse iterate is zero, S_init
+included, W = D - S_k = D and L_k is the rank-r truncation of D, so a step
+changes only k and zeta: S_{k+1} = H_zeta(D - L_k) stays zero as long as
+zeta_{k+1} >= max|D - L_k|.  The sparse pass records max|D - L| while that
+prefix lasts; once one loop step has taken S_k = 0 to S_{k+1} = 0, each
+following k whose threshold is at least that maximum is advanced without
+computing and logged as a ``skipped`` trace row with its own zeta.  The next
+step whose S would be nonzero runs in full.  For the baseline the skipped
+steps would reproduce L, S and err bit for bit; for the accelerated solver
+they agree with the skipped L-updates up to rounding.  ``initialize``
+likewise truncates D itself when no entry exceeds the first threshold.
+
 All solver entry points are pure functions of their arguments (states and
 parameter sets are frozen), so concurrent solves never share mutable state.
 """
@@ -24,7 +37,7 @@ parameter sets are frozen), so concurrent solves never share mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 
 import numpy as np
@@ -112,7 +125,10 @@ class IterationState:
     main loop, the thresholded data during initialization.  Where that
     truncation is :func:`svd_truncated`, the value after the first r is its
     next Ritz value, a lower bound on sigma_{r+1}.  ``l_update_seconds`` is
-    the wall time of the truncation (0 for a state built by hand).
+    the wall time of the truncation (0 for a state built by hand or a
+    skipped step).  ``max_abs_dl`` is max|D - L_k| while S_init and every
+    S_j up to S_k are zero, and None once one of them is not (or for a state
+    built by hand); it decides which steps :func:`_solve` may skip.
     """
 
     low_rank: FactoredLowRank
@@ -121,16 +137,22 @@ class IterationState:
     zeta: float
     sigma_window: np.ndarray
     l_update_seconds: float = 0.0
+    max_abs_dl: float | None = None
 
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One trace row.  A ``skipped`` row is an idle step that was not
+    computed: it has its own k and zeta, the err and sigma_window of the
+    last computed row, and zero timings."""
+
     k: int
     err: float
     zeta: float
     sigma_window: np.ndarray
     iter_seconds: float
     l_update_seconds: float
+    skipped: bool
 
 
 @dataclass
@@ -139,7 +161,7 @@ class ConvergenceTrace:
 
     records: list[IterationRecord] = field(default_factory=list)
 
-    def add(self, state, err, iter_seconds):
+    def add(self, state, err, iter_seconds, skipped=False):
         self.records.append(
             IterationRecord(
                 k=state.k,
@@ -148,6 +170,7 @@ class ConvergenceTrace:
                 sigma_window=np.array(state.sigma_window, dtype=np.float64),
                 iter_seconds=float(iter_seconds),
                 l_update_seconds=float(state.l_update_seconds),
+                skipped=skipped,
             )
         )
 
@@ -292,37 +315,50 @@ def hard_threshold(z, zeta, out=None):
     return out
 
 
-def _residual_norm(d, low, sparse, zeta=None):
+def _tiled_pass(d, low, sparse, zeta=None, track_max=False):
     """||D - L - S||_F with L = ``low``, in one pass over row tiles of D.
 
     Each tile of L is formed from the factors, subtracted from D, and, with
     ``zeta``, thresholded into the same rows of ``sparse`` (the sparse
     update); then S is subtracted and the squares are summed.  Without
     ``zeta``, ``sparse`` is only read.  One tile buffer is allocated.
+
+    Returns ``(norm, max_abs_dl)``: max|D - L| with ``track_max``, else None.
     """
     us, vt = low.U * low.sigma, low.V.T
     tiles = _row_tiles(d.shape)
     buf = np.empty((tiles[0].stop, d.shape[1]))
-    total = 0.0
+    total, max_abs_dl = 0.0, 0.0
     for t in tiles:
         residual = np.matmul(us[t], vt, out=buf[: t.stop - t.start])
         np.subtract(d[t], residual, out=residual)
+        if track_max:
+            max_abs_dl = max(max_abs_dl, float(residual.max()), -float(residual.min()))
         if zeta is not None:
             hard_threshold(residual, zeta, out=sparse[t])
         residual -= sparse[t]
         flat = residual.ravel()
         total += float(flat @ flat)
-    return math.sqrt(total)
+    return math.sqrt(total), (max_abs_dl if track_max else None)
 
 
-def _sparse_update(d, low, zeta):
-    """S = H_zeta(D - L) and ||D - L - S||_F, from one pass over row tiles.
+def _residual_norm(d, low, sparse):
+    """||D - L - S||_F with L = ``low``; ``d`` and ``sparse`` are only read."""
+    return _tiled_pass(d, low, sparse)[0]
 
-    S is the only m x n array allocated; ``d`` and ``low`` are only read.
+
+def _sparse_update(d, low, zeta, track_max=False):
+    """S = H_zeta(D - L), ||D - L - S||_F and, with ``track_max``, max|D - L|.
+
+    One pass over row tiles; S is the only m x n array allocated, and ``d``
+    and ``low`` are only read.  The maximum is None unless tracked, and also
+    when S is not zero: it only serves while the sparse iterates are.
     """
     sparse = np.empty(d.shape)
-    residual_norm = _residual_norm(d, low, sparse, zeta)
-    return sparse, residual_norm
+    residual_norm, max_abs_dl = _tiled_pass(d, low, sparse, zeta, track_max)
+    if max_abs_dl is not None and max_abs_dl > zeta:
+        max_abs_dl = None
+    return sparse, residual_norm, max_abs_dl
 
 
 def initialize(d, params):
@@ -333,24 +369,30 @@ def initialize(d, params):
     thresholds D - L_0 at beta * sigma_1(D - S_init), a threshold that, unlike
     the later schedule, uses the top singular value only.  sigma_1(D) comes
     from Lanczos (:func:`spectral_norm`): a rank-1 subspace iteration stalls
-    on clustered top singular values.
+    on clustered top singular values.  When no entry of D exceeds the first
+    threshold, S_init is zero and D itself is truncated, with the same bits
+    and without the buffer of D - S_init.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d`` is validated by
     :func:`spectral_norm` and the rank by :func:`svd_truncated`; the solvers
     validate ``d`` once before calling.
     """
-    w = hard_threshold(d, params.beta_init * spectral_norm(d))  # S_init
+    zeta_init = params.beta_init * spectral_norm(d)
+    idle = max(float(d.max()), -float(d.min())) <= zeta_init  # S_init = 0
+    w = d if idle else hard_threshold(d, zeta_init)  # S_init
     t0 = perf_counter()
-    np.subtract(d, w, out=w)  # W = D - S_init, in the buffer of S_init
+    if not idle:
+        np.subtract(d, w, out=w)  # W = D - S_init, in the buffer of S_init
     # L_0 is the truncated SVD of W, as in AltProj; there is no previous
     # estimate to project at.
     low, window = svd_truncated(w, params.rank)
     l_seconds = perf_counter() - t0
     del w  # so that S_0 is the only m x n array beside D from here on
     zeta_0 = params.beta * float(low.sigma[0])
-    sparse, residual_norm = _sparse_update(d, low, zeta_0)
-    return IterationState(low, sparse, 0, zeta_0, window, l_seconds), residual_norm
+    sparse, residual_norm, max_abs_dl = _sparse_update(d, low, zeta_0, track_max=idle)
+    state = IterationState(low, sparse, 0, zeta_0, window, l_seconds, max_abs_dl)
+    return state, residual_norm
 
 
 def _tangent_l_update(low_rank, d, sparse, params):
@@ -389,14 +431,38 @@ def _step(state, d, params, l_update):
     ``state`` are only read.
 
     Returns ``(state, residual_norm)`` with residual_norm =
-    ||D - L_{k+1} - S_{k+1}||_F.
+    ||D - L_{k+1} - S_{k+1}||_F.  max|D - L_{k+1}| is tracked while the
+    input state tracks it (see :class:`IterationState`).
     """
     t0 = perf_counter()
     low, window = l_update(state.low_rank, d, state.sparse, params)
     l_seconds = perf_counter() - t0
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
-    sparse, residual_norm = _sparse_update(d, low, zeta)
-    return IterationState(low, sparse, state.k + 1, zeta, window, l_seconds), residual_norm
+    sparse, residual_norm, max_abs_dl = _sparse_update(
+        d, low, zeta, track_max=state.max_abs_dl is not None
+    )
+    state = IterationState(low, sparse, state.k + 1, zeta, window, l_seconds, max_abs_dl)
+    return state, residual_norm
+
+
+def _skipped_step(state, params):
+    """The state after step k+1 if that step is idle and need not run, else None.
+
+    The step is idle after a loop step that took S = 0 to S = 0 with S_init
+    zero too: then L_k is the rank-r truncation of W = D, a fixed point of
+    either L-update, so the step would keep L, the window and err, and
+    S_{k+1} = H_zeta(D - L_k) is zero while zeta_{k+1} >= max|D - L_k|.
+    Where trim fires on L_k (mu at or below the true incoherence), the
+    accelerated update projects at the trimmed basis and would move L a
+    little: the skipped rows' zeta then differ from computed ones by up to
+    1e-4 relative, while the final L agrees to rounding.
+    """
+    if state.max_abs_dl is None or state.k < 1:
+        return None
+    zeta = threshold_value(state.sigma_window, params.rank, params.beta, params.gamma, state.k)
+    if zeta < state.max_abs_dl:
+        return None
+    return replace(state, k=state.k + 1, zeta=zeta, l_update_seconds=0.0)
 
 
 def _solve(d, params, l_update):
@@ -410,6 +476,10 @@ def _solve(d, params, l_update):
         t0 = perf_counter()
         if state is None:
             state, residual_norm = initialize(d, params)
+        elif (skipped := _skipped_step(state, params)) is not None:
+            state = skipped
+            trace.add(state, err, iter_seconds=0.0, skipped=True)
+            continue
         else:
             state, residual_norm = _step(state, d, params, l_update)
         err = residual_norm / d_norm

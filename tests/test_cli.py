@@ -121,9 +121,12 @@ class TestSolveCommand:
             columns = trace["trace"]
             assert set(columns) == {f.name for f in fields(IterationRecord)}
             assert set(columns) == {
-                "k", "err", "zeta", "sigma_window", "iter_seconds", "l_update_seconds"
+                "k", "err", "zeta", "sigma_window", "iter_seconds", "l_update_seconds",
+                "skipped",
             }
+            assert trace["schema_version"] == 2
             assert columns["k"] == list(range(trace["iterations"] + 1))
+            assert all(isinstance(flag, bool) for flag in columns["skipped"])
             for values in columns.values():
                 assert len(values) == trace["iterations"] + 1
 

@@ -16,7 +16,7 @@ from rpca.experiments import (
     run_runtime_experiment,
     trial_seed,
 )
-from rpca.solver import _tangent_l_update, initialize
+from rpca.solver import _tangent_l_update, accaltproj_solve, initialize
 from rpca.synthetic import SyntheticSpec
 
 
@@ -178,6 +178,20 @@ class TestRuntimeExperiment:
         for rec in report.records:
             assert rec.n == 80 and rec.wall_seconds > 0.0
             assert rec.mean_l_update_seconds is None or rec.mean_l_update_seconds > 0.0
+
+    def test_timing_means_are_over_executed_rows(self):
+        spec = SyntheticSpec(80, 80, 2, 0.1, 0.2, 5)
+        problem, params = rpca.experiments._problem_and_params(spec)
+        trace = accaltproj_solve(problem.data, params).trace
+        rows = trace.records[2:]  # past the initialization and warm-up rows
+        assert any(rec.skipped for rec in rows)
+        executed = [rec for rec in rows if not rec.skipped]
+        mean_iter, mean_l = rpca.experiments._timing_means(trace)
+        assert mean_iter == float(np.mean([rec.iter_seconds for rec in executed]))
+        assert mean_l == float(np.mean([rec.l_update_seconds for rec in executed]))
+        # the zero-second skipped rows would pull both means down
+        assert mean_iter > float(np.mean([rec.iter_seconds for rec in rows]))
+        assert mean_l > float(np.mean([rec.l_update_seconds for rec in rows]))
 
     def test_trial_peak_memory(self):
         # Peak above what was live, in 400 x 400 float64 buffers: D and the

@@ -730,6 +730,129 @@ class TestSolvers:
         assert rec <= 1e-4
 
 
+def unskipped_solve(d, params, l_update):
+    """Reference for the solvers: ``initialize``, then ``_step`` under the
+    same stopping rule, with every step computed.  Returns the final state
+    and the (k, err, zeta, sigma_window) of each iteration."""
+    d_norm = float(np.linalg.norm(d))
+    state, norm = initialize(d, params)
+    rows = [(state.k, norm / d_norm, state.zeta, state.sigma_window)]
+    while rows[-1][1] >= params.epsilon and state.k < params.max_iter:
+        state, norm = _step(state, d, params, l_update)
+        rows.append((state.k, norm / d_norm, state.zeta, state.sigma_window))
+    return state, rows
+
+
+SOLVERS = [
+    pytest.param(altproj_solve, _svd_l_update, id="altproj"),
+    pytest.param(accaltproj_solve, _tangent_l_update, id="accaltproj"),
+]
+
+
+def assert_matches_unskipped(sol, ref, rows, l_update):
+    """The skip leaves the iterate sequence as the reference computes it:
+    bit for bit for AltProj, whose skipped SVDs would read the same D; to
+    rounding for AccAltProj, whose skipped tangent-space truncations would
+    return L again up to rounding."""
+    records = sol.trace.records
+    assert [rec.k for rec in records] == [row[0] for row in rows]
+    if l_update is _svd_l_update:
+        assert np.array_equal(sol.low_rank.U, ref.low_rank.U)
+        assert np.array_equal(sol.low_rank.sigma, ref.low_rank.sigma)
+        assert np.array_equal(sol.low_rank.V, ref.low_rank.V)
+        assert np.array_equal(sol.sparse, ref.sparse)
+        for rec, (_, err, zeta, window) in zip(records, rows):
+            assert rec.err == err and rec.zeta == zeta
+            assert np.array_equal(rec.sigma_window, window)
+    else:
+        zetas = np.array([row[2] for row in rows])
+        assert np.allclose(sol.trace.zetas(), zetas, rtol=1e-9, atol=0.0)
+        l_ref = ref.low_rank.matrix()
+        assert frob(sol.low_rank.matrix() - l_ref) <= 1e-8 * frob(l_ref)
+
+
+class TestIdleSkip:
+    """While S_init and every S_k are zero, the solvers skip the steps that
+    would leave (L, S) unchanged, and log one ``skipped`` row for each."""
+
+    @pytest.mark.parametrize("solve, l_update", SOLVERS)
+    @pytest.mark.parametrize("amplitude", [0.2, 1.0, 5.0])
+    def test_matches_the_unskipped_loop(self, solve, l_update, amplitude):
+        prob = generate(SyntheticSpec(200, 200, 5, 0.1, amplitude, 1))
+        params = desk_params(prob)
+        sol = solve(prob.data, params)
+        ref, rows = unskipped_solve(prob.data, params, l_update)
+        assert sol.converged and sol.iterations == ref.k
+        assert_matches_unskipped(sol, ref, rows, l_update)
+        skipped = [rec for rec in sol.trace.records if rec.skipped]
+        if amplitude < 5.0:  # the larger the corruption, the shorter the idle start
+            assert skipped
+        for rec in skipped:
+            assert rec.k >= 2  # after the initialization and one loop step
+            assert rec.iter_seconds == 0.0 and rec.l_update_seconds == 0.0
+        # a skipped row repeats the err and window of the row before it
+        for before, rec in zip(sol.trace.records, sol.trace.records[1:]):
+            if rec.skipped:
+                assert rec.err == before.err
+                assert np.array_equal(rec.sigma_window, before.sigma_window)
+
+    @pytest.mark.parametrize("solve, l_update", SOLVERS)
+    def test_max_iter_inside_the_idle_start(self, solve, l_update):
+        prob = generate(SyntheticSpec(200, 200, 5, 0.1, 0.2, 1))
+        params = desk_params(prob, max_iter=5)
+        sol = solve(prob.data, params)
+        ref, rows = unskipped_solve(prob.data, params, l_update)
+        assert sol.iterations == params.max_iter and not sol.converged
+        assert sol.trace.records[-1].skipped
+        assert not np.any(sol.sparse)
+        assert_matches_unskipped(sol, ref, rows, l_update)
+
+    @pytest.mark.parametrize("solve, l_update", SOLVERS)
+    def test_no_skip_after_a_nonzero_s_init(self, solve, l_update):
+        # The idle steps are fixed points only if L_0 is the truncation of D
+        # itself.  Three spikes just above the first threshold make S_init
+        # nonzero, and beta = 2 beta_init with gamma = 0.9 keeps S_0, S_1, ...
+        # zero for a few steps below them.  Skipping those would move the
+        # accelerated solver's thresholds by about 4e-4.
+        prob = generate(SyntheticSpec(200, 200, 5, 0.1, 0.2, 1))
+        params = desk_params(prob, max_iter=15)
+        params = replace(params, beta=2.0 * params.beta_init, gamma=0.9)
+        d = prob.data.copy()
+        d[[3, 70, 150], [9, 120, 40]] = 1.05 * params.beta_init * spectral_norm(d)
+        assert np.any(hard_threshold(d, params.beta_init * spectral_norm(d)))  # S_init != 0
+        assert not np.any(initialize(d, params)[0].sparse)  # S_0 = 0
+        sol = solve(d, params)
+        ref, rows = unskipped_solve(d, params, l_update)
+        assert not any(rec.skipped for rec in sol.trace.records)
+        assert_matches_unskipped(sol, ref, rows, l_update)
+
+    def test_max_abs_dl_is_tracked_while_every_s_is_zero(self):
+        prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
+        d, params = prob.data, desk_params(prob)
+        state, _ = initialize(d, params)
+        idle = []
+        while state.k < 12:
+            idle.append(not np.any(state.sparse) and (not idle or idle[-1]))
+            if idle[-1]:
+                dense = np.abs(d - state.low_rank.matrix()).max()
+                assert state.max_abs_dl == pytest.approx(dense, rel=1e-12)
+            else:
+                assert state.max_abs_dl is None
+            state, _ = _step(state, d, params, _tangent_l_update)
+        assert idle[0] and not idle[-1]
+
+    def test_initialize_truncates_d_when_nothing_exceeds_the_first_threshold(self):
+        prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
+        d, params = prob.data, desk_params(prob)
+        assert not np.any(hard_threshold(d, params.beta_init * spectral_norm(d)))
+        state, _ = initialize(d, params)
+        low, window = svd_truncated(d - 0.0, params.rank)  # W = D - S_init, formed
+        assert np.array_equal(state.low_rank.U, low.U)
+        assert np.array_equal(state.low_rank.sigma, low.sigma)
+        assert np.array_equal(state.low_rank.V, low.V)
+        assert np.array_equal(state.sigma_window, window)
+
+
 class TestWorkspaceReuse:
     """The solvers keep no m x n workspace: an iteration allocates S_{k+1}
     and row tiles, and nothing they return may alias D or a kept state."""
