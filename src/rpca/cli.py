@@ -105,6 +105,7 @@ def _cmd_solve(args):
     t0 = perf_counter()
     solution = solve(d, params)
     total_seconds = perf_counter() - t0
+    del d  # so that D is freed before the dense L is formed for writing
 
     write_matrix(solution.low_rank.matrix(), outputs[0])
     write_matrix(solution.sparse, outputs[1])

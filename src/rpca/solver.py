@@ -12,10 +12,11 @@ iteration) is provided for comparison.
 Each half-iteration reads the m x n operands in one pass over row tiles, so
 no m x n workspace is kept: the L-update of the accelerated solver gathers
 U^T (D - S_k) and (D - S_k) V tile by tile, and the shared sparse update
-builds L_{k+1}, D - L_{k+1}, S_{k+1} and the residual norm tile by tile.  An
-iteration allocates S_{k+1} and tiles; a solve peaks at D plus 2 buffers
-(S_k and S_{k+1}), or, for the baseline, D plus S_k and the D - S_k its SVD
-reads.
+builds L_{k+1}, D - L_{k+1}, S_{k+1} and the residual norm tile by tile.
+S_k is dead once the L-update has read it, so a solve owns one S buffer and
+writes S_{k+1} over S_k; the baseline first forms D - S_k in that buffer for
+its SVD.  An iteration allocates only tiles and thin factors, and a solve
+peaks at D plus 1 buffer.
 
 The schedule starts above every corrupted entry, so a solve usually opens
 with a run of idle iterations.  While every sparse iterate is zero, S_init
@@ -30,8 +31,10 @@ steps would reproduce L, S and err bit for bit; for the accelerated solver
 they agree with the skipped L-updates up to rounding.  ``initialize``
 likewise truncates D itself when no entry exceeds the first threshold.
 
-All solver entry points are pure functions of their arguments (states and
-parameter sets are frozen), so concurrent solves never share mutable state.
+The solver entry points are pure functions of their arguments: D is only
+read, and each solve allocates its own S buffer, so concurrent solves never
+share mutable state.  States and parameter sets are frozen, but inside a
+solve a state is not a snapshot: the next step writes over its ``sparse``.
 """
 
 from __future__ import annotations
@@ -347,14 +350,16 @@ def _residual_norm(d, low, sparse):
     return _tiled_pass(d, low, sparse)[0]
 
 
-def _sparse_update(d, low, zeta, track_max=False):
+def _sparse_update(d, low, zeta, track_max=False, out=None):
     """S = H_zeta(D - L), ||D - L - S||_F and, with ``track_max``, max|D - L|.
 
-    One pass over row tiles; S is the only m x n array allocated, and ``d``
-    and ``low`` are only read.  The maximum is None unless tracked, and also
-    when S is not zero: it only serves while the sparse iterates are.
+    One pass over row tiles.  S is written into ``out``, an m x n float64
+    array whose contents are not read, or into a new one when it is None;
+    ``d`` and ``low`` are only read.  The maximum is None unless tracked,
+    and also when S is not zero: it only serves while the sparse iterates
+    are.
     """
-    sparse = np.empty(d.shape)
+    sparse = np.empty(d.shape) if out is None else out
     residual_norm, max_abs_dl = _tiled_pass(d, low, sparse, zeta, track_max)
     if max_abs_dl is not None and max_abs_dl > zeta:
         max_abs_dl = None
@@ -369,9 +374,12 @@ def initialize(d, params):
     thresholds D - L_0 at beta * sigma_1(D - S_init), a threshold that, unlike
     the later schedule, uses the top singular value only.  sigma_1(D) comes
     from Lanczos (:func:`spectral_norm`): a rank-1 subspace iteration stalls
-    on clustered top singular values.  When no entry of D exceeds the first
-    threshold, S_init is zero and D itself is truncated, with the same bits
-    and without the buffer of D - S_init.
+    on clustered top singular values.  S_init is formed in a new buffer,
+    which then holds D - S_init for the truncation and, once that has read
+    it, S_0.  When no entry of D exceeds the first threshold, S_init is zero
+    and D itself is truncated, with the same bits, and S_0 goes into a new
+    buffer.  Either way ``d`` is only read and the returned S_0 is the one
+    m x n array allocated.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d`` is validated by
@@ -388,20 +396,22 @@ def initialize(d, params):
     # estimate to project at.
     low, window = svd_truncated(w, params.rank)
     l_seconds = perf_counter() - t0
-    del w  # so that S_0 is the only m x n array beside D from here on
     zeta_0 = params.beta * float(low.sigma[0])
-    sparse, residual_norm, max_abs_dl = _sparse_update(d, low, zeta_0, track_max=idle)
+    # S_0 goes into the buffer of W, which the truncation has finished reading
+    sparse, residual_norm, max_abs_dl = _sparse_update(
+        d, low, zeta_0, track_max=idle, out=None if idle else w
+    )
     state = IterationState(low, sparse, 0, zeta_0, window, l_seconds, max_abs_dl)
     return state, residual_norm
 
 
-def _tangent_l_update(low_rank, d, sparse, params):
+def _tangent_l_update(low_rank, d, sparse, params, out=None):
     """AccAltProj: trim, then truncate the tangent-space projection of W = D - S.
 
-    U^T W and W V are summed over row tiles, so W is never formed.  A tile
-    is at least 4r rows high: U_t^T W_t has the tile height as its inner
-    dimension, and BLAS runs such a product poorly when that is small next
-    to r.
+    U^T W and W V are summed over row tiles, so W is never formed and
+    ``out`` is not needed.  A tile is at least 4r rows high: U_t^T W_t has
+    the tile height as its inner dimension, and BLAS runs such a product
+    poorly when that is small next to r.
     """
     basis = trim(low_rank, params.mu) if params.trim_enabled else low_rank
     u, v = basis.U, basis.V
@@ -417,29 +427,33 @@ def _tangent_l_update(low_rank, d, sparse, params):
     return structured_truncate(basis, utw, wv)
 
 
-def _svd_l_update(low_rank, d, sparse, params):
-    # AltProj: truncated SVD of the whole W = D - S, formed in a temporary
-    # that is freed on return.
-    return svd_truncated(d - sparse, params.rank)
+def _svd_l_update(low_rank, d, sparse, params, out=None):
+    # AltProj: truncated SVD of the whole W = D - S, formed in ``out`` (which
+    # may be ``sparse`` itself) or, when it is None, in a temporary that is
+    # freed on return.
+    return svd_truncated(np.subtract(d, sparse, out=out), params.rank)
 
 
-def _step(state, d, params, l_update):
+def _step(state, d, params, l_update, out=None):
     """One iteration: L-update, next threshold, sparse update.
 
-    ``l_update(low_rank, D, S_k, params)`` returns the next low-rank
-    iterate and its singular-value window from W = D - S_k.  ``d`` and
-    ``state`` are only read.
+    ``l_update(low_rank, D, S_k, params, out)`` returns the next low-rank
+    iterate and its singular-value window from W = D - S_k; it may use
+    ``out`` as workspace once it has read S_k.  S_{k+1} is then written
+    into ``out``, which may be ``state.sparse`` itself, or into a new array
+    when it is None.  ``d`` is only read, and so is ``state`` when ``out``
+    is None.
 
     Returns ``(state, residual_norm)`` with residual_norm =
     ||D - L_{k+1} - S_{k+1}||_F.  max|D - L_{k+1}| is tracked while the
     input state tracks it (see :class:`IterationState`).
     """
     t0 = perf_counter()
-    low, window = l_update(state.low_rank, d, state.sparse, params)
+    low, window = l_update(state.low_rank, d, state.sparse, params, out)
     l_seconds = perf_counter() - t0
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
     sparse, residual_norm, max_abs_dl = _sparse_update(
-        d, low, zeta, track_max=state.max_abs_dl is not None
+        d, low, zeta, track_max=state.max_abs_dl is not None, out=out
     )
     state = IterationState(low, sparse, state.k + 1, zeta, window, l_seconds, max_abs_dl)
     return state, residual_norm
@@ -481,7 +495,8 @@ def _solve(d, params, l_update):
             trace.add(state, err, iter_seconds=0.0, skipped=True)
             continue
         else:
-            state, residual_norm = _step(state, d, params, l_update)
+            # S_{k+1} is written over S_k: the solve owns that one buffer
+            state, residual_norm = _step(state, d, params, l_update, out=state.sparse)
         err = residual_norm / d_norm
         trace.add(state, err, iter_seconds=perf_counter() - t0)
     return RpcaSolution(state.low_rank, state.sparse, trace, converged=bool(err < params.epsilon))

@@ -195,9 +195,10 @@ class TestRuntimeExperiment:
 
     def test_trial_peak_memory(self):
         # Peak above what was live, in 400 x 400 float64 buffers: D and the
-        # ground-truth L beside a solve's 2 buffers, or beside the solution's
-        # S and the dense L estimate of the recovery check.  Neither the
-        # problem's S nor the previous solution is held during a solve.
+        # ground-truth L beside a solve's 1 buffer, or beside the solution's
+        # S and the dense L estimate of the recovery check (measured 4.05).
+        # Neither the problem's S nor the previous solution is held during a
+        # solve.
         buffer_bytes = 400 * 400 * 8
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -210,7 +211,7 @@ class TestRuntimeExperiment:
             if not was_tracing:
                 tracemalloc.stop()
         assert len(report.records) == len(SOLVER_IDS)
-        assert peak <= 4.5 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} buffers"
+        assert peak <= 4.2 * buffer_bytes, f"peak {peak / buffer_bytes:.2f} buffers"
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError, match="at least one size"):
