@@ -81,8 +81,8 @@ def _cmd_solve(args):
     if not 1 <= args.rank <= min(m, n):
         raise CliError(f"--rank {args.rank} out of range for a {m} x {n} input")
     out_dir = _output_dir(args, Path(args.input).parent)
-    fmt = "csv" if Path(args.input).suffix.lower() == ".csv" else "bin"
-    outputs = [out_dir / f"{key}.{fmt}" for key in ("L", "S")]
+    # L and S take the input's format; read_matrix has rejected every other suffix
+    outputs = [out_dir / f"{key}{Path(args.input).suffix.lower()}" for key in ("L", "S")]
     for path in outputs:
         if path.exists() and path.samefile(args.input):
             raise CliError(f"{path} is the input file; choose another --output-dir")
@@ -115,7 +115,7 @@ def _cmd_solve(args):
             "schema_version": 2,
             "kind": "solve",
             "solver": args.solver,
-            "seed": SKETCH_SEED,  # the truncated-SVD sketch seed; solve is otherwise deterministic
+            "seed": SKETCH_SEED,  # the kernel's only seed; solve is otherwise deterministic
             "params": asdict(params),
             "input": {"path": str(args.input), "rows": m, "cols": n},
             "converged": solution.converged,

@@ -2,9 +2,10 @@
 
 The SVDs return a :class:`FactoredLowRank`, the one container of a thin
 factorization.  Every routine is a pure function of its inputs and
-deterministic on a given platform; the truncated SVD starts from a sketch
-drawn from a generator with the fixed seed ``SKETCH_SEED``, which the caller
-does not choose.
+deterministic on a given platform.  ``SKETCH_SEED`` is the module's only
+seed, and the caller does not choose it: the truncated SVD draws its sketch,
+and the spectral norm its Lanczos start vector, from a generator seeded
+with it.
 """
 
 from __future__ import annotations
@@ -162,5 +163,5 @@ def spectral_norm(a):
     a = ensure_matrix(a, "A")
     if min(a.shape) == 1 or not a.any():
         return float(np.linalg.norm(a))
-    v0 = np.random.default_rng(0).standard_normal(min(a.shape))
+    v0 = np.random.default_rng(SKETCH_SEED).standard_normal(min(a.shape))
     return float(svds(a, k=1, v0=v0, return_singular_vectors=False)[0])

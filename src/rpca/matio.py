@@ -70,9 +70,7 @@ def write_matrix(a, path):
             fh.write(np.ascontiguousarray(a, dtype="<f8").data)  # no copy on little-endian hosts
         return
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in a:
-            fh.write(",".join(f"{value:.17g}" for value in row))
-            fh.write("\n")
+        np.savetxt(fh, a, fmt="%.17g", delimiter=",")
 
 
 def read_matrix(path):

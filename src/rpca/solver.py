@@ -322,11 +322,13 @@ def _tiled_pass(d, low, sparse, zeta=None, track_max=False):
     """||D - L - S||_F with L = ``low``, in one pass over row tiles of D.
 
     Each tile of L is formed from the factors, subtracted from D, and, with
-    ``zeta``, thresholded into the same rows of ``sparse`` (the sparse
-    update); then S is subtracted and the squares are summed.  Without
-    ``zeta``, ``sparse`` is only read.  One tile buffer is allocated.
+    ``zeta``, thresholded into the same rows of ``sparse``: the sparse
+    update S = H_zeta(D - L), which does not read what ``sparse`` held.
+    Then S is subtracted and the squares are summed.  Without ``zeta``,
+    ``sparse`` is only read.  One tile buffer is allocated.
 
-    Returns ``(norm, max_abs_dl)``: max|D - L| with ``track_max``, else None.
+    Returns ``(norm, max_abs_dl)``: with ``track_max``, max|D - L| while the
+    S written is zero (max|D - L| <= zeta), else None.
     """
     us, vt = low.U * low.sigma, low.V.T
     tiles = _row_tiles(d.shape)
@@ -342,28 +344,12 @@ def _tiled_pass(d, low, sparse, zeta=None, track_max=False):
         residual -= sparse[t]
         flat = residual.ravel()
         total += float(flat @ flat)
-    return math.sqrt(total), (max_abs_dl if track_max else None)
+    return math.sqrt(total), (max_abs_dl if track_max and max_abs_dl <= zeta else None)
 
 
 def _residual_norm(d, low, sparse):
     """||D - L - S||_F with L = ``low``; ``d`` and ``sparse`` are only read."""
     return _tiled_pass(d, low, sparse)[0]
-
-
-def _sparse_update(d, low, zeta, track_max=False, out=None):
-    """S = H_zeta(D - L), ||D - L - S||_F and, with ``track_max``, max|D - L|.
-
-    One pass over row tiles.  S is written into ``out``, an m x n float64
-    array whose contents are not read, or into a new one when it is None;
-    ``d`` and ``low`` are only read.  The maximum is None unless tracked,
-    and also when S is not zero: it only serves while the sparse iterates
-    are.
-    """
-    sparse = np.empty(d.shape) if out is None else out
-    residual_norm, max_abs_dl = _tiled_pass(d, low, sparse, zeta, track_max)
-    if max_abs_dl is not None and max_abs_dl > zeta:
-        max_abs_dl = None
-    return sparse, residual_norm, max_abs_dl
 
 
 def initialize(d, params):
@@ -378,8 +364,9 @@ def initialize(d, params):
     which then holds D - S_init for the truncation and, once that has read
     it, S_0.  When no entry of D exceeds the first threshold, S_init is zero
     and D itself is truncated, with the same bits, and S_0 goes into a new
-    buffer.  Either way ``d`` is only read and the returned S_0 is the one
-    m x n array allocated.
+    buffer, allocated here.  Either way :func:`_tiled_pass`, the sparse
+    update of every loop step, writes S_0; ``d`` is only read and the
+    returned S_0 is the one m x n array allocated.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d`` is validated by
@@ -398,9 +385,8 @@ def initialize(d, params):
     l_seconds = perf_counter() - t0
     zeta_0 = params.beta * float(low.sigma[0])
     # S_0 goes into the buffer of W, which the truncation has finished reading
-    sparse, residual_norm, max_abs_dl = _sparse_update(
-        d, low, zeta_0, track_max=idle, out=None if idle else w
-    )
+    sparse = np.empty(d.shape) if idle else w
+    residual_norm, max_abs_dl = _tiled_pass(d, low, sparse, zeta_0, track_max=idle)
     state = IterationState(low, sparse, 0, zeta_0, window, l_seconds, max_abs_dl)
     return state, residual_norm
 
@@ -439,10 +425,10 @@ def _step(state, d, params, l_update, out=None):
 
     ``l_update(low_rank, D, S_k, params, out)`` returns the next low-rank
     iterate and its singular-value window from W = D - S_k; it may use
-    ``out`` as workspace once it has read S_k.  S_{k+1} is then written
-    into ``out``, which may be ``state.sparse`` itself, or into a new array
-    when it is None.  ``d`` is only read, and so is ``state`` when ``out``
-    is None.
+    ``out`` as workspace once it has read S_k.  The sparse pass
+    :func:`_tiled_pass` then writes S_{k+1} into ``out``, which may be
+    ``state.sparse`` itself, or into an array allocated here when it is
+    None.  ``d`` is only read, and so is ``state`` when ``out`` is None.
 
     Returns ``(state, residual_norm)`` with residual_norm =
     ||D - L_{k+1} - S_{k+1}||_F.  max|D - L_{k+1}| is tracked while the
@@ -452,8 +438,9 @@ def _step(state, d, params, l_update, out=None):
     low, window = l_update(state.low_rank, d, state.sparse, params, out)
     l_seconds = perf_counter() - t0
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
-    sparse, residual_norm, max_abs_dl = _sparse_update(
-        d, low, zeta, track_max=state.max_abs_dl is not None, out=out
+    sparse = np.empty(d.shape) if out is None else out
+    residual_norm, max_abs_dl = _tiled_pass(
+        d, low, sparse, zeta, track_max=state.max_abs_dl is not None
     )
     state = IterationState(low, sparse, state.k + 1, zeta, window, l_seconds, max_abs_dl)
     return state, residual_norm

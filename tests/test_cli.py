@@ -200,11 +200,13 @@ class TestSolveCommand:
     def test_csv_input_writes_csv_outputs(self, tmp_path):
         rng = np.random.default_rng(2)
         low = rng.standard_normal((30, 2)) @ rng.standard_normal((30, 2)).T
-        path = tmp_path / "D.csv"
-        write_matrix(low, path)
-        code = main(["solve", "--input", str(path), "--rank", "2", "--output-dir", str(tmp_path)])
-        assert code == 0
-        assert (tmp_path / "L.csv").exists() and (tmp_path / "S.csv").exists()
+        for name in ("D.csv", "D.CSV"):  # the suffix is read case-insensitively
+            path = tmp_path / name
+            write_matrix(low, path)
+            out = tmp_path / f"out-{name}"
+            code = main(["solve", "--input", str(path), "--rank", "2", "--output-dir", str(out)])
+            assert code == 0
+            assert sorted(p.name for p in out.iterdir()) == ["L.csv", "S.csv", "trace.json"]
 
 
 def write_grid(tmp_path, **overrides):

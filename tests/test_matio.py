@@ -89,6 +89,16 @@ class TestCsv:
         write_matrix(np.array([[0.5]]), path)
         assert path.read_text() == "0.5\n"
 
+    def test_writer_golden_text(self, tmp_path):
+        # a signed zero, the smallest subnormal, the largest finite value and
+        # the 17 digits that round-trip 1/3 and 1e300
+        path = tmp_path / "golden.csv"
+        write_matrix(np.array([[-0.0, 5e-324, 1 / 3], [sys.float_info.max, -1.5, 1e300]]), path)
+        assert path.read_bytes() == (
+            b"-0,4.9406564584124654e-324,0.33333333333333331\n"
+            b"1.7976931348623157e+308,-1.5,1.0000000000000001e+300\n"
+        )
+
     def test_roundtrip_is_value_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 4)) * np.logspace(-150, 150, 4)
@@ -109,6 +119,39 @@ class TestCsv:
         path.write_text("1,2\n3,x\n")
         with pytest.raises(MatrixIOError, match="unparseable"):
             read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            pytest.param("1,2\n\n3,4\n", RaggedRowsError, "row 2", id="blank-line"),
+            pytest.param("1,2\n3,4\n\n", RaggedRowsError, "row 3", id="trailing-blank-line"),
+            pytest.param(
+                "1\n\n2\n", MatrixIOError, "unparseable value in row 2", id="blank-line-one-column"
+            ),
+            pytest.param("#1,2\n3,4\n", MatrixIOError, "unparseable value in row 1", id="no-comments"),
+        ],
+    )
+    def test_blank_and_comment_lines_are_rejected(self, tmp_path, text, error, message):
+        path = tmp_path / "lines.csv"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(error, match=message):
+            read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]], id="crlf"),
+            pytest.param(" 1 , 2 \n3,4\n", [[1.0, 2.0], [3.0, 4.0]], id="padded-values"),
+            pytest.param("1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]], id="no-final-newline"),
+            pytest.param("1\n2\n3\n", [[1.0], [2.0], [3.0]], id="n-by-1"),
+            pytest.param("1,2,3\n", [[1.0, 2.0, 3.0]], id="1-by-n"),
+        ],
+    )
+    def test_accepted_layouts(self, tmp_path, text, expected):
+        path = tmp_path / "layout.csv"
+        path.write_bytes(text.encode("ascii"))
+        back = read_matrix(path)
+        assert back.shape == np.shape(expected) and np.array_equal(back, expected)
 
     def test_non_finite_value(self, tmp_path):
         path = tmp_path / "nan.csv"

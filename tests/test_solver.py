@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -21,7 +22,14 @@ from rpca.solver import (
     threshold_value,
     trim,
 )
-from rpca.solver import _residual_norm, _row_tiles, _step, _svd_l_update, _tangent_l_update
+from rpca.solver import (
+    _residual_norm,
+    _row_tiles,
+    _step,
+    _svd_l_update,
+    _tangent_l_update,
+    _tiled_pass,
+)
 from rpca.synthetic import SyntheticSpec, generate
 
 
@@ -872,6 +880,23 @@ class TestIdleSkip:
                 assert state.max_abs_dl is None
             state, _ = _step(state, d, params, _tangent_l_update)
         assert idle[0] and not idle[-1]
+
+    def test_sparse_pass_returns_the_maximum_only_while_s_is_zero(self):
+        rng = np.random.default_rng(7)
+        low = random_factored(rng, 300, 300, 3)  # 12 row tiles
+        d = low.matrix() + rng.standard_normal((300, 300))
+        sparse = np.empty(d.shape)
+        _, top = _tiled_pass(d, low, sparse, zeta=math.inf, track_max=True)
+        assert top == pytest.approx(np.abs(d - low.matrix()).max(), rel=1e-12)
+        # no entry of D - L exceeds zeta: S = 0, and the maximum is returned
+        norm, max_abs_dl = _tiled_pass(d, low, sparse, zeta=top, track_max=True)
+        assert not np.any(sparse) and max_abs_dl == top
+        assert norm == _residual_norm(d, low, sparse)
+        # one entry does: S != 0, and the maximum no longer serves
+        _, max_abs_dl = _tiled_pass(d, low, sparse, zeta=np.nextafter(top, 0.0), track_max=True)
+        assert np.count_nonzero(sparse) == 1 and max_abs_dl is None
+        # untracked, nothing is returned even for S = 0
+        assert _tiled_pass(d, low, sparse, zeta=top)[1] is None
 
     def test_initialize_truncates_d_when_nothing_exceeds_the_first_threshold(self):
         prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))

@@ -11,14 +11,17 @@ files.  The pipeline is:
   criterion 7;
 - a ``solve`` of the same input with ``--solver altproj``;
 - a ``phase`` grid with an alpha >= 0.55 cell and no ``gamma``, so that the
-  declared-alpha rule for gamma runs.
+  declared-alpha rule for gamma runs;
+- a non-square ``synth`` written as ``.csv``, and a ``solve`` that reads it
+  and so writes ``L.csv`` and ``S.csv``.
 
-Each side must import ``rpca`` from its own tree.  Every ``.bin`` file must
-match byte for byte.  Every JSON file and ``report.csv`` must match once the
-timing fields (names containing ``seconds``) are removed; commands name their
-files relative to the output directory, so input paths match.  The exit codes
-of the commands are compared too.  One line is printed per file, and the exit
-status is 1 if any file differs.
+Each side must import ``rpca`` from its own tree.  Every ``.bin`` and
+``.csv`` matrix file must match byte for byte.  Every JSON file and
+``report.csv`` must match once the timing fields (names containing
+``seconds``) are removed; commands name their files relative to the output
+directory, so input paths match.  The exit codes of the commands are
+compared too.  One line is printed per file, and the exit status is 1 if any
+file differs.
 
 The bits depend on the BLAS build, so both sides run on the same machine.  A
 change that alters the bits on purpose makes this check fail by design.
@@ -57,6 +60,10 @@ COMMANDS = [
     ["phase", "--grid", "../grid.json", "--output-dir", "phase"],
     ["phase", "--grid", "../grid-alpha.json", "--output-dir", "phase-alpha"],
     ["bench", "--sizes", "48", "--rank", "2", "--output-dir", "bench"],
+    ["synth", "--n", "48", "--m", "40", "--rank", "2", "--alpha", "0.1", "--c", "1", "--seed", "23",
+     "--format", "csv", "--output-dir", "synth-csv"],
+    ["solve", "--input", "synth-csv/D.csv", "--rank", "2", "--gamma", "0.7",
+     "--output-dir", "solve-csv"],
 ]
 
 # Runs in the subprocess, in the output directory: prints where rpca came
