@@ -32,23 +32,52 @@ from .synthetic import RNG_ID, SyntheticSpec, generate
 
 __all__ = ["CliError", "build_parser", "main", "run"]
 
-# Grid-file key -> (PhaseConfig field, conversion).  Keys left out of a grid
-# file take the PhaseConfig defaults.
+
+def _is_json_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)  # true and false are ints
+
+
+def _is_json_number(value):
+    # NaN fails the comparison; Infinity and integers past the float range exceed it
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+# Kind of grid value -> (check of the parsed JSON value, conversion to the
+# PhaseConfig field's type).
+_GRID_KINDS = {
+    "JSON integers": (_is_json_integer, int),
+    "JSON numbers": (_is_json_number, float),
+    "JSON numbers or null": (
+        lambda v: v is None or _is_json_number(v),
+        lambda v: None if v is None else float(v),
+    ),
+    "JSON arrays of numbers": (
+        lambda v: isinstance(v, list) and all(map(_is_json_number, v)),
+        lambda v: tuple(map(float, v)),
+    ),
+    "JSON arrays": (lambda v: isinstance(v, list), tuple),
+}
+
+# Grid-file key -> (PhaseConfig field, kind of value).  Keys left out of a
+# grid file take the PhaseConfig defaults.
 _GRID_KEYS = {
-    "n": ("n", int),
-    "m": ("m", int),
-    "rank": ("rank", int),
-    "alphas": ("alphas", lambda values: tuple(float(a) for a in values)),
-    "cs": ("amplitudes", lambda values: tuple(float(c) for c in values)),
-    "trials": ("trials", int),
-    "seed": ("master_seed", int),
-    "tol": ("tol", float),
-    "max_iter": ("max_iter", int),
-    "gamma": ("gamma", lambda value: None if value is None else float(value)),
-    "solvers": ("solvers", tuple),
+    "n": ("n", "JSON integers"),
+    "m": ("m", "JSON integers"),
+    "rank": ("rank", "JSON integers"),
+    "alphas": ("alphas", "JSON arrays of numbers"),
+    "cs": ("amplitudes", "JSON arrays of numbers"),
+    "trials": ("trials", "JSON integers"),
+    "seed": ("master_seed", "JSON integers"),
+    "tol": ("tol", "JSON numbers"),
+    "max_iter": ("max_iter", "JSON integers"),
+    "gamma": ("gamma", "JSON numbers or null"),
+    "solvers": ("solvers", "JSON arrays"),
 }
 _REQUIRED_GRID_KEYS = {"n", "rank", "alphas", "cs", "trials"}
-_ARRAY_GRID_KEYS = {"alphas", "cs", "solvers"}
 
 # The RpcaParams fields that `rpca solve` sets from a flag of the same name.
 _SOLVE_OVERRIDES = ("beta", "beta_init", "gamma", "epsilon", "max_iter")
@@ -182,13 +211,19 @@ def _load_phase_config(path):
     missing = sorted(_REQUIRED_GRID_KEYS - set(raw))
     if missing:
         raise CliError(f"{path}: missing keys {missing}")
-    not_arrays = sorted(key for key in _ARRAY_GRID_KEYS & set(raw) if not isinstance(raw[key], list))
-    if not_arrays:
-        raise CliError(f"{path}: keys {not_arrays} must be JSON arrays")
+    wrong = {}
+    for key, (_, kind) in sorted(_GRID_KEYS.items()):
+        if key in raw and not _GRID_KINDS[kind][0](raw[key]):
+            wrong.setdefault(kind, []).append(key)
+    if wrong:
+        problems = "; ".join(f"keys {keys} must be {kind}" for kind, keys in wrong.items())
+        raise CliError(f"{path}: {problems}")
+    config = {}
+    for key, (field, kind) in _GRID_KEYS.items():
+        if key in raw:
+            config[field] = _GRID_KINDS[kind][1](raw[key])
     try:
-        return PhaseConfig(
-            **{field: convert(raw[key]) for key, (field, convert) in _GRID_KEYS.items() if key in raw}
-        )
+        return PhaseConfig(**config)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from None
 

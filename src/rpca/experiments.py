@@ -330,20 +330,24 @@ def benchmark_l_updates(n, rank):
     Both of the solvers' L-updates run, as the solvers call them, on the
     same D and S_0 of a seeded synthetic problem (the runtime harness's
     corrupted fraction and amplitude): the accelerated one is trim, one
-    row-tiled pass over D - S_0 and the factored tangent-space truncation,
-    the baseline forms D - S_0 and takes its certified truncated SVD
-    (:func:`rpca.kernel.svd_truncated`).  The two alternate, one call each
-    per round, so that host drift slows both alike.
+    row-tiled pass over D - S_0 and the factored tangent-space truncation;
+    the baseline forms D - S_0 over S_0, as a solve forms D - S_k over S_k,
+    and takes its certified truncated SVD
+    (:func:`rpca.kernel.svd_truncated`).  So every call gets the same
+    preallocated buffer, refilled with S_0 outside the timer.  The two
+    alternate, one call each per round, so that host drift slows both alike.
     """
     spec = SyntheticSpec(n, n, rank, _RUNTIME["alpha"], _RUNTIME["amplitude"], _BENCH_SEED)
     problem, params = _problem_and_params(spec)
     state, _ = initialize(problem.data, params)
+    sparse = np.empty_like(state.sparse)
     updates = {"accelerated": _tangent_l_update, "baseline": _svd_l_update}
     seconds = {name: [] for name in updates}
     for _ in range(1 + _BENCH_ITERS):  # the first round is a warm-up, dropped below
         for name, l_update in updates.items():
+            np.copyto(sparse, state.sparse)
             t0 = perf_counter()
-            l_update(state.low_rank, problem.data, state.sparse, params)
+            l_update(state.low_rank, problem.data, sparse, params)
             seconds[name].append(perf_counter() - t0)
     out = {"n": n, "rank": rank, "iters": _BENCH_ITERS, "seed": _BENCH_SEED}
     for name, times in seconds.items():

@@ -13,10 +13,11 @@ Each half-iteration reads the m x n operands in one pass over row tiles, so
 no m x n workspace is kept: the L-update of the accelerated solver gathers
 U^T (D - S_k) and (D - S_k) V tile by tile, and the shared sparse update
 builds L_{k+1}, D - L_{k+1}, S_{k+1} and the residual norm tile by tile.
-S_k is dead once the L-update has read it, so a solve owns one S buffer and
-writes S_{k+1} over S_k; the baseline first forms D - S_k in that buffer for
-its SVD.  An iteration allocates only tiles and thin factors, and a solve
-peaks at D plus 1 buffer.
+S_k is dead once the L-update has read it, so ``initialize`` allocates the
+solve's one S buffer and each step advances the state in place, writing
+S_{k+1} over S_k; the baseline first forms D - S_k in that buffer for its
+SVD.  An iteration allocates only tiles and thin factors, and a solve peaks
+at D plus 1 buffer.
 
 The schedule starts above every corrupted entry, so a solve usually opens
 with a run of idle iterations.  While every sparse iterate is zero, S_init
@@ -91,6 +92,9 @@ class RpcaParams:
     trim_enabled: bool = True
 
     def __post_init__(self):
+        for name in ("mu", "beta", "beta_init", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.mu < 1.0:
@@ -360,13 +364,12 @@ def initialize(d, params):
     thresholds D - L_0 at beta * sigma_1(D - S_init), a threshold that, unlike
     the later schedule, uses the top singular value only.  sigma_1(D) comes
     from Lanczos (:func:`spectral_norm`): a rank-1 subspace iteration stalls
-    on clustered top singular values.  S_init is formed in a new buffer,
-    which then holds D - S_init for the truncation and, once that has read
-    it, S_0.  When no entry of D exceeds the first threshold, S_init is zero
-    and D itself is truncated, with the same bits, and S_0 goes into a new
-    buffer, allocated here.  Either way :func:`_tiled_pass`, the sparse
-    update of every loop step, writes S_0; ``d`` is only read and the
-    returned S_0 is the one m x n array allocated.
+    on clustered top singular values.  The solve's one m x n array is
+    allocated here: it holds S_init, then D - S_init for the truncation and,
+    once that has read it, S_0.  When no entry of D exceeds the first
+    threshold, S_init is zero and D itself is truncated, with the same bits.
+    Either way :func:`_tiled_pass`, the sparse update of every loop step,
+    writes S_0; ``d`` is only read.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d`` is validated by
@@ -375,7 +378,8 @@ def initialize(d, params):
     """
     zeta_init = params.beta_init * spectral_norm(d)
     idle = max(float(d.max()), -float(d.min())) <= zeta_init  # S_init = 0
-    w = d if idle else hard_threshold(d, zeta_init)  # S_init
+    sparse = np.empty(d.shape)
+    w = d if idle else hard_threshold(d, zeta_init, out=sparse)  # S_init
     t0 = perf_counter()
     if not idle:
         np.subtract(d, w, out=w)  # W = D - S_init, in the buffer of S_init
@@ -384,18 +388,17 @@ def initialize(d, params):
     low, window = svd_truncated(w, params.rank)
     l_seconds = perf_counter() - t0
     zeta_0 = params.beta * float(low.sigma[0])
-    # S_0 goes into the buffer of W, which the truncation has finished reading
-    sparse = np.empty(d.shape) if idle else w
+    # S_0 goes into the buffer; the truncation has finished reading W
     residual_norm, max_abs_dl = _tiled_pass(d, low, sparse, zeta_0, track_max=idle)
     state = IterationState(low, sparse, 0, zeta_0, window, l_seconds, max_abs_dl)
     return state, residual_norm
 
 
-def _tangent_l_update(low_rank, d, sparse, params, out=None):
+def _tangent_l_update(low_rank, d, sparse, params):
     """AccAltProj: trim, then truncate the tangent-space projection of W = D - S.
 
     U^T W and W V are summed over row tiles, so W is never formed and
-    ``out`` is not needed.  A tile is at least 4r rows high: U_t^T W_t has
+    ``sparse`` is only read.  A tile is at least 4r rows high: U_t^T W_t has
     the tile height as its inner dimension, and BLAS runs such a product
     poorly when that is small next to r.
     """
@@ -413,36 +416,33 @@ def _tangent_l_update(low_rank, d, sparse, params, out=None):
     return structured_truncate(basis, utw, wv)
 
 
-def _svd_l_update(low_rank, d, sparse, params, out=None):
-    # AltProj: truncated SVD of the whole W = D - S, formed in ``out`` (which
-    # may be ``sparse`` itself) or, when it is None, in a temporary that is
-    # freed on return.
-    return svd_truncated(np.subtract(d, sparse, out=out), params.rank)
+def _svd_l_update(low_rank, d, sparse, params):
+    # AltProj: truncated SVD of the whole W = D - S, formed over S, which is
+    # dead once W is formed.
+    return svd_truncated(np.subtract(d, sparse, out=sparse), params.rank)
 
 
-def _step(state, d, params, l_update, out=None):
-    """One iteration: L-update, next threshold, sparse update.
+def _step(state, d, params, l_update):
+    """One iteration: L-update, next threshold, sparse update, in place.
 
-    ``l_update(low_rank, D, S_k, params, out)`` returns the next low-rank
-    iterate and its singular-value window from W = D - S_k; it may use
-    ``out`` as workspace once it has read S_k.  The sparse pass
-    :func:`_tiled_pass` then writes S_{k+1} into ``out``, which may be
-    ``state.sparse`` itself, or into an array allocated here when it is
-    None.  ``d`` is only read, and so is ``state`` when ``out`` is None.
+    ``l_update(low_rank, D, S_k, params)`` returns the next low-rank iterate
+    and its singular-value window from W = D - S_k; it may write over S_k.
+    The sparse pass :func:`_tiled_pass` then writes S_{k+1} over
+    ``state.sparse``, so the input state's ``sparse`` is spent; a caller
+    that keeps it steps a copy.  ``d`` is only read.
 
     Returns ``(state, residual_norm)`` with residual_norm =
     ||D - L_{k+1} - S_{k+1}||_F.  max|D - L_{k+1}| is tracked while the
     input state tracks it (see :class:`IterationState`).
     """
     t0 = perf_counter()
-    low, window = l_update(state.low_rank, d, state.sparse, params, out)
+    low, window = l_update(state.low_rank, d, state.sparse, params)
     l_seconds = perf_counter() - t0
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
-    sparse = np.empty(d.shape) if out is None else out
     residual_norm, max_abs_dl = _tiled_pass(
-        d, low, sparse, zeta, track_max=state.max_abs_dl is not None
+        d, low, state.sparse, zeta, track_max=state.max_abs_dl is not None
     )
-    state = IterationState(low, sparse, state.k + 1, zeta, window, l_seconds, max_abs_dl)
+    state = IterationState(low, state.sparse, state.k + 1, zeta, window, l_seconds, max_abs_dl)
     return state, residual_norm
 
 
@@ -482,8 +482,7 @@ def _solve(d, params, l_update):
             trace.add(state, err, iter_seconds=0.0, skipped=True)
             continue
         else:
-            # S_{k+1} is written over S_k: the solve owns that one buffer
-            state, residual_norm = _step(state, d, params, l_update, out=state.sparse)
+            state, residual_norm = _step(state, d, params, l_update)
         err = residual_norm / d_norm
         trace.add(state, err, iter_seconds=perf_counter() - t0)
     return RpcaSolution(state.low_rank, state.sparse, trace, converged=bool(err < params.epsilon))

@@ -163,6 +163,25 @@ class TestSolveCommand:
         assert code == 1
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [("--mu", "mu"), ("--beta", "beta"), ("--beta-init", "beta_init"),
+         ("--gamma", "gamma"), ("--eps", "epsilon")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, flag, name, value):
+        out = run_synth(tmp_path, n=60, rank=2, seed=5)
+        solved = tmp_path / "solved"
+        code = main(
+            ["solve", "--input", str(out / "D.bin"), "--rank", "2", flag, value,
+             "--output-dir", str(solved)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {name} must" in err
+        assert "Traceback" not in err
+        assert not any(solved.iterdir())
+
     def test_non_convergence_exits_two(self, tmp_path, capsys):
         out = run_synth(tmp_path, n=60, rank=2, alpha=0.2, seed=8)
         code = main(
@@ -262,6 +281,46 @@ class TestPhaseCommand:
         err = capsys.readouterr().err
         assert f"['{key}'] must be JSON arrays" in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # each of these once ran, as n = 30, 1 trial, seed 1
+            (dict(n=30.9), "['n'] must be JSON integers"),
+            (dict(trials=1.7), "['trials'] must be JSON integers"),
+            (dict(seed=True), "['seed'] must be JSON integers"),
+            (
+                dict(m=40.0, rank=False, max_iter="50"),
+                "['m', 'max_iter', 'rank'] must be JSON integers",
+            ),
+            # ... and these as 0.1, 1.0 and 0.001
+            (dict(alphas=["0.1"]), "['alphas'] must be JSON arrays of numbers"),
+            (dict(cs=[True]), "['cs'] must be JSON arrays of numbers"),
+            (dict(tol="1e-3"), "['tol'] must be JSON numbers"),
+            (dict(gamma=False), "['gamma'] must be JSON numbers or null"),
+            (dict(alphas=[0.1, float("nan")]), "['alphas'] must be JSON arrays of numbers"),
+            (dict(tol=10**400), "['tol'] must be JSON numbers"),
+            (
+                dict(n="40", tol=True),
+                "keys ['n'] must be JSON integers; keys ['tol'] must be JSON numbers",
+            ),
+        ],
+        ids=["float-n", "float-trials", "bool-seed", "three-ints", "string-alpha", "bool-c",
+             "string-tol", "bool-gamma", "nan-alpha", "huge-tol", "two-kinds"],
+    )
+    def test_mistyped_values_exit_one(self, tmp_path, capsys, overrides, message):
+        grid = write_grid(tmp_path, **overrides)
+        assert main(["phase", "--grid", str(grid), "--output-dir", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_integral_numbers_are_read_as_floats(self, tmp_path):
+        grid = write_grid(tmp_path, alphas=[0], cs=[1], tol=1, gamma=None, trials=1)
+        assert main(["phase", "--grid", str(grid), "--output-dir", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert config["alphas"] == [0.0] and isinstance(config["alphas"][0], float)
+        assert isinstance(config["amplitudes"][0], float) and isinstance(config["tol"], float)
+        assert config["gamma"] is None
 
     def test_omitted_keys_take_the_config_defaults(self, tmp_path):
         path = tmp_path / "grid.json"

@@ -16,7 +16,7 @@ from rpca.experiments import (
     run_runtime_experiment,
     trial_seed,
 )
-from rpca.solver import _tangent_l_update, accaltproj_solve, initialize
+from rpca.solver import _svd_l_update, _tangent_l_update, accaltproj_solve, initialize
 from rpca.synthetic import SyntheticSpec
 
 
@@ -232,6 +232,27 @@ class TestBenchmark:
         assert out["baseline_mean_seconds"] > 0.0
         assert out["accelerated_median_seconds"] > 0.0
         assert out["baseline_median_seconds"] > 0.0
+
+    def test_every_baseline_call_reads_s_0(self, monkeypatch):
+        # The baseline forms D - S_0 over its S argument, as a solve forms
+        # D - S_k over S_k, so S_0 must be put back before every call.
+        starts, seen = [], []
+
+        def recording_initialize(d, params):
+            state, residual_norm = initialize(d, params)
+            starts.append(state.sparse.tobytes())
+            return state, residual_norm
+
+        def recording_svd_l_update(low_rank, d, sparse, params):
+            seen.append(sparse.tobytes())
+            return _svd_l_update(low_rank, d, sparse, params)
+
+        monkeypatch.setattr(rpca.experiments, "initialize", recording_initialize)
+        monkeypatch.setattr(rpca.experiments, "_svd_l_update", recording_svd_l_update)
+        out = benchmark_l_updates(100, 3)
+        assert len(starts) == 1
+        assert len(seen) == 1 + out["iters"]  # the warm-up round, then the timed ones
+        assert all(arg == starts[0] for arg in seen)
 
     def test_quadratic_scaling_in_n(self):
         # Doubling n at fixed r should scale the accelerated update by about

@@ -13,7 +13,9 @@ files.  The pipeline is:
 - a ``phase`` grid with an alpha >= 0.55 cell and no ``gamma``, so that the
   declared-alpha rule for gamma runs;
 - a non-square ``synth`` written as ``.csv``, and a ``solve`` that reads it
-  and so writes ``L.csv`` and ``S.csv``.
+  and so writes ``L.csv`` and ``S.csv``;
+- a ``synth`` whose corruption exceeds the first threshold, so that
+  ``S_init`` is nonzero, and a ``solve`` of it with each solver.
 
 Each side must import ``rpca`` from its own tree.  Every ``.bin`` and
 ``.csv`` matrix file must match byte for byte.  Every JSON file and
@@ -64,6 +66,13 @@ COMMANDS = [
      "--format", "csv", "--output-dir", "synth-csv"],
     ["solve", "--input", "synth-csv/D.csv", "--rank", "2", "--gamma", "0.7",
      "--output-dir", "solve-csv"],
+    # max|D| is 1.21 times beta_init * sigma_1(D)
+    ["synth", "--n", "64", "--rank", "2", "--alpha", "0.1", "--c", "20", "--seed", "17",
+     "--output-dir", "synth-spiked"],
+    ["solve", "--input", "synth-spiked/D.bin", "--rank", "2", "--gamma", "0.7",
+     "--output-dir", "solve-spiked"],
+    ["solve", "--input", "synth-spiked/D.bin", "--rank", "2", "--gamma", "0.7",
+     "--solver", "altproj", "--output-dir", "solve-spiked-altproj"],
 ]
 
 # Runs in the subprocess, in the output directory: prints where rpca came
