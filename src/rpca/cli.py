@@ -98,8 +98,8 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _output_dir(args, default):
-    out = Path(args.output_dir) if args.output_dir else Path(default)
+def _output_dir(args):
+    out = Path(args.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -109,7 +109,9 @@ def _cmd_solve(args):
     m, n = d.shape
     if not 1 <= args.rank <= min(m, n):
         raise CliError(f"--rank {args.rank} out of range for a {m} x {n} input")
-    out_dir = _output_dir(args, Path(args.input).parent)
+    # the directory is made once the flags have passed RpcaParams, so that a
+    # rejected run leaves nothing behind
+    out_dir = Path(args.output_dir or Path(args.input).parent)
     # L and S take the input's format; read_matrix has rejected every other suffix
     outputs = [out_dir / f"{key}{Path(args.input).suffix.lower()}" for key in ("L", "S")]
     for path in outputs:
@@ -130,6 +132,7 @@ def _cmd_solve(args):
     trim_enabled = args.solver == "accaltproj" and not args.no_trim  # altproj has no trim step
     params = RpcaParams.defaults((m, n), args.rank, mu, trim_enabled=trim_enabled, **overrides)
     solve = accaltproj_solve if args.solver == "accaltproj" else altproj_solve
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = perf_counter()
     solution = solve(d, params)
@@ -174,7 +177,7 @@ def _cmd_synth(args):
         seed=args.seed,
     )
     problem = generate(spec)
-    out_dir = _output_dir(args, ".")
+    out_dir = _output_dir(args)
     names = {key: f"{key}.{args.format}" for key in ("D", "L", "S")}
     write_matrix(problem.data, out_dir / names["D"])
     write_matrix(problem.low_rank, out_dir / names["L"])
@@ -258,7 +261,7 @@ def _cmd_phase(args):
     else:
         config = _load_phase_config(args.grid)
     report = run_phase_experiment(config)
-    out_dir = _output_dir(args, ".")
+    out_dir = _output_dir(args)
     payload = report.as_dict()
     payload["seed"] = config.master_seed
     _write_json(out_dir / "report.json", payload)
@@ -279,7 +282,7 @@ def _parse_sizes(text):
 def _cmd_bench(args):
     sizes = list(PAPER_RUNTIME_SIZES) if args.paper else _parse_sizes(args.sizes)
     report = run_runtime_experiment(sizes, rank=args.rank, master_seed=args.seed)
-    out_dir = _output_dir(args, ".")
+    out_dir = _output_dir(args)
     payload = report.as_dict()
     payload["seed"] = args.seed
     _write_json(out_dir / "timings.json", payload)

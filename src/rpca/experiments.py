@@ -16,6 +16,7 @@ import numpy as np
 from .metrics import recovery_success
 from .solver import (
     RpcaParams,
+    _step,
     _svd_l_update,
     _tangent_l_update,
     accaltproj_solve,
@@ -324,22 +325,38 @@ def run_runtime_experiment(sizes, rank=5, master_seed=0):
     return report
 
 
-def benchmark_l_updates(n, rank):
-    """Mean and median wall seconds of a single L-update, accelerated vs baseline.
+def _l_update_case(n, rank):
+    """``(state, D, params)`` at the first nonzero S_k of the accelerated solve.
 
-    Both of the solvers' L-updates run, as the solvers call them, on the
-    same D and S_0 of a seeded synthetic problem (the runtime harness's
-    corrupted fraction and amplitude): the accelerated one is trim, one
-    row-tiled pass over D - S_0 and the factored tangent-space truncation;
-    the baseline forms D - S_0 over S_0, as a solve forms D - S_k over S_k,
-    and takes its certified truncated SVD
-    (:func:`rpca.kernel.svd_truncated`).  So every call gets the same
-    preallocated buffer, refilled with S_0 outside the timer.  The two
-    alternate, one call each per round, so that host drift slows both alike.
+    The problem is the runtime harness's (its corrupted fraction and
+    amplitude, seed ``_BENCH_SEED``).  ``initialize`` and then the
+    accelerated steps lead to that state; a solve skips the idle steps
+    among them, which this computes, so its S_k agrees to rounding.  A
+    problem too small to hold a corrupted entry stops at k = max_iter.
     """
     spec = SyntheticSpec(n, n, rank, _RUNTIME["alpha"], _RUNTIME["amplitude"], _BENCH_SEED)
     problem, params = _problem_and_params(spec)
     state, _ = initialize(problem.data, params)
+    while not state.sparse.any() and state.k < params.max_iter:
+        state, _ = _step(state, problem.data, params, _tangent_l_update)
+    return state, problem.data, params
+
+
+def benchmark_l_updates(n, rank):
+    """Mean and median wall seconds of a single L-update, accelerated vs baseline.
+
+    Both of the solvers' L-updates run, as the solvers call them, on the
+    same D and S_k of a seeded synthetic problem (:func:`_l_update_case`):
+    S_k is the first nonzero sparse iterate of the accelerated solve, since
+    at a zero S_k the step would be idle and a solve skips it.  The
+    accelerated update is trim, one row-tiled pass over D - S_k and the
+    factored tangent-space truncation; the baseline forms D - S_k over S_k,
+    as a solve does, and takes its certified truncated SVD
+    (:func:`rpca.kernel.svd_truncated`).  So every call gets the same
+    preallocated buffer, refilled with S_k outside the timer.  The two
+    alternate, one call each per round, so that host drift slows both alike.
+    """
+    state, d, params = _l_update_case(n, rank)
     sparse = np.empty_like(state.sparse)
     updates = {"accelerated": _tangent_l_update, "baseline": _svd_l_update}
     seconds = {name: [] for name in updates}
@@ -347,7 +364,7 @@ def benchmark_l_updates(n, rank):
         for name, l_update in updates.items():
             np.copyto(sparse, state.sparse)
             t0 = perf_counter()
-            l_update(state.low_rank, problem.data, sparse, params)
+            l_update(state.low_rank, d, sparse, params)
             seconds[name].append(perf_counter() - t0)
     out = {"n": n, "rank": rank, "iters": _BENCH_ITERS, "seed": _BENCH_SEED}
     for name, times in seconds.items():

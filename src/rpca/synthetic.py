@@ -4,6 +4,12 @@ The low-rank part is L = P Q^T with i.i.d. standard normal factor entries.
 The corrupted positions are a uniform sample (without replacement) of
 floor(alpha * m * n) entries, and the corruption values are i.i.d. uniform on
 [-c * a, c * a] where a is the empirical mean of |L| over all entries.
+
+The positions are rejection-sampled against a byte map of the entries drawn
+so far (a permutation prefix when more than half are corrupted), so sampling
+needs m * n bytes beside O(alpha m n) indices and sorts no pool of draws.
+:func:`generate` peaks at about 3 + alpha m x n float64 buffers: L, S, the
+support and D = L + S.
 """
 
 from __future__ import annotations
@@ -63,19 +69,40 @@ class SyntheticProblem:
 
 
 def _sample_support(rng, total, count):
-    # Uniform subset without replacement.  Rejection sampling keeps memory at
-    # O(count) for sparse supports; dense supports fall back to a permutation.
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
+    # A uniform subset of `count` of range(total), returned sorted.  A byte
+    # map `seen` marks what has been drawn (total bytes, 1/8 of a float64
+    # buffer).  Sparse supports are rejection-sampled: each round draws
+    # `count` indices and marks those not seen before, until `count` are
+    # marked; the last round keeps only its first new indices in stream
+    # order, which makes the subset uniform.  Dense supports mark a prefix of
+    # a permutation.  No pool is sorted, and the map reads out in order.
+    seen = np.zeros(total, dtype=bool)
     if count > total // 2:
-        return np.sort(rng.permutation(total)[:count].astype(np.int64))
-    picked = np.empty(0, dtype=np.int64)
-    while picked.size < count:
+        seen[rng.permutation(total)[:count]] = True
+        return np.flatnonzero(seen)
+    picked = 0
+    while picked < count:
         draw = rng.integers(0, total, size=count, dtype=np.int64)
-        pool = np.concatenate([picked, draw])
-        _, first = np.unique(pool, return_index=True)
-        picked = pool[np.sort(first)]  # keep first-occurrence order: unbiased
-    return np.sort(picked[:count])
+        fresh = draw[~seen[draw]]  # new this round, repeats included
+        seen[fresh] = True
+        marked = np.count_nonzero(seen)
+        if marked > count:  # the last round overshot: keep its first new indices
+            seen[fresh] = False
+            seen[_first_distinct(fresh, count - picked)] = True
+        picked = min(marked, count)
+    return np.flatnonzero(seen)
+
+
+def _first_distinct(values, need):
+    # The first `need` distinct entries of `values` in stream order; `values`
+    # holds more.  np.unique's indices are first occurrences, and it sorts
+    # only a prefix, lengthened until the prefix holds `need` distinct values.
+    size = need
+    while True:
+        _, first = np.unique(values[:size], return_index=True)
+        if first.size >= need or size >= values.size:
+            return values[np.sort(first)[:need]]
+        size += 2 * (need - first.size)
 
 
 def generate(spec):

@@ -180,7 +180,7 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert f"error: {name} must" in err
         assert "Traceback" not in err
-        assert not any(solved.iterdir())
+        assert not solved.exists()
 
     def test_non_convergence_exits_two(self, tmp_path, capsys):
         out = run_synth(tmp_path, n=60, rank=2, alpha=0.2, seed=8)

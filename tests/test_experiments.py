@@ -16,7 +16,7 @@ from rpca.experiments import (
     run_runtime_experiment,
     trial_seed,
 )
-from rpca.solver import _svd_l_update, _tangent_l_update, accaltproj_solve, initialize
+from rpca.solver import _step, _svd_l_update, _tangent_l_update, accaltproj_solve, initialize
 from rpca.synthetic import SyntheticSpec
 
 
@@ -27,17 +27,15 @@ def never_generate(spec):
 def alternated_l_update_medians(shapes, calls=20):
     """Median seconds of the accelerated L-update at each (n, rank).
 
-    Each state is built first, as :func:`benchmark_l_updates` builds it
-    (seed 0); then one untimed round and ``calls`` timed rounds call the
-    update once per shape in turn, so host drift slows every shape alike.
+    Each state is built first, as :func:`benchmark_l_updates` builds it (at
+    the first nonzero S_k); then one untimed round and ``calls`` timed rounds
+    call the update once per shape in turn, so host drift slows every shape
+    alike.
     """
-    protocol = rpca.experiments._RUNTIME
     cases = []
     for n, rank in shapes:
-        spec = SyntheticSpec(n, n, rank, protocol["alpha"], protocol["amplitude"], 0)
-        problem, params = rpca.experiments._problem_and_params(spec)
-        state, _ = initialize(problem.data, params)
-        cases.append((state.low_rank, problem.data, state.sparse, params))
+        state, d, params = rpca.experiments._l_update_case(n, rank)
+        cases.append((state.low_rank, d, state.sparse, params))
     seconds = [[] for _ in cases]
     for round_index in range(calls + 1):
         for case, times in zip(cases, seconds):
@@ -233,26 +231,37 @@ class TestBenchmark:
         assert out["accelerated_median_seconds"] > 0.0
         assert out["baseline_median_seconds"] > 0.0
 
-    def test_every_baseline_call_reads_s_0(self, monkeypatch):
-        # The baseline forms D - S_0 over its S argument, as a solve forms
-        # D - S_k over S_k, so S_0 must be put back before every call.
-        starts, seen = [], []
+    def test_every_baseline_call_reads_the_first_nonzero_s_k(self, monkeypatch):
+        # Both updates are timed at the first nonzero S_k of the accelerated
+        # solve (S_0 is zero on the benchmark's problems, an idle step).  The
+        # baseline forms D - S_k over its S argument, as a solve does, so
+        # S_k must be put back before every call.
+        iterates, seen = [], []
 
         def recording_initialize(d, params):
             state, residual_norm = initialize(d, params)
-            starts.append(state.sparse.tobytes())
+            iterates.append(state.sparse.copy())
+            return state, residual_norm
+
+        def recording_step(state, d, params, l_update):
+            assert l_update is _tangent_l_update
+            state, residual_norm = _step(state, d, params, l_update)
+            iterates.append(state.sparse.copy())
             return state, residual_norm
 
         def recording_svd_l_update(low_rank, d, sparse, params):
-            seen.append(sparse.tobytes())
+            seen.append(sparse.copy())
             return _svd_l_update(low_rank, d, sparse, params)
 
         monkeypatch.setattr(rpca.experiments, "initialize", recording_initialize)
+        monkeypatch.setattr(rpca.experiments, "_step", recording_step)
         monkeypatch.setattr(rpca.experiments, "_svd_l_update", recording_svd_l_update)
         out = benchmark_l_updates(100, 3)
-        assert len(starts) == 1
+        assert len(iterates) >= 2  # S_0 is zero here, so at least one step ran
+        assert not any(s.any() for s in iterates[:-1])
+        assert np.count_nonzero(iterates[-1]) > 0
         assert len(seen) == 1 + out["iters"]  # the warm-up round, then the timed ones
-        assert all(arg == starts[0] for arg in seen)
+        assert all(arg.tobytes() == iterates[-1].tobytes() for arg in seen)
 
     def test_quadratic_scaling_in_n(self):
         # Doubling n at fixed r should scale the accelerated update by about

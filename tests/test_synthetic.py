@@ -1,7 +1,37 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rpca.synthetic import SyntheticSpec, generate
+import rpca.synthetic
+from rpca.synthetic import SyntheticSpec, _sample_support, generate
+
+
+def pool_sample_support(rng, total, count):
+    # The reference sampler: each round draws `count` indices and keeps the
+    # first occurrences of the whole pool of draws, in stream order, by a
+    # stable sort of that pool.  The byte-map sampler must match it bit for
+    # bit and leave the generator at the same state.
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    if count > total // 2:
+        return np.sort(rng.permutation(total)[:count].astype(np.int64))
+    picked = np.empty(0, dtype=np.int64)
+    while picked.size < count:
+        draw = rng.integers(0, total, size=count, dtype=np.int64)
+        pool = np.concatenate([picked, draw])
+        _, first = np.unique(pool, return_index=True)
+        picked = pool[np.sort(first)]
+    return np.sort(picked[:count])
+
+
+def assert_samples_match(total, count, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_support(rng, total, count)
+    want = pool_sample_support(ref_rng, total, count)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSpecValidation:
@@ -90,3 +120,49 @@ class TestGenerate:
         prob = generate(SyntheticSpec(50, 50, 5, 0.1, 1.0, 55))
         assert 1.0 <= prob.mu_true <= 50 / 5
         assert prob.kappa_true >= 1.0
+
+
+class TestSampleSupport:
+    @pytest.mark.parametrize("total", [1, 2, 10, 1001])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edge_counts_match_the_pool_sampler(self, total, seed):
+        for count in sorted({0, 1, total // 2, total // 2 + 1, total - 1}):
+            assert_samples_match(total, count, seed)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("shape", [(30, 40), (100, 100), (257, 123)])
+    @pytest.mark.parametrize("seed", [0, 7, 29])
+    def test_problem_sizes_match_the_pool_sampler(self, alpha, shape, seed):
+        total = shape[0] * shape[1]
+        assert_samples_match(total, int(alpha * total), seed)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.45, 0.6])
+    def test_generate_matches_the_pool_sampler(self, monkeypatch, alpha):
+        spec = SyntheticSpec(90, 70, 4, alpha, 1.0, 12)
+        got = generate(spec)
+        monkeypatch.setattr(rpca.synthetic, "_sample_support", pool_sample_support)
+        want = generate(spec)
+        for name in ("data", "low_rank", "sparse", "support"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (got.mu_true, got.kappa_true) == (want.mu_true, want.kappa_true)
+
+    @pytest.mark.parametrize("alpha, bound", [(0.3, 3.4), (0.45, 3.55)])
+    def test_generate_peak_memory(self, alpha, bound):
+        # Peak above what was live, in 400 x 400 float64 buffers: L, S, the
+        # int64 support (alpha of a buffer) and D = L + S (measured 3.37 at
+        # alpha 0.3 and 3.52 at 0.45).  Sampling the support holds a byte
+        # map and one round of draws, well below that.
+        spec = SyntheticSpec(400, 400, 5, alpha, 1.0, 3)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            problem = generate(spec)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / (8 * 400 * 400)
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert problem.support.size == spec.support_size
+        assert peak <= bound, f"peak {peak:.3f} buffers"

@@ -15,7 +15,11 @@ files.  The pipeline is:
 - a non-square ``synth`` written as ``.csv``, and a ``solve`` that reads it
   and so writes ``L.csv`` and ``S.csv``;
 - a ``synth`` whose corruption exceeds the first threshold, so that
-  ``S_init`` is nonzero, and a ``solve`` of it with each solver.
+  ``S_init`` is nonzero, and a ``solve`` of it with each solver;
+- a ``synth`` at alpha 0.45, and one at alpha 0.3 with a ``solve`` of it, so
+  that the support sampler runs rejection rounds at the paper's corruption
+  levels (the rounds above are at alpha 0.1, and the 0.6 cell samples a
+  permutation).
 
 Each side must import ``rpca`` from its own tree.  Every ``.bin`` and
 ``.csv`` matrix file must match byte for byte.  Every JSON file and
@@ -73,6 +77,12 @@ COMMANDS = [
      "--output-dir", "solve-spiked"],
     ["solve", "--input", "synth-spiked/D.bin", "--rank", "2", "--gamma", "0.7",
      "--solver", "altproj", "--output-dir", "solve-spiked-altproj"],
+    ["synth", "--n", "200", "--rank", "5", "--alpha", "0.45", "--c", "1", "--seed", "29",
+     "--output-dir", "synth-alpha45"],
+    ["synth", "--n", "150", "--rank", "3", "--alpha", "0.3", "--c", "1", "--seed", "31",
+     "--output-dir", "synth-alpha30"],
+    ["solve", "--input", "synth-alpha30/D.bin", "--rank", "3", "--gamma", "0.7",
+     "--output-dir", "solve-alpha30"],
 ]
 
 # Runs in the subprocess, in the output directory: prints where rpca came
