@@ -75,9 +75,11 @@ def write_matrix(a, path):
 
 def read_matrix(path):
     """Read a matrix written by :func:`write_matrix`; the suffix names the format."""
-    if _format_of(path) == "bin":
-        return _read_bin(Path(path))
-    return _read_csv(Path(path))
+    path = Path(path)
+    out = _read_bin(path) if _format_of(path) == "bin" else _read_csv(path)
+    if not _all_finite(out):
+        raise NonFiniteValuesError(f"{path}: non-finite entries")
+    return out
 
 
 def _read_bin(path):
@@ -100,10 +102,7 @@ def _read_bin(path):
         out = np.empty((rows, cols), dtype="<f8")
         if fh.readinto(out.data) != payload:
             raise MalformedHeaderError(f"{path}: payload shorter than {payload} bytes")
-    out = out.astype(np.float64, copy=False)  # no copy on little-endian hosts
-    if not _all_finite(out):
-        raise NonFiniteValuesError(f"{path}: non-finite entries")
-    return out
+    return out.astype(np.float64, copy=False)  # no copy on little-endian hosts
 
 
 def _read_csv(path):
@@ -130,6 +129,4 @@ def _read_csv(path):
     if out is None:
         raise MatrixIOError(f"{path}: empty matrix file")
     out.resize((rows, out.shape[1]), refcheck=False)
-    if not _all_finite(out):
-        raise NonFiniteValuesError(f"{path}: non-finite entries")
     return out

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import FactoredLowRank, svd_truncated
-from .solver import _residual_norm
+from .solver import _tiled_pass
 
 __all__ = [
     "RECOVERY_TOL",
@@ -37,7 +37,7 @@ def relative_error(d, low_rank, sparse):
         raise ValueError("relative error is undefined for an identically zero matrix")
     sparse = _dense(sparse)
     if isinstance(low_rank, FactoredLowRank):
-        return float(_residual_norm(d, low_rank, sparse) / d_norm)
+        return float(_tiled_pass(d, low_rank, sparse)[0] / d_norm)
     return float(np.linalg.norm(d - _dense(low_rank) - sparse) / d_norm)
 
 

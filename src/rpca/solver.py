@@ -16,8 +16,8 @@ builds L_{k+1}, D - L_{k+1}, S_{k+1} and the residual norm tile by tile.
 S_k is dead once the L-update has read it, so ``initialize`` allocates the
 solve's one S buffer and each step advances the state in place, writing
 S_{k+1} over S_k; the baseline first forms D - S_k in that buffer for its
-SVD.  An iteration allocates only tiles and thin factors, and a solve peaks
-at D plus 1 buffer.
+SVD.  L_0 is that baseline L-update at S_init, as in AltProj.  An iteration
+allocates only tiles and thin factors, and a solve peaks at D plus 1 buffer.
 
 The schedule starts above every corrupted entry, so a solve usually opens
 with a run of idle iterations.  While every sparse iterate is zero, S_init
@@ -351,41 +351,34 @@ def _tiled_pass(d, low, sparse, zeta=None, track_max=False):
     return math.sqrt(total), (max_abs_dl if track_max and max_abs_dl <= zeta else None)
 
 
-def _residual_norm(d, low, sparse):
-    """||D - L - S||_F with L = ``low``; ``d`` and ``sparse`` are only read."""
-    return _tiled_pass(d, low, sparse)[0]
-
-
 def initialize(d, params):
     """Build (L_0, S_0) by two projection steps from scratch.
 
     First D is thresholded at beta_init * sigma_1(D) to strip the largest
-    outliers; L_0 is the best rank-r approximation of what remains; S_0 then
-    thresholds D - L_0 at beta * sigma_1(D - S_init), a threshold that, unlike
-    the later schedule, uses the top singular value only.  sigma_1(D) comes
-    from Lanczos (:func:`spectral_norm`): a rank-1 subspace iteration stalls
-    on clustered top singular values.  The solve's one m x n array is
-    allocated here: it holds S_init, then D - S_init for the truncation and,
-    once that has read it, S_0.  When no entry of D exceeds the first
-    threshold, S_init is zero and D itself is truncated, with the same bits.
-    Either way :func:`_tiled_pass`, the sparse update of every loop step,
-    writes S_0; ``d`` is only read.
+    outliers, which gives S_init.  L_0 is AltProj's L-update at S_init, the
+    best rank-r approximation of D - S_init, since there is no estimate yet
+    to project at.  S_0 then thresholds D - L_0 at beta * sigma_1(D - S_init),
+    a threshold that, unlike the later schedule, uses the top singular value
+    only.  sigma_1(D) comes from Lanczos (:func:`spectral_norm`): a rank-1
+    subspace iteration stalls on clustered top singular values.  The solve's
+    one m x n array is allocated here: it holds S_init, then D - S_init,
+    which the L-update forms over it, then S_0.  When no entry of D exceeds
+    the first threshold, a test much cheaper than thresholding D, S_init is
+    zero and D itself is truncated, with the same bits.  Either way
+    :func:`_tiled_pass`, the sparse update of every loop step, writes S_0.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d`` is validated by
     :func:`spectral_norm` and the rank by :func:`svd_truncated`; the solvers
-    validate ``d`` once before calling.
+    validate ``d`` once before calling.  ``d`` is only read.
     """
     zeta_init = params.beta_init * spectral_norm(d)
     idle = max(float(d.max()), -float(d.min())) <= zeta_init  # S_init = 0
     sparse = np.empty(d.shape)
-    w = d if idle else hard_threshold(d, zeta_init, out=sparse)  # S_init
-    t0 = perf_counter()
     if not idle:
-        np.subtract(d, w, out=w)  # W = D - S_init, in the buffer of S_init
-    # L_0 is the truncated SVD of W, as in AltProj; there is no previous
-    # estimate to project at.
-    low, window = svd_truncated(w, params.rank)
+        hard_threshold(d, zeta_init, out=sparse)  # S_init
+    t0 = perf_counter()
+    low, window = svd_truncated(d, params.rank) if idle else _svd_l_update(None, d, sparse, params)
     l_seconds = perf_counter() - t0
     zeta_0 = params.beta * float(low.sigma[0])
     # S_0 goes into the buffer; the truncation has finished reading W

@@ -14,6 +14,7 @@ support and D = L + S.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class SyntheticSpec:
             raise ValueError(f"rank {self.rank} out of range for a {self.m} x {self.n} matrix")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.amplitude <= 0.0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        if not 0.0 < self.amplitude < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -116,6 +117,8 @@ def generate(spec):
     sparse = np.zeros((spec.m, spec.n))
     if support.size:
         bound = spec.amplitude * float(np.mean(np.abs(low)))
+        if not math.isfinite(2.0 * bound):  # the width of the uniform draw
+            raise ValueError(f"amplitude {spec.amplitude} overflows the corruption range")
         sparse.ravel()[support] = rng.uniform(-bound, bound, size=support.size)
 
     factored, _ = svd_truncated(low, spec.rank)

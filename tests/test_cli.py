@@ -61,6 +61,19 @@ class TestSynthCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "1e308"])
+    def test_amplitude_without_a_finite_range_exits_one(self, tmp_path, capsys, c):
+        out = tmp_path / "synth"
+        code = main(
+            ["synth", "--n", "40", "--rank", "5", "--alpha", "0.1", "--c", c,
+             "--seed", "3", "--output-dir", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: amplitude" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSolveCommand:
     def test_end_to_end_convergence(self, tmp_path):
@@ -260,6 +273,15 @@ class TestPhaseCommand:
         grid = write_grid(tmp_path, alphas=[])
         assert main(["phase", "--grid", str(grid), "--output-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_amplitude_without_a_finite_range_exits_one(self, tmp_path, capsys):
+        grid = write_grid(tmp_path, alphas=[0.1], cs=[1e308])
+        out = tmp_path / "out"
+        assert main(["phase", "--grid", str(grid), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: amplitude" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         grid = write_grid(tmp_path, velocity=3)

@@ -23,7 +23,6 @@ from rpca.solver import (
     trim,
 )
 from rpca.solver import (
-    _residual_norm,
     _row_tiles,
     _step,
     _svd_l_update,
@@ -904,7 +903,7 @@ class TestIdleSkip:
         # no entry of D - L exceeds zeta: S = 0, and the maximum is returned
         norm, max_abs_dl = _tiled_pass(d, low, sparse, zeta=top, track_max=True)
         assert not np.any(sparse) and max_abs_dl == top
-        assert norm == _residual_norm(d, low, sparse)
+        assert norm == _tiled_pass(d, low, sparse)[0]
         # one entry does: S != 0, and the maximum no longer serves
         _, max_abs_dl = _tiled_pass(d, low, sparse, zeta=np.nextafter(top, 0.0), track_max=True)
         assert np.count_nonzero(sparse) == 1 and max_abs_dl is None
@@ -946,13 +945,13 @@ class TestWorkspaceReuse:
         for l_update in (_tangent_l_update, _svd_l_update):
             state, residual_norm = initialize(d, self.params)
             assert not np.shares_memory(state.sparse, d)
-            assert residual_norm == _residual_norm(d, state.low_rank, state.sparse)
+            assert residual_norm == _tiled_pass(d, state.low_rank, state.sparse)[0]
             out, residual_norm = _step(state, d, self.params, l_update)
             assert out.sparse is state.sparse
             assert not np.shares_memory(out.sparse, d)
             # the returned norm is that of D - L - S for the returned state,
             # and the read-only pass recomputes it bit for bit
-            assert residual_norm == _residual_norm(d, out.low_rank, out.sparse)
+            assert residual_norm == _tiled_pass(d, out.low_rank, out.sparse)[0]
             dense = frob(d - out.low_rank.matrix() - out.sparse)
             assert abs(residual_norm - dense) <= 1e-12 * dense
 

@@ -48,6 +48,8 @@ class TestSpecValidation:
             dict(alpha=1.0),
             dict(amplitude=0.0),
             dict(seed=-1),
+            dict(amplitude=float("nan")),
+            dict(amplitude=float("inf")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -67,6 +69,11 @@ class TestGenerate:
         assert np.array_equal(prob.sparse, np.zeros((15, 15)))
         assert np.array_equal(prob.data, prob.low_rank)
         assert prob.support.size == 0
+
+    def test_rejects_an_amplitude_whose_range_overflows(self):
+        # 2 c mean|L| is the width that the uniform draw of S needs
+        with pytest.raises(ValueError, match="amplitude 1e[+]?308"):
+            generate(SyntheticSpec(40, 40, 5, 0.1, 1e308, 3))
 
     def test_same_seed_is_identical(self):
         spec = SyntheticSpec(20, 25, 3, 0.2, 2.0, 99)

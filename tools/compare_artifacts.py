@@ -19,7 +19,11 @@ files.  The pipeline is:
 - a ``synth`` at alpha 0.45, and one at alpha 0.3 with a ``solve`` of it, so
   that the support sampler runs rejection rounds at the paper's corruption
   levels (the rounds above are at alpha 0.1, and the 0.6 cell samples a
-  permutation).
+  permutation);
+- three ``solve`` runs of the first input with an explicit ``--mu``: at
+  ``--mu 1`` trim fires and re-orthogonalizes and the run stops at the
+  iteration cap (exit 2); with ``--no-trim`` as well it converges; and
+  ``--eps`` with ``--max-iter`` stops a run early (exit 2).
 
 Each side must import ``rpca`` from its own tree.  Every ``.bin`` and
 ``.csv`` matrix file must match byte for byte.  Every JSON file and
@@ -83,6 +87,12 @@ COMMANDS = [
      "--output-dir", "synth-alpha30"],
     ["solve", "--input", "synth-alpha30/D.bin", "--rank", "3", "--gamma", "0.7",
      "--output-dir", "solve-alpha30"],
+    ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7", "--mu", "1",
+     "--output-dir", "solve-trim"],
+    ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7", "--mu", "1",
+     "--no-trim", "--output-dir", "solve-no-trim"],
+    ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7", "--mu", "1.5",
+     "--eps", "1e-9", "--max-iter", "8", "--output-dir", "solve-capped"],
 ]
 
 # Runs in the subprocess, in the output directory: prints where rpca came
