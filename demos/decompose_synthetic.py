@@ -38,7 +38,7 @@ def run_demo():
         print(f"\n{name} solver: converged={solution.converged} "
               f"after {solution.iterations} iterations")
         print("  k   err          zeta         sigma_r      sigma_r+1")
-        for rec in solution.trace.records[:: max(1, len(solution.trace.records) // 10)]:
+        for rec in solution.trace[:: max(1, len(solution.trace) // 10)]:
             print(f"  {rec.k:3d} {rec.err:.6e} {rec.zeta:.6e} "
                   f"{rec.sigma_window[rank - 1]:.6e} {rec.sigma_window[rank]:.6e}"
                   f"{'  (skipped idle step)' if rec.skipped else ''}")

@@ -13,9 +13,11 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from time import perf_counter
+
+import numpy as np
 
 from .experiments import (
     PAPER_RUNTIME_SIZES,
@@ -27,7 +29,7 @@ from .experiments import (
 from .kernel import SKETCH_SEED
 from .matio import MatrixIOError, read_matrix, write_matrix
 from .metrics import incoherence_of
-from .solver import RpcaParams, accaltproj_solve, altproj_solve
+from .solver import IterationRecord, RpcaParams, accaltproj_solve, altproj_solve
 from .synthetic import RNG_ID, SyntheticSpec, generate
 
 __all__ = ["CliError", "build_parser", "main", "run"]
@@ -153,7 +155,10 @@ def _cmd_solve(args):
             "converged": solution.converged,
             "iterations": solution.iterations,
             "final_err": solution.final_err,
-            "trace": solution.trace.as_dict(),
+            "trace": {
+                f.name: [np.asarray(getattr(rec, f.name)).tolist() for rec in solution.trace]
+                for f in fields(IterationRecord)
+            },
             "total_seconds": total_seconds,
         },
     )

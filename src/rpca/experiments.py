@@ -210,7 +210,7 @@ PAPER_RUNTIME_SIZES = (1000, 2500, 5000, 10000, 15000)  # the published runtime 
 
 
 def _timing_means(trace):
-    executed = [rec for rec in trace.records[_TIMING_SKIP:] if not rec.skipped]
+    executed = [rec for rec in trace[_TIMING_SKIP:] if not rec.skipped]
     if not executed:
         return None, None
     iters = [rec.iter_seconds for rec in executed]
@@ -234,8 +234,8 @@ def _run_trial(solver_id, spec, d, l_true, params):
         wall_seconds=wall_seconds,
         mean_iter_seconds=mean_iter,
         mean_l_update_seconds=mean_l,
-        err_history=[rec.err for rec in solution.trace.records],
-        zeta_history=[rec.zeta for rec in solution.trace.records],
+        err_history=[rec.err for rec in solution.trace],
+        zeta_history=[rec.zeta for rec in solution.trace],
     )
 
 

@@ -54,13 +54,14 @@ def factor_incoherence(u, v):
     """Incoherence of a factorization from its orthonormal factors.
 
     max( (m/r) max_i ||e_i^T U||^2 , (n/r) max_j ||e_j^T V||^2 ); small values
-    mean the singular vectors are spread out over the coordinates.
+    mean the singular vectors are spread out over the coordinates.  It is at
+    least 1 exactly, so a rounded value below 1 is returned as 1.
     """
     m, r = u.shape
     n = v.shape[0]
     mu_u = (m / r) * float(np.max(np.sum(u * u, axis=1)))
     mu_v = (n / r) * float(np.max(np.sum(v * v, axis=1)))
-    return max(mu_u, mu_v)
+    return max(mu_u, mu_v, 1.0)
 
 
 def incoherence_of(l, rank):

@@ -41,7 +41,7 @@ solve a state is not a snapshot: the next step writes over its ``sparse``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
@@ -56,7 +56,6 @@ _TILES = 16
 _TILE_BYTES = (64 * 1024, 256 * 1024)
 
 __all__ = [
-    "ConvergenceTrace",
     "IterationRecord",
     "IterationState",
     "RpcaParams",
@@ -163,52 +162,21 @@ class IterationRecord:
 
 
 @dataclass
-class ConvergenceTrace:
-    """Per-iteration log of the stopping metric and the threshold schedule."""
-
-    records: list[IterationRecord] = field(default_factory=list)
-
-    def add(self, state, err, iter_seconds, skipped=False):
-        self.records.append(
-            IterationRecord(
-                k=state.k,
-                err=float(err),
-                zeta=float(state.zeta),
-                sigma_window=np.array(state.sigma_window, dtype=np.float64),
-                iter_seconds=float(iter_seconds),
-                l_update_seconds=float(state.l_update_seconds),
-                skipped=skipped,
-            )
-        )
-
-    def errors(self):
-        return np.array([rec.err for rec in self.records])
-
-    def zetas(self):
-        return np.array([rec.zeta for rec in self.records])
-
-    def as_dict(self):
-        """JSON-ready dict of per-iteration lists, one per IterationRecord field."""
-        return {
-            f.name: [np.asarray(getattr(rec, f.name)).tolist() for rec in self.records]
-            for f in fields(IterationRecord)
-        }
-
-
-@dataclass
 class RpcaSolution:
+    """A solve's output; ``trace`` holds its IterationRecord rows, k = 0 first."""
+
     low_rank: FactoredLowRank
     sparse: np.ndarray
-    trace: ConvergenceTrace
+    trace: list[IterationRecord]
     converged: bool
 
     @property
     def iterations(self):
-        return self.trace.records[-1].k
+        return self.trace[-1].k
 
     @property
     def final_err(self):
-        return self.trace.records[-1].err
+        return self.trace[-1].err
 
 
 def trim(low_rank, mu):
@@ -459,12 +427,24 @@ def _skipped_step(state, params):
     return replace(state, k=state.k + 1, zeta=zeta, l_update_seconds=0.0)
 
 
+def _record(state, err, iter_seconds, skipped=False):
+    """The trace row of ``state``, for computed and skipped steps alike."""
+    window = np.array(state.sigma_window, dtype=np.float64)
+    return IterationRecord(
+        state.k, err, float(state.zeta), window, iter_seconds, state.l_update_seconds, skipped
+    )
+
+
 def _solve(d, params, l_update):
     d = ensure_matrix(d, "D")
-    d_norm = float(np.linalg.norm(d))
-    if d_norm == 0.0:
-        raise ValueError("cannot decompose an identically zero matrix")
-    trace = ConvergenceTrace()
+    with np.errstate(over="ignore"):  # an overflow gives inf, which the range rejects
+        d_norm = float(np.linalg.norm(d))
+    # ||D||^2 stays finite, and squared residuals normal for epsilon >= 1e-29 up to n = 15000
+    if not 2.0**-400 <= d_norm <= 2.0**400:
+        raise ValueError(
+            f"D is zero or out of scale: ||D||_F = {d_norm:.3g}, not in [2^-400, 2^400]; rescale D"
+        )
+    trace = []
     state, err = None, math.inf
     while err >= params.epsilon and (state is None or state.k < params.max_iter):
         t0 = perf_counter()
@@ -472,12 +452,12 @@ def _solve(d, params, l_update):
             state, residual_norm = initialize(d, params)
         elif (skipped := _skipped_step(state, params)) is not None:
             state = skipped
-            trace.add(state, err, iter_seconds=0.0, skipped=True)
+            trace.append(_record(state, err, 0.0, skipped=True))
             continue
         else:
             state, residual_norm = _step(state, d, params, l_update)
         err = residual_norm / d_norm
-        trace.add(state, err, iter_seconds=perf_counter() - t0)
+        trace.append(_record(state, err, perf_counter() - t0))
     return RpcaSolution(state.low_rank, state.sparse, trace, converged=bool(err < params.epsilon))
 
 

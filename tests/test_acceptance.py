@@ -106,7 +106,7 @@ def test_criterion_3_linear_convergence():
                 problem = desk_problem(alpha, cell, trial)
                 params = desk_params(problem, epsilon=1e-12, max_iter=100)
                 solution = accaltproj_solve(problem.data, params)
-                errs = solution.trace.errors()
+                errs = np.array([rec.err for rec in solution.trace])
                 assert solution.iterations <= 100
                 ratios = [
                     errs[k + 1] / errs[k] for k in range(3, len(errs) - 1) if errs[k] > 0

@@ -12,7 +12,7 @@ import pytest
 from rpca.cli import main
 from rpca.experiments import PhaseConfig
 from rpca.matio import read_matrix, write_matrix
-from rpca.solver import IterationRecord, RpcaParams, threshold_value
+from rpca.solver import IterationRecord, RpcaParams, accaltproj_solve, threshold_value
 from rpca.synthetic import SyntheticSpec, generate
 
 
@@ -143,6 +143,53 @@ class TestSolveCommand:
             assert all(isinstance(flag, bool) for flag in columns["skipped"])
             for values in columns.values():
                 assert len(values) == trace["iterations"] + 1
+
+    def test_trace_columns_equal_the_library_trace(self, tmp_path):
+        prob = generate(SyntheticSpec(80, 80, 2, 0.1, 1.0, 4))
+        write_matrix(prob.data, tmp_path / "D.bin")
+        mu = 1.1 * prob.mu_true
+        code = main(
+            ["solve", "--input", str(tmp_path / "D.bin"), "--rank", "2", "--mu", repr(mu),
+             "--gamma", "0.7", "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "trace.json").read_text())
+        params = RpcaParams.defaults(prob.data.shape, 2, mu, gamma=0.7)
+        assert payload["params"] == asdict(params)
+        solution = accaltproj_solve(read_matrix(tmp_path / "D.bin"), params)
+        assert any(rec.skipped for rec in solution.trace)  # both kinds of row are compared
+        for name, column in payload["trace"].items():
+            if "seconds" in name:
+                continue
+            want = [getattr(rec, name) for rec in solution.trace]
+            if name == "sigma_window":
+                want = [window.tolist() for window in want]
+            assert column == want, name
+
+    @pytest.mark.parametrize("scale", [1e155, 1e-160])
+    def test_d_out_of_scale_exits_one(self, tmp_path, capsys, scale):
+        # at 1e155 ARPACK failed with a traceback; at 1e-160 the squared
+        # residual underflowed and the solve reported a false convergence
+        prob = generate(SyntheticSpec(100, 100, 3, 0.1, 1.0, 1))
+        write_matrix(prob.data * scale, tmp_path / "D.bin")
+        solved = tmp_path / "solved"
+        code = main(
+            ["solve", "--input", str(tmp_path / "D.bin"), "--rank", "3",
+             "--mu", repr(1.1 * prob.mu_true), "--gamma", "0.7", "--output-dir", str(solved)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: D is zero or out of scale" in err
+        assert "Traceback" not in err
+        assert not any(solved.glob("*"))
+
+    def test_all_ones_input_solves_without_mu(self, tmp_path, capsys):
+        # its incoherence is exactly 1, which rounding measured one ulp below
+        write_matrix(np.ones((5, 8)), tmp_path / "D.bin")
+        code = main(["solve", "--input", str(tmp_path / "D.bin"), "--rank", "1",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert "--mu not given; using 1," in capsys.readouterr().err
 
     @pytest.mark.parametrize("solver, bound", [("accaltproj", 2.15), ("altproj", 2.2)])
     def test_peak_memory_is_two_buffers_with_the_read(self, tmp_path, solver, bound):

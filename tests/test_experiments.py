@@ -181,7 +181,7 @@ class TestRuntimeExperiment:
         spec = SyntheticSpec(80, 80, 2, 0.1, 0.2, 5)
         problem, params = rpca.experiments._problem_and_params(spec)
         trace = accaltproj_solve(problem.data, params).trace
-        rows = trace.records[2:]  # past the initialization and warm-up rows
+        rows = trace[2:]  # past the initialization and warm-up rows
         assert any(rec.skipped for rec in rows)
         executed = [rec for rec in rows if not rec.skipped]
         mean_iter, mean_l = rpca.experiments._timing_means(trace)

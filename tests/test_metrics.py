@@ -77,6 +77,10 @@ class TestIncoherence:
     def test_all_ones_is_perfectly_spread(self):
         assert incoherence_of(np.ones((5, 5)), 1) == pytest.approx(1.0, rel=1e-12)
 
+    def test_rounding_never_takes_it_below_one(self):
+        # the 5 x 8 all-ones factors measure one ulp below 1 before the floor
+        assert incoherence_of(np.ones((5, 8)), 1) >= 1.0
+
     def test_flat_factors_give_one(self):
         h = hadamard(8).astype(float) / np.sqrt(8.0)
         u = h[:, :2]

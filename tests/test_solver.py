@@ -669,7 +669,7 @@ class TestSolvers:
             assert sol.converged and sol.final_err < 1e-6
             rec = frob(sol.low_rank.matrix() - prob.low_rank) / frob(prob.low_rank)
             assert rec <= 1e-4
-            errs = sol.trace.errors()
+            errs = np.array([rec.err for rec in sol.trace])
             ratios = errs[4:] / errs[3:-1]
             assert np.median(ratios) < 1.0
 
@@ -705,30 +705,53 @@ class TestSolvers:
         params = desk_params(prob)
         first = accaltproj_solve(prob.data, params)
         second = accaltproj_solve(prob.data, params)
-        assert np.array_equal(first.trace.errors(), second.trace.errors())
-        assert np.array_equal(first.trace.zetas(), second.trace.zetas())
+        assert [rec.err for rec in first.trace] == [rec.err for rec in second.trace]
+        assert [rec.zeta for rec in first.trace] == [rec.zeta for rec in second.trace]
         assert np.array_equal(first.sparse, second.sparse)
         assert np.array_equal(first.low_rank.matrix(), second.low_rank.matrix())
-        for a, b in zip(first.trace.records, second.trace.records):
+        for a, b in zip(first.trace, second.trace):
             assert np.array_equal(a.sigma_window, b.sigma_window)
 
     def test_trace_records_are_complete(self):
         prob = generate(SyntheticSpec(60, 60, 2, 0.1, 1.0, 707))
         sol = accaltproj_solve(prob.data, desk_params(prob))
-        ks = [rec.k for rec in sol.trace.records]
+        ks = [rec.k for rec in sol.trace]
         assert ks == list(range(len(ks)))
-        assert all(rec.err >= 0 and rec.zeta >= 0 for rec in sol.trace.records)
+        assert all(rec.err >= 0 and rec.zeta >= 0 for rec in sol.trace)
 
     def test_init_row_times_the_truncation_only(self):
         prob = generate(SyntheticSpec(100, 100, 3, 0.1, 1.0, 909))
         sol = accaltproj_solve(prob.data, desk_params(prob))
-        init = sol.trace.records[0]
+        init = sol.trace[0]
         assert 0.0 < init.l_update_seconds < init.iter_seconds
 
     def test_zero_matrix_rejected(self):
         params = RpcaParams(rank=1, mu=1.0, beta=0.1, beta_init=0.2)
         with pytest.raises(ValueError, match="zero"):
             accaltproj_solve(np.zeros((5, 5)), params)
+
+    @pytest.mark.parametrize("solve", [accaltproj_solve, altproj_solve])
+    @pytest.mark.parametrize("power", [-600, -540, 505])
+    def test_d_whose_norm_is_out_of_range_rejected(self, solve, power):
+        # ||D||_F outside [2^-400, 2^400]: at 2^-600 every square underflows,
+        # at 2^-540 the residual loses its low bits and the solve would report
+        # a false convergence, and at 2^505 the sum of squares overflows.
+        prob = generate(SyntheticSpec(120, 100, 3, 0.1, 1.0, 1))
+        with pytest.raises(ValueError, match="zero or out of scale.*rescale D"):
+            solve(prob.data * 2.0**power, desk_params(prob))
+
+    @pytest.mark.parametrize("solve", [accaltproj_solve, altproj_solve])
+    @pytest.mark.parametrize("power", [-300, 300])
+    def test_scale_equivariant_inside_the_range(self, solve, power):
+        prob = generate(SyntheticSpec(120, 100, 3, 0.1, 1.0, 1))
+        params = desk_params(prob)
+        ref = solve(prob.data, params)
+        scale = 2.0**power
+        sol = solve(prob.data * scale, params)
+        assert sol.converged and ref.converged
+        assert sol.iterations == ref.iterations
+        assert np.array_equal(sol.low_rank.matrix() / scale, ref.low_rank.matrix())
+        assert np.array_equal(sol.sparse / scale, ref.sparse)
 
     def test_non_finite_rejected(self):
         params = RpcaParams(rank=1, mu=1.0, beta=0.1, beta_init=0.2)
@@ -790,7 +813,7 @@ def assert_matches_unskipped(sol, ref, rows, l_update):
     bit for bit for AltProj, whose skipped SVDs would read the same D; to
     rounding for AccAltProj, whose skipped tangent-space truncations would
     return L again up to rounding."""
-    records = sol.trace.records
+    records = sol.trace
     assert [rec.k for rec in records] == [row[0] for row in rows]
     if l_update is _svd_l_update:
         assert np.array_equal(sol.low_rank.U, ref.low_rank.U)
@@ -802,7 +825,7 @@ def assert_matches_unskipped(sol, ref, rows, l_update):
             assert np.array_equal(rec.sigma_window, window)
     else:
         zetas = np.array([row[2] for row in rows])
-        assert np.allclose(sol.trace.zetas(), zetas, rtol=1e-9, atol=0.0)
+        assert np.allclose([rec.zeta for rec in sol.trace], zetas, rtol=1e-9, atol=0.0)
         l_ref = ref.low_rank.matrix()
         assert frob(sol.low_rank.matrix() - l_ref) <= 1e-8 * frob(l_ref)
 
@@ -820,14 +843,14 @@ class TestIdleSkip:
         ref, rows = unskipped_solve(prob.data, params, l_update)
         assert sol.converged and sol.iterations == ref.k
         assert_matches_unskipped(sol, ref, rows, l_update)
-        skipped = [rec for rec in sol.trace.records if rec.skipped]
+        skipped = [rec for rec in sol.trace if rec.skipped]
         if amplitude < 5.0:  # the larger the corruption, the shorter the idle start
             assert skipped
         for rec in skipped:
             assert rec.k >= 2  # after the initialization and one loop step
             assert rec.iter_seconds == 0.0 and rec.l_update_seconds == 0.0
         # a skipped row repeats the err and window of the row before it
-        for before, rec in zip(sol.trace.records, sol.trace.records[1:]):
+        for before, rec in zip(sol.trace, sol.trace[1:]):
             if rec.skipped:
                 assert rec.err == before.err
                 assert np.array_equal(rec.sigma_window, before.sigma_window)
@@ -839,7 +862,7 @@ class TestIdleSkip:
         sol = solve(prob.data, params)
         ref, rows = unskipped_solve(prob.data, params, l_update)
         assert sol.iterations == params.max_iter and not sol.converged
-        assert sol.trace.records[-1].skipped
+        assert sol.trace[-1].skipped
         assert not np.any(sol.sparse)
         assert_matches_unskipped(sol, ref, rows, l_update)
 
@@ -853,7 +876,7 @@ class TestIdleSkip:
         assert not np.any(initialize(d, params)[0].sparse)  # S_0 = 0
         sol = solve(d, params)
         ref, rows = unskipped_solve(d, params, l_update)
-        assert not any(rec.skipped for rec in sol.trace.records)
+        assert not any(rec.skipped for rec in sol.trace)
         assert_matches_unskipped(sol, ref, rows, l_update)
 
     @pytest.mark.parametrize("amplitude", [0.2, 1.0])
@@ -871,10 +894,10 @@ class TestIdleSkip:
         assert trim(start.low_rank, params.mu) is not start.low_rank
         sol = accaltproj_solve(prob.data, params)
         ref, rows = unskipped_solve(prob.data, params, _tangent_l_update)
-        assert any(rec.skipped for rec in sol.trace.records)
+        assert any(rec.skipped for rec in sol.trace)
         assert sol.iterations == ref.k
         zetas = np.array([row[2] for row in rows])
-        assert np.allclose(sol.trace.zetas(), zetas, rtol=1e-4, atol=0.0)
+        assert np.allclose([rec.zeta for rec in sol.trace], zetas, rtol=1e-4, atol=0.0)
         l_ref = ref.low_rank.matrix()
         assert frob(sol.low_rank.matrix() - l_ref) <= 1e-12 * frob(l_ref)
 
@@ -964,7 +987,7 @@ class TestWorkspaceReuse:
             assert np.array_equal(first.low_rank.sigma, second.low_rank.sigma)
             assert np.array_equal(first.low_rank.V, second.low_rank.V)
             assert np.array_equal(first.sparse, second.sparse)
-            assert first.trace.as_dict()["err"] == second.trace.as_dict()["err"]
+            assert [rec.err for rec in first.trace] == [rec.err for rec in second.trace]
             assert not np.shares_memory(first.sparse, second.sparse)
 
     @pytest.mark.parametrize("solve, l_update", SOLVERS)
@@ -976,13 +999,13 @@ class TestWorkspaceReuse:
         sol = solve(d, params)
         ref, rows = unskipped_solve(d, params, l_update)
         assert np.any(ref.sparse)
-        assert not any(rec.skipped for rec in sol.trace.records)
+        assert not any(rec.skipped for rec in sol.trace)
         assert np.array_equal(sol.low_rank.U, ref.low_rank.U)
         assert np.array_equal(sol.low_rank.sigma, ref.low_rank.sigma)
         assert np.array_equal(sol.low_rank.V, ref.low_rank.V)
         assert np.array_equal(sol.sparse, ref.sparse)
-        assert len(sol.trace.records) == len(rows)
-        for rec, (k, err, zeta, window) in zip(sol.trace.records, rows):
+        assert len(sol.trace) == len(rows)
+        for rec, (k, err, zeta, window) in zip(sol.trace, rows):
             assert (rec.k, rec.err, rec.zeta) == (k, err, zeta)
             assert np.array_equal(rec.sigma_window, window)
 

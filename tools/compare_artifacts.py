@@ -12,6 +12,7 @@ files.  The pipeline is:
 - a ``solve`` of the same input with ``--solver altproj``;
 - a ``phase`` grid with an alpha >= 0.55 cell and no ``gamma``, so that the
   declared-alpha rule for gamma runs;
+- a ``phase`` grid with ``m`` set, so that its cells are non-square;
 - a non-square ``synth`` written as ``.csv``, and a ``solve`` that reads it
   and so writes ``L.csv`` and ``S.csv``;
 - a ``synth`` whose corruption exceeds the first threshold, so that
@@ -23,7 +24,9 @@ files.  The pipeline is:
 - three ``solve`` runs of the first input with an explicit ``--mu``: at
   ``--mu 1`` trim fires and re-orthogonalizes and the run stops at the
   iteration cap (exit 2); with ``--no-trim`` as well it converges; and
-  ``--eps`` with ``--max-iter`` stops a run early (exit 2).
+  ``--eps`` with ``--max-iter`` stops a run early (exit 2);
+- a ``solve`` of the first input without ``--gamma``, so that the default
+  gamma runs.
 
 Each side must import ``rpca`` from its own tree.  Every ``.bin`` and
 ``.csv`` matrix file must match byte for byte.  Every JSON file and
@@ -58,6 +61,9 @@ GRIDS = {
     # no gamma: the 0.6 cell takes gamma = 0.65 from the declared alpha
     "grid-alpha.json": {"n": 40, "rank": 2, "alphas": [0.1, 0.6], "cs": [1.0],
                         "trials": 1, "seed": 5},
+    # non-square cells: 30 x 40
+    "grid-rect.json": {"n": 40, "m": 30, "rank": 2, "alphas": [0.05, 0.1], "cs": [1.0],
+                       "trials": 2, "seed": 13, "gamma": 0.7},
 }
 
 COMMANDS = [
@@ -69,6 +75,7 @@ COMMANDS = [
      "--solver", "altproj", "--output-dir", "solve-altproj"],
     ["phase", "--grid", "../grid.json", "--output-dir", "phase"],
     ["phase", "--grid", "../grid-alpha.json", "--output-dir", "phase-alpha"],
+    ["phase", "--grid", "../grid-rect.json", "--output-dir", "phase-rect"],
     ["bench", "--sizes", "48", "--rank", "2", "--output-dir", "bench"],
     ["synth", "--n", "48", "--m", "40", "--rank", "2", "--alpha", "0.1", "--c", "1", "--seed", "23",
      "--format", "csv", "--output-dir", "synth-csv"],
@@ -93,6 +100,8 @@ COMMANDS = [
      "--no-trim", "--output-dir", "solve-no-trim"],
     ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7", "--mu", "1.5",
      "--eps", "1e-9", "--max-iter", "8", "--output-dir", "solve-capped"],
+    ["solve", "--input", "synth/D.bin", "--rank", "2", "--mu", "5.5",
+     "--output-dir", "solve-default-gamma"],
 ]
 
 # Runs in the subprocess, in the output directory: prints where rpca came
