@@ -29,7 +29,7 @@ from .experiments import (
 from .kernel import SKETCH_SEED
 from .matio import MatrixIOError, read_matrix, write_matrix
 from .metrics import incoherence_of
-from .solver import IterationRecord, RpcaParams, accaltproj_solve, altproj_solve
+from .solver import IterationRecord, RpcaParams, _checked_norm, accaltproj_solve, altproj_solve
 from .synthetic import RNG_ID, SyntheticSpec, generate
 
 __all__ = ["CliError", "build_parser", "main", "run"]
@@ -111,8 +111,8 @@ def _cmd_solve(args):
     m, n = d.shape
     if not 1 <= args.rank <= min(m, n):
         raise CliError(f"--rank {args.rank} out of range for a {m} x {n} input")
-    # the directory is made once the flags have passed RpcaParams, so that a
-    # rejected run leaves nothing behind
+    # the directory is made once the solve has returned, so that a rejected
+    # run leaves nothing behind
     out_dir = Path(args.output_dir or Path(args.input).parent)
     # L and S take the input's format; read_matrix has rejected every other suffix
     outputs = [out_dir / f"{key}{Path(args.input).suffix.lower()}" for key in ("L", "S")]
@@ -120,6 +120,7 @@ def _cmd_solve(args):
         if path.exists() and path.samefile(args.input):
             raise CliError(f"{path} is the input file; choose another --output-dir")
     if args.mu is None:
+        _checked_norm(d)  # before mu is measured on D; the solve checks it again
         mu = incoherence_of(d, args.rank)
         print(
             f"warning: --mu not given; using {mu:.6g}, measured on the rank-{args.rank} "
@@ -134,13 +135,13 @@ def _cmd_solve(args):
     trim_enabled = args.solver == "accaltproj" and not args.no_trim  # altproj has no trim step
     params = RpcaParams.defaults((m, n), args.rank, mu, trim_enabled=trim_enabled, **overrides)
     solve = accaltproj_solve if args.solver == "accaltproj" else altproj_solve
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = perf_counter()
     solution = solve(d, params)
     total_seconds = perf_counter() - t0
     del d  # so that D is freed before the dense L is formed for writing
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix(solution.low_rank.matrix(), outputs[0])
     write_matrix(solution.sparse, outputs[1])
     _write_json(

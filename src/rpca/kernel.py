@@ -3,9 +3,9 @@
 The SVDs return a :class:`FactoredLowRank`, the one container of a thin
 factorization.  Every routine is a pure function of its inputs and
 deterministic on a given platform.  ``SKETCH_SEED`` is the module's only
-seed, and the caller does not choose it: the truncated SVD draws its sketch,
-and the spectral norm its Lanczos start vector, from a generator seeded
-with it.
+seed, and the caller does not choose it: the truncated SVD draws its sketch
+(whose first columns a caller's start vectors may replace), and the
+spectral norm its Lanczos start vector, from a generator seeded with it.
 """
 
 from __future__ import annotations
@@ -113,16 +113,21 @@ def svd_small(a):
     return FactoredLowRank(u, s, v)
 
 
-def svd_truncated(a, r):
+def svd_truncated(a, r, start=None):
     """Top-r singular triplets of ``a``, certified to a relative residual.
 
     Seeded subspace iteration (Halko, Martinsson & Tropp) on a sketch of
-    width k = min(r + 10, m, n).  Each sweep factors A^T Q = P R and takes the
-    SVD of the k x k core R^T, which gives U = Q Ub and V = P Wb with
-    A^T u_i = sigma_i v_i by construction.  The sweep stops once every
-    returned triplet also satisfies ||A v_i - sigma_i u_i|| <= 1e-10 sigma_1,
-    which makes it an exact singular triplet to that tolerance; the product
-    A P this needs starts the next sweep otherwise.  If the top r is not
+    width k = min(r + 10, m, n).  A ``start`` (n x r), such as the right
+    factor of a nearby matrix's truncation, replaces the first r columns of
+    the seeded sketch, so that the iteration starts near the wanted
+    subspace and certifies in fewer sweeps; the generator draws the same
+    numbers either way, and the certificate below does not depend on it.
+    Each sweep factors A^T Q = P R and takes the SVD of the k x k core R^T,
+    which gives U = Q Ub and V = P Wb with A^T u_i = sigma_i v_i by
+    construction.  The sweep stops once every returned triplet also
+    satisfies ||A v_i - sigma_i u_i|| <= 1e-10 sigma_1, which makes it an
+    exact singular triplet to that tolerance; the product A P this needs
+    starts the next sweep otherwise.  If the top r is not
     certified within a fixed number of sweeps (a flat spectrum), the result
     comes from the dense SVD instead.
 
@@ -136,8 +141,13 @@ def svd_truncated(a, r):
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} out of range for a {m} x {n} matrix")
     k = min(r + _SKETCH_OVERSAMPLE, m, n)
-    rng = np.random.default_rng(SKETCH_SEED)
-    q = np.linalg.qr(a @ rng.standard_normal((n, k)))[0]
+    sketch = np.random.default_rng(SKETCH_SEED).standard_normal((n, k))
+    if start is not None:
+        if np.shape(start) != (n, r):
+            raise ValueError(f"start of shape {np.shape(start)} does not match ({n}, {r})")
+        sketch[:, :r] = start
+    q = np.linalg.qr(a @ sketch)[0]
+    del sketch  # not kept through the sweeps
     for _ in range(_MAX_SWEEPS):
         p, core_t = np.linalg.qr(a.T @ q)
         ub, s, wb = svd_small(core_t.T)

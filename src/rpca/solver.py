@@ -7,7 +7,8 @@ a rank-2r object; the best rank-r truncation then only needs two tall-skinny
 QR factorizations and one 2r x 2r SVD instead of a full-size SVD.  The sparse
 part is updated by entrywise hard thresholding with a geometrically decaying
 threshold.  A plain alternating-projections baseline (full truncated SVD per
-iteration) is provided for comparison.
+iteration, its sketch started from the previous right factor) is provided
+for comparison.
 
 Each half-iteration reads the m x n operands in one pass over row tiles, so
 no m x n workspace is kept: the L-update of the accelerated solver gathers
@@ -27,10 +28,12 @@ zeta_{k+1} >= max|D - L_k|.  The sparse pass records max|D - L| while that
 prefix lasts; once one loop step has taken S_k = 0 to S_{k+1} = 0, each
 following k whose threshold is at least that maximum is advanced without
 computing and logged as a ``skipped`` trace row with its own zeta.  The next
-step whose S would be nonzero runs in full.  For the baseline the skipped
-steps would reproduce L, S and err bit for bit; for the accelerated solver
-they agree with the skipped L-updates up to rounding.  ``initialize``
-likewise truncates D itself when no entry exceeds the first threshold.
+step whose S would be nonzero runs in full.  The skipped steps would return
+L again up to rounding, not bit for bit: the baseline's truncation starts
+its sketch from V_k, and the accelerated solver projects at L_k, so the
+later zeta and L agree with the fully computed loop to rounding (see
+:func:`_skipped_step`).  ``initialize`` likewise truncates D itself when
+no entry exceeds the first threshold.
 
 The solver entry points are pure functions of their arguments: D is only
 read, and each solve allocates its own S buffer, so concurrent solves never
@@ -379,8 +382,9 @@ def _tangent_l_update(low_rank, d, sparse, params):
 
 def _svd_l_update(low_rank, d, sparse, params):
     # AltProj: truncated SVD of the whole W = D - S, formed over S, which is
-    # dead once W is formed.
-    return svd_truncated(np.subtract(d, sparse, out=sparse), params.rank)
+    # dead once W is formed.  The sketch starts from V_k when there is an L_k.
+    start = None if low_rank is None else low_rank.V
+    return svd_truncated(np.subtract(d, sparse, out=sparse), params.rank, start)
 
 
 def _step(state, d, params, l_update):
@@ -412,12 +416,15 @@ def _skipped_step(state, params):
 
     The step is idle after a loop step that took S = 0 to S = 0 with S_init
     zero too: then L_k is the rank-r truncation of W = D, a fixed point of
-    either L-update, so the step would keep L, the window and err, and
-    S_{k+1} = H_zeta(D - L_k) is zero while zeta_{k+1} >= max|D - L_k|.
-    Where trim fires on L_k (mu at or below the true incoherence), the
-    accelerated update projects at the trimmed basis and would move L a
-    little: the skipped rows' zeta then differ from computed ones by up to
-    1e-4 relative, while the final L agrees to rounding.
+    either L-update up to rounding, so the step would keep L, the window
+    and err, and S_{k+1} = H_zeta(D - L_k) is zero while
+    zeta_{k+1} >= max|D - L_k|.  The baseline's truncation, whose sketch
+    starts from V_k, keeps them to rounding only: the skipped rows' zeta
+    differ from computed ones by up to 1e-11 relative and the final L by up
+    to 1e-13.  Where trim fires on L_k (mu at or below the true
+    incoherence), the accelerated update projects at the trimmed basis and
+    would move L a little: the skipped rows' zeta then differ from computed
+    ones by up to 1e-4 relative, while the final L agrees to rounding.
     """
     if state.max_abs_dl is None or state.k < 1:
         return None
@@ -435,8 +442,8 @@ def _record(state, err, iter_seconds, skipped=False):
     )
 
 
-def _solve(d, params, l_update):
-    d = ensure_matrix(d, "D")
+def _checked_norm(d):
+    """||D||_F of a finite float64 ``d``; ValueError unless it lies in [2^-400, 2^400]."""
     with np.errstate(over="ignore"):  # an overflow gives inf, which the range rejects
         d_norm = float(np.linalg.norm(d))
     # ||D||^2 stays finite, and squared residuals normal for epsilon >= 1e-29 up to n = 15000
@@ -444,6 +451,12 @@ def _solve(d, params, l_update):
         raise ValueError(
             f"D is zero or out of scale: ||D||_F = {d_norm:.3g}, not in [2^-400, 2^400]; rescale D"
         )
+    return d_norm
+
+
+def _solve(d, params, l_update):
+    d = ensure_matrix(d, "D")
+    d_norm = _checked_norm(d)
     trace = []
     state, err = None, math.inf
     while err >= params.epsilon and (state is None or state.k < params.max_iter):
@@ -475,8 +488,8 @@ def altproj_solve(d, params):
     """Baseline alternating projections with the input rank held fixed.
 
     Each iteration truncates the SVD of D - S_k directly (no tangent-space
-    projection) and applies the same threshold schedule, driven by the
-    singular values of D - S_k, with the same stopping rule as
-    :func:`accaltproj_solve`.
+    projection), from a sketch started at the previous right factor V_k, and
+    applies the same threshold schedule, driven by the singular values of
+    D - S_k, with the same stopping rule as :func:`accaltproj_solve`.
     """
     return _solve(d, params, _svd_l_update)

@@ -166,22 +166,34 @@ class TestSolveCommand:
                 want = [window.tolist() for window in want]
             assert column == want, name
 
-    @pytest.mark.parametrize("scale", [1e155, 1e-160])
-    def test_d_out_of_scale_exits_one(self, tmp_path, capsys, scale):
-        # at 1e155 ARPACK failed with a traceback; at 1e-160 the squared
-        # residual underflowed and the solve reported a false convergence
+    @staticmethod
+    def solve_out_of_scale(tmp_path, capsys, scale, mu_flag):
+        """Solve a D scaled out of range; return the stderr of the run."""
         prob = generate(SyntheticSpec(100, 100, 3, 0.1, 1.0, 1))
         write_matrix(prob.data * scale, tmp_path / "D.bin")
         solved = tmp_path / "solved"
+        mu = ["--mu", repr(1.1 * prob.mu_true)] if mu_flag else []
         code = main(
-            ["solve", "--input", str(tmp_path / "D.bin"), "--rank", "3",
-             "--mu", repr(1.1 * prob.mu_true), "--gamma", "0.7", "--output-dir", str(solved)]
+            ["solve", "--input", str(tmp_path / "D.bin"), "--rank", "3", "--gamma", "0.7",
+             "--output-dir", str(solved)] + mu
         )
         assert code == 1
         err = capsys.readouterr().err
         assert "error: D is zero or out of scale" in err
         assert "Traceback" not in err
-        assert not any(solved.glob("*"))
+        assert not solved.exists()
+        return err
+
+    @pytest.mark.parametrize("scale", [1e155, 1e-160])
+    def test_d_out_of_scale_exits_one(self, tmp_path, capsys, scale):
+        # at 1e155 ARPACK failed with a traceback; at 1e-160 the squared
+        # residual underflowed and the solve reported a false convergence
+        self.solve_out_of_scale(tmp_path, capsys, scale, mu_flag=True)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e-160])
+    def test_d_out_of_scale_is_rejected_before_mu_is_measured(self, tmp_path, capsys, scale):
+        err = self.solve_out_of_scale(tmp_path, capsys, scale, mu_flag=False)
+        assert "--mu not given" not in err
 
     def test_all_ones_input_solves_without_mu(self, tmp_path, capsys):
         # its incoherence is exactly 1, which rounding measured one ulp below

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rpca.kernel
+import rpca.solver
 from rpca.kernel import (
     FactoredLowRank,
     ensure_matrix,
@@ -10,6 +11,8 @@ from rpca.kernel import (
     svd_truncated,
     thin_qr,
 )
+from rpca.solver import RpcaParams, altproj_solve
+from rpca.synthetic import SyntheticSpec, generate
 
 
 def frob(a):
@@ -276,6 +279,87 @@ class TestSvdTruncated:
         a = np.random.default_rng(53).standard_normal((7, 4))
         f, window = svd_truncated(a, 4)
         assert np.array_equal(window, f.sigma)
+
+
+def nearby_right_factor(a, r):
+    """V of the rank-r truncation of a small perturbation of ``a``, the kind
+    of start AltProj's previous iterate gives its next truncation."""
+    rng = np.random.default_rng(61)
+    near = a + 1e-3 * frob(a) / np.sqrt(a.size) * rng.standard_normal(a.shape)
+    return svd_truncated(near, r)[0].V
+
+
+def rank_deficient(m, n, rank):
+    rng = np.random.default_rng(67)
+    return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+
+
+class TestSvdTruncatedStart:
+    """``start`` replaces the first r columns of the sketch: the result is
+    the same truncation, certified to the same tolerance."""
+
+    @pytest.mark.parametrize(
+        "a, r",
+        [
+            pytest.param(low_rank_plus_sparse(np.random.default_rng(71), 300, 300, 5), 5,
+                         id="square"),
+            pytest.param(low_rank_plus_sparse(np.random.default_rng(73), 400, 120, 5), 5,
+                         id="tall"),
+            pytest.param(low_rank_plus_sparse(np.random.default_rng(79), 120, 400, 5), 5,
+                         id="wide"),
+            pytest.param(rank_deficient(80, 60, 3), 5, id="rank-deficient"),
+            pytest.param(low_rank_plus_sparse(np.random.default_rng(83), 30, 20, 3), 20,
+                         id="full-rank"),
+        ],
+    )
+    def test_matches_the_cold_call_and_is_certified(self, a, r):
+        cold, _ = svd_truncated(a, r)
+        warm, window = svd_truncated(a, r, start=nearby_right_factor(a, r))
+        tol = 1e-10 * cold.sigma[0]
+        assert warm.U.shape == (a.shape[0], r) and warm.V.shape == (a.shape[1], r)
+        assert np.array_equal(window[:r], warm.sigma)
+        assert np.abs(warm.sigma - cold.sigma).max() <= tol
+        assert np.linalg.norm(a @ warm.V - warm.U * warm.sigma, axis=0).max() <= tol
+        assert np.linalg.norm(a.T @ warm.U - warm.V * warm.sigma, axis=0).max() <= tol
+        assert frob(warm.U.T @ warm.U - np.eye(r)) <= 1e-12 * r
+        assert frob(warm.V.T @ warm.V - np.eye(r)) <= 1e-12 * r
+
+    def test_flat_spectrum_still_takes_the_dense_fallback(self, svd_small_shapes):
+        a = np.random.default_rng(41).standard_normal((60, 50))
+        start = nearby_right_factor(a, 5)
+        svd_small_shapes.clear()
+        f, window = svd_truncated(a, 5, start=start)
+        assert (60, 50) in svd_small_shapes
+        dense = svd_small(a)
+        assert np.array_equal(f.sigma, dense.sigma[:5])
+        assert np.array_equal(window, dense.sigma[:6])
+
+    @pytest.mark.parametrize("shape", [(50, 5), (40, 4), (40, 6), (40,), (40, 5, 1)])
+    def test_start_of_the_wrong_shape_rejected(self, shape):
+        a = low_rank_plus_sparse(np.random.default_rng(89), 50, 40, 5)  # start is 40 x 5
+        with pytest.raises(ValueError, match="start of shape"):
+            svd_truncated(a, 5, start=np.ones(shape))
+
+    def test_altproj_solve_takes_fewer_sweeps(self, svd_small_shapes, monkeypatch):
+        # Each sweep of svd_truncated is one svd_small call on the k x k core
+        # (k = 15).  The cold count is that of the L-update without a start.
+        prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
+        params = RpcaParams.defaults(
+            prob.data.shape, 5, mu=max(1.0, 1.1 * prob.mu_true), gamma=0.7
+        )
+
+        def sweeps():
+            svd_small_shapes.clear()
+            sol = altproj_solve(prob.data, params)
+            assert sol.converged and sol.iterations == 28
+            assert set(svd_small_shapes) == {(15, 15)}
+            return len(svd_small_shapes)
+
+        warm = sweeps()
+        monkeypatch.setattr(
+            rpca.solver, "svd_truncated", lambda a, r, start=None: svd_truncated(a, r)
+        )
+        assert (warm, sweeps()) == (49, 70)
 
 
 class TestSpectralNorm:

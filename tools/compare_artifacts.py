@@ -14,7 +14,9 @@ files.  The pipeline is:
   declared-alpha rule for gamma runs;
 - a ``phase`` grid with ``m`` set, so that its cells are non-square;
 - a non-square ``synth`` written as ``.csv``, and a ``solve`` that reads it
-  and so writes ``L.csv`` and ``S.csv``;
+  with each solver and so writes ``L.csv`` and ``S.csv`` (the ``altproj``
+  one starts each truncation's sketch from an ``n x r`` factor with
+  ``m != n``);
 - a ``synth`` whose corruption exceeds the first threshold, so that
   ``S_init`` is nonzero, and a ``solve`` of it with each solver;
 - a ``synth`` at alpha 0.45, and one at alpha 0.3 with a ``solve`` of it, so
@@ -81,6 +83,8 @@ COMMANDS = [
      "--format", "csv", "--output-dir", "synth-csv"],
     ["solve", "--input", "synth-csv/D.csv", "--rank", "2", "--gamma", "0.7",
      "--output-dir", "solve-csv"],
+    ["solve", "--input", "synth-csv/D.csv", "--rank", "2", "--gamma", "0.7",
+     "--solver", "altproj", "--output-dir", "solve-csv-altproj"],
     # max|D| is 1.21 times beta_init * sigma_1(D)
     ["synth", "--n", "64", "--rank", "2", "--alpha", "0.1", "--c", "20", "--seed", "17",
      "--output-dir", "synth-spiked"],
