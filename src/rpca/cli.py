@@ -268,9 +268,7 @@ def _cmd_phase(args):
         config = _load_phase_config(args.grid)
     report = run_phase_experiment(config)
     out_dir = _output_dir(args)
-    payload = report.as_dict()
-    payload["seed"] = config.master_seed
-    _write_json(out_dir / "report.json", payload)
+    _write_json(out_dir / "report.json", report.as_dict())
     _write_report_csv(out_dir / "report.csv", report)
     return 0
 
@@ -289,9 +287,7 @@ def _cmd_bench(args):
     sizes = list(PAPER_RUNTIME_SIZES) if args.paper else _parse_sizes(args.sizes)
     report = run_runtime_experiment(sizes, rank=args.rank, master_seed=args.seed)
     out_dir = _output_dir(args)
-    payload = report.as_dict()
-    payload["seed"] = args.seed
-    _write_json(out_dir / "timings.json", payload)
+    _write_json(out_dir / "timings.json", report.as_dict())
     return 0
 
 
@@ -304,12 +300,11 @@ def build_parser():
     solve.add_argument("--rank", required=True, type=int, help="target rank of L")
     solve.add_argument("--mu", type=float, help="incoherence level (measured on the input if omitted)")
     solve.add_argument("--beta", type=float, help="threshold scale (default 1.1*mu*r/(2*sqrt(mn)))")
-    solve.add_argument("--beta-init", type=float, help="initial threshold scale (default 2*beta)")
+    solve.add_argument("--beta-init", type=float, help="initial threshold scale (default 1.1*mu*r/sqrt(mn))")
     solve.add_argument("--gamma", type=float, help=f"threshold decay rate (default {RpcaParams.gamma})")
-    solve.add_argument(
-        "--eps", dest="epsilon", metavar="EPS", type=float, help="relative-residual stopping tolerance"
-    )
-    solve.add_argument("--max-iter", type=int, help="iteration cap")
+    eps_help = f"relative-residual stopping tolerance (default {RpcaParams.epsilon:g})"
+    solve.add_argument("--eps", dest="epsilon", metavar="EPS", type=float, help=eps_help)
+    solve.add_argument("--max-iter", type=int, help=f"iteration cap (default {RpcaParams.max_iter})")
     solve.add_argument("--no-trim", action="store_true", help="skip the trim step (accaltproj only)")
     solve.add_argument("--solver", choices=("accaltproj", "altproj"), default="accaltproj")
     solve.add_argument("--output-dir", help="where to write L, S and trace.json (default: input directory)")

@@ -116,21 +116,17 @@ class ExperimentReport:
 
         An observation about this report's own data, not an asserted law.
         """
-        counts = self.success_counts()
-        out = {}
-        for alpha, amplitude, solver in counts:
-            out.setdefault((solver, amplitude), []).append(alpha)
-        summary = {}
-        for (solver, amplitude), alphas in out.items():
-            wins = [counts[(a, amplitude, solver)][0] for a in sorted(alphas)]
-            summary[(solver, amplitude)] = all(b <= a for a, b in zip(wins, wins[1:]))
-        return summary
+        wins = {}  # (solver, amplitude) -> successes in ascending alpha
+        for (_, amplitude, solver), (won, _) in sorted(self.success_counts().items()):
+            wins.setdefault((solver, amplitude), []).append(won)
+        return {key: all(b <= a for a, b in zip(w, w[1:])) for key, w in wins.items()}
 
     def as_dict(self):
         counts = self.success_counts()
         return {
             "schema_version": 1,
             "kind": self.kind,
+            "seed": self.config["master_seed"],
             "config": self.config,
             "records": [asdict(rec) for rec in self.records],
             "success_counts": [

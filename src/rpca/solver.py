@@ -258,13 +258,11 @@ def threshold_value(sigma_window, rank, beta, gamma, k):
     """Threshold for iteration k+1: beta * (sigma_{r+1} + gamma^(k+1) * sigma_1).
 
     ``sigma_window`` holds the descending singular values of the matrix that
-    produced the new low-rank iterate; missing trailing values count as zero
-    (rank deficiency).
+    produced the new low-rank iterate; sigma_{r+1} is 0 where r = min(m, n).
     """
     window = np.asarray(sigma_window, dtype=np.float64)
-    sigma_1 = float(window[0]) if window.size > 0 else 0.0
     sigma_r_plus_1 = float(window[rank]) if window.size > rank else 0.0
-    return float(beta * (sigma_r_plus_1 + gamma ** (k + 1) * sigma_1))
+    return float(beta * (sigma_r_plus_1 + gamma ** (k + 1) * float(window[0])))
 
 
 def hard_threshold(z, zeta, out=None):
@@ -457,18 +455,17 @@ def _checked_norm(d):
 def _solve(d, params, l_update):
     d = ensure_matrix(d, "D")
     d_norm = _checked_norm(d)
-    trace = []
-    state, err = None, math.inf
-    while err >= params.epsilon and (state is None or state.k < params.max_iter):
-        t0 = perf_counter()
-        if state is None:
-            state, residual_norm = initialize(d, params)
-        elif (skipped := _skipped_step(state, params)) is not None:
+    t0 = perf_counter()
+    state, residual_norm = initialize(d, params)
+    err = residual_norm / d_norm
+    trace = [_record(state, err, perf_counter() - t0)]
+    while err >= params.epsilon and state.k < params.max_iter:
+        if (skipped := _skipped_step(state, params)) is not None:
             state = skipped
             trace.append(_record(state, err, 0.0, skipped=True))
             continue
-        else:
-            state, residual_norm = _step(state, d, params, l_update)
+        t0 = perf_counter()
+        state, residual_norm = _step(state, d, params, l_update)
         err = residual_norm / d_norm
         trace.append(_record(state, err, perf_counter() - t0))
     return RpcaSolution(state.low_rank, state.sparse, trace, converged=bool(err < params.epsilon))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rpca.cli import main
-from rpca.experiments import PhaseConfig
+from rpca.experiments import PhaseConfig, run_phase_experiment, run_runtime_experiment
 from rpca.matio import read_matrix, write_matrix
 from rpca.solver import IterationRecord, RpcaParams, accaltproj_solve, threshold_value
 from rpca.synthetic import SyntheticSpec, generate
@@ -276,6 +276,16 @@ class TestSolveCommand:
         params = json.loads((out / "trace.json").read_text())["params"]
         assert params == asdict(RpcaParams.defaults((40, 40), 2, 2.0))
 
+    def test_beta_alone_leaves_beta_init_at_its_default(self, tmp_path):
+        out = run_synth(tmp_path, n=40, rank=2, seed=3)
+        argv = ["solve", "--input", str(out / "D.bin"), "--rank", "2", "--mu", "2"]
+        assert main(argv + ["--beta", "0.05"]) in (0, 2)
+        params = json.loads((out / "trace.json").read_text())["params"]
+        assert params["beta"] == 0.05
+        # 1.1 mu r / sqrt(mn) = 0.11, whatever beta is; 2 beta would be 0.1
+        expected = RpcaParams.defaults((40, 40), 2, 2.0).beta_init
+        assert params["beta_init"] == expected == pytest.approx(0.11)
+
     @pytest.mark.parametrize("name, fmt", [("L", "bin"), ("S", "bin"), ("S", "csv")])
     @pytest.mark.parametrize("explicit_dir", [False, True])
     def test_refuses_to_overwrite_its_input(self, tmp_path, capsys, name, fmt, explicit_dir):
@@ -429,6 +439,35 @@ class TestBenchCommand:
     def test_bad_sizes_exit_one(self, tmp_path, capsys):
         assert main(["bench", "--sizes", "48,apple"]) == 1
         assert "--sizes" in capsys.readouterr().err
+
+
+def without_seconds(obj):
+    """``obj`` read back from JSON, without the fields whose names contain "seconds"."""
+    if isinstance(obj, dict):
+        return {key: without_seconds(value) for key, value in obj.items() if "seconds" not in key}
+    if isinstance(obj, list):
+        return [without_seconds(value) for value in obj]
+    return obj
+
+
+class TestReportsAreTheLibraryReports:
+    def test_phase_and_bench_write_as_dict(self, tmp_path):
+        grid = write_grid(tmp_path)
+        assert main(["phase", "--grid", str(grid), "--output-dir", str(tmp_path)]) == 0
+        config = PhaseConfig(
+            alphas=(0.0, 0.1), amplitudes=(1.0,), trials=2, n=40, rank=2, master_seed=11,
+            gamma=0.7,
+        )
+        argv = ["bench", "--sizes", "48,64", "--rank", "2", "--seed", "3"]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+        for name, report in (
+            ("report.json", run_phase_experiment(config)),
+            ("timings.json", run_runtime_experiment([48, 64], rank=2, master_seed=3)),
+        ):
+            written = json.loads((tmp_path / name).read_text())
+            expected = json.loads(json.dumps(report.as_dict()))
+            assert without_seconds(written) == without_seconds(expected)
+        assert written["seed"] == 3
 
 
 class TestUsageErrors:

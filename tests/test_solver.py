@@ -659,7 +659,7 @@ class TestSolvers:
         for solve in (accaltproj_solve, altproj_solve):
             sol = solve(d, params)
             assert sol.converged
-            assert sol.iterations <= 1
+            assert sol.iterations == 0 and len(sol.trace) == 1
             assert sol.final_err <= 1e-12
 
     def test_synthetic_recovery(self):
