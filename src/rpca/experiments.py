@@ -156,7 +156,8 @@ class PhaseConfig:
     (n of a few hundred) need the slower gamma = 0.7: the error of the
     low-rank update contracts more slowly on small problems, and a faster
     threshold decay undercuts it, letting spurious entries into the sparse
-    part.
+    part.  ``alphas``, ``amplitudes`` and ``solvers`` (ids from
+    :data:`SOLVER_IDS`) hold distinct values: a repeat would run twice.
     """
 
     alphas: tuple
@@ -178,9 +179,13 @@ class PhaseConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
-        unknown = set(self.solvers) - set(_SOLVERS)
+        unknown = [s for s in self.solvers if not isinstance(s, str) or s not in _SOLVERS]
         if unknown:
-            raise ValueError(f"unknown solver ids: {sorted(unknown)}")
+            raise ValueError(f"unknown solver ids in solvers: {unknown}")
+        for name in ("alphas", "amplitudes", "solvers"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
 
     @property
     def rows(self):

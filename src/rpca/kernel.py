@@ -76,13 +76,9 @@ def thin_qr(a):
 
     Householder-based (LAPACK); column signs are then normalized so that
     diag(R) >= 0, which pins the factorization down for full-rank input.
-    Rank-deficient input is allowed and simply yields a singular R.
-    Returns the pair ``(Q, R)``.
+    Rank-deficient input is allowed and simply yields a singular R.  ``a``
+    (finite float64, rows >= cols) is not checked.  Returns ``(Q, R)``.
     """
-    a = ensure_matrix(a, "A")
-    n, r = a.shape
-    if n < r:
-        raise ValueError(f"thin QR needs rows >= cols, got shape {a.shape}")
     q, rr = np.linalg.qr(a, mode="reduced")
     flip = np.diagonal(rr) < 0.0
     if flip.any():
@@ -117,11 +113,11 @@ def svd_truncated(a, r, start=None):
     """Top-r singular triplets of ``a``, certified to a relative residual.
 
     Seeded subspace iteration (Halko, Martinsson & Tropp) on a sketch of
-    width k = min(r + 10, m, n).  A ``start`` (n x r), such as the right
-    factor of a nearby matrix's truncation, replaces the first r columns of
-    the seeded sketch, so that the iteration starts near the wanted
-    subspace and certifies in fewer sweeps; the generator draws the same
-    numbers either way, and the certificate below does not depend on it.
+    width k = min(r + 10, m, n).  A ``start`` (n x r, not checked), such as
+    the right factor of a nearby matrix's truncation, replaces the first r
+    columns of the seeded sketch, so that the iteration starts near the
+    wanted subspace and certifies in fewer sweeps; the generator draws the
+    same numbers either way, and the certificate does not depend on it.
     Each sweep factors A^T Q = P R and takes the SVD of the k x k core R^T,
     which gives U = Q Ub and V = P Wb with A^T u_i = sigma_i v_i by
     construction.  The sweep stops once every returned triplet also
@@ -143,8 +139,6 @@ def svd_truncated(a, r, start=None):
     k = min(r + _SKETCH_OVERSAMPLE, m, n)
     sketch = np.random.default_rng(SKETCH_SEED).standard_normal((n, k))
     if start is not None:
-        if np.shape(start) != (n, r):
-            raise ValueError(f"start of shape {np.shape(start)} does not match ({n}, {r})")
         sketch[:, :r] = start
     q = np.linalg.qr(a @ sketch)[0]
     del sketch  # not kept through the sweeps
@@ -168,9 +162,9 @@ def spectral_norm(a):
     Lanczos (ARPACK) from a fixed seeded start vector, so the value is
     accurate to rounding and deterministic at every size.  A matrix with a
     single row or column, or with no nonzero entry, has the Euclidean norm
-    of its entries as its spectral norm; ARPACK cannot take either.
+    of its entries as its spectral norm; ARPACK cannot take either.  ``a``
+    (non-empty, finite float64) is not checked; the solvers validate ``D``.
     """
-    a = ensure_matrix(a, "A")
     if min(a.shape) == 1 or not a.any():
         return float(np.linalg.norm(a))
     v0 = np.random.default_rng(SKETCH_SEED).standard_normal(min(a.shape))

@@ -20,10 +20,7 @@ from .kernel import _all_finite, ensure_matrix
 __all__ = [
     "MAGIC",
     "VERSION",
-    "MalformedHeaderError",
     "MatrixIOError",
-    "NonFiniteValuesError",
-    "RaggedRowsError",
     "read_matrix",
     "write_matrix",
 ]
@@ -34,19 +31,7 @@ _HEADER = struct.Struct("<4sHQQ")
 
 
 class MatrixIOError(ValueError):
-    """A matrix file could not be read or written."""
-
-
-class MalformedHeaderError(MatrixIOError):
-    """Binary header is missing, corrupt, or inconsistent with the payload."""
-
-
-class RaggedRowsError(MatrixIOError):
-    """CSV rows do not all have the same number of fields."""
-
-
-class NonFiniteValuesError(MatrixIOError):
-    """The file parses but contains NaN or infinite entries."""
+    """A matrix file could not be read or written; the message names the rule."""
 
 
 def _format_of(path):
@@ -78,7 +63,7 @@ def read_matrix(path):
     path = Path(path)
     out = _read_bin(path) if _format_of(path) == "bin" else _read_csv(path)
     if not _all_finite(out):
-        raise NonFiniteValuesError(f"{path}: non-finite entries")
+        raise MatrixIOError(f"{path}: non-finite entries")
     return out
 
 
@@ -86,22 +71,22 @@ def _read_bin(path):
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
-            raise MalformedHeaderError(f"{path}: file shorter than the {_HEADER.size}-byte header")
+            raise MatrixIOError(f"{path}: file shorter than the {_HEADER.size}-byte header")
         magic, version, rows, cols = _HEADER.unpack(header)
         if magic != MAGIC:
-            raise MalformedHeaderError(f"{path}: bad magic {magic!r}")
+            raise MatrixIOError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
-            raise MalformedHeaderError(f"{path}: unsupported version {version}")
+            raise MatrixIOError(f"{path}: unsupported version {version}")
         if rows == 0 or cols == 0:
-            raise MalformedHeaderError(f"{path}: empty matrix ({rows} x {cols})")
+            raise MatrixIOError(f"{path}: empty matrix ({rows} x {cols})")
         payload = os.fstat(fh.fileno()).st_size - _HEADER.size
         if payload != 8 * rows * cols:  # checked before the payload is allocated
-            raise MalformedHeaderError(
+            raise MatrixIOError(
                 f"{path}: payload holds {payload} bytes, header promises {8 * rows * cols}"
             )
         out = np.empty((rows, cols), dtype="<f8")
         if fh.readinto(out.data) != payload:
-            raise MalformedHeaderError(f"{path}: payload shorter than {payload} bytes")
+            raise MatrixIOError(f"{path}: payload shorter than {payload} bytes")
     return out.astype(np.float64, copy=False)  # no copy on little-endian hosts
 
 
@@ -116,7 +101,7 @@ def _read_csv(path):
             if out is None:
                 out = np.empty((1, len(fields)))
             elif len(fields) != out.shape[1]:
-                raise RaggedRowsError(
+                raise MatrixIOError(
                     f"{path}: row {line_no} has {len(fields)} fields, expected {out.shape[1]}"
                 )
             if rows == out.shape[0]:

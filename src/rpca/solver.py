@@ -226,21 +226,16 @@ def structured_truncate(low_rank, utw, wv):
     """Best rank-r approximation of the tangent-space projection of a matrix W.
 
     r is the rank of ``low_rank``.  W enters only through ``utw`` = U^T W
-    (r x n) and ``wv`` = W V (m x r), taken with the factors of
-    ``low_rank``.  The projection of W at the basis (U, V) factors as
-    [U Q1] M [V Q2]^T with M a 2r x 2r core built from two thin QR
-    factorizations, so the truncation reduces to a small SVD; neither W nor
-    its projection is formed.  Returns the truncated factorization together
-    with all 2r singular values of the core (descending), which drive the
-    threshold schedule.
+    (r x n) and ``wv`` = W V (m x r), products with the factors of
+    ``low_rank`` whose shapes are not checked.  The projection of W at the
+    basis (U, V) factors as [U Q1] M [V Q2]^T with M a 2r x 2r core built
+    from two thin QR factorizations, so the truncation reduces to a small
+    SVD; neither W nor its projection is formed.  Returns the truncated
+    factorization and all 2r singular values of the core (descending),
+    which drive the threshold schedule.
     """
     u, v = low_rank.U, low_rank.V
-    (m, n), r = low_rank.shape, low_rank.rank
-    if np.shape(utw) != (r, n) or np.shape(wv) != (m, r):
-        raise ValueError(
-            f"product shapes {np.shape(utw)} and {np.shape(wv)} do not match "
-            f"a rank-{r} factorization of shape {low_rank.shape}"
-        )
+    r = low_rank.rank
     utwv = utw @ v
     q1, r1 = thin_qr(wv - u @ utwv)
     q2, r2 = thin_qr(utw.T - v @ utwv.T)
@@ -274,16 +269,14 @@ def hard_threshold(z, zeta, out=None):
     negative entries into +0.0.  On finite input that equals
     ``np.where(np.abs(z) > zeta, z, 0.0)`` bit for bit; a NaN entry would
     stay NaN (0 * NaN) instead of becoming 0.  A given ``out`` must be a
-    float64 array of the shape of ``z`` that shares no memory with it.
-    ``z`` is not modified; the result is returned.
+    float64 array of the shape of ``z`` that shares no memory with it; this
+    is not checked.  ``z`` is not modified; the result is returned.
     """
     if zeta < 0.0:
         raise ValueError(f"threshold must be non-negative, got {zeta}")
     z = np.asarray(z, dtype=np.float64)
     if out is None:
         out = np.empty_like(z)
-    elif out.shape != z.shape or out.dtype != np.float64 or np.shares_memory(out, z):
-        raise ValueError("out must be a float64 array of the shape of z that does not overlap it")
     np.abs(z, out=out)
     np.greater(out, zeta, out=out)
     out *= z
@@ -337,9 +330,9 @@ def initialize(d, params):
     :func:`_tiled_pass`, the sparse update of every loop step, writes S_0.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
-    state and ||D - L_0 - S_0||_F.  ``d`` is validated by
-    :func:`spectral_norm` and the rank by :func:`svd_truncated`; the solvers
-    validate ``d`` once before calling.  ``d`` is only read.
+    state and ||D - L_0 - S_0||_F.  ``d``, a non-empty finite float64
+    matrix, is not checked (the solvers validate it before calling), the
+    rank is checked by :func:`svd_truncated`, and ``d`` is only read.
     """
     zeta_init = params.beta_init * spectral_norm(d)
     idle = max(float(d.max()), -float(d.min())) <= zeta_init  # S_init = 0

@@ -405,6 +405,27 @@ class TestPhaseCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # the first once exited 0 and reported 2 trials for its one cell
+            (dict(alphas=[0.1, 0.1], trials=1), "alphas must not repeat a value"),
+            (dict(cs=[1.0, 1.0]), "amplitudes must not repeat a value"),
+            (dict(solvers=["altproj", "altproj"]), "solvers must not repeat a value"),
+            (dict(solvers=[1, "x"]), "unknown solver ids in solvers: [1, 'x']"),
+            (dict(solvers=[["altproj"]]), "unknown solver ids in solvers: [['altproj']]"),
+        ],
+        ids=["alphas", "cs", "solvers", "int-solver", "list-solver"],
+    )
+    def test_repeated_values_and_non_string_solvers_exit_one(
+        self, tmp_path, capsys, overrides, message
+    ):
+        grid = write_grid(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["phase", "--grid", str(grid), "--output-dir", str(out)]) == 1
+        assert f"error: {grid}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_numbers_are_read_as_floats(self, tmp_path):
         grid = write_grid(tmp_path, alphas=[0], cs=[1], tol=1, gamma=None, trials=1)
         assert main(["phase", "--grid", str(grid), "--output-dir", str(tmp_path)]) == 0

@@ -90,6 +90,21 @@ class TestPhaseConfig:
         with pytest.raises(ValueError, match="at least one solver"):
             small_config(solvers=())
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(alphas=(0.1, 0.1)), r"alphas must not repeat a value, got \[0.1, 0.1\]"),
+            (dict(amplitudes=(1.0, 5.0, 1.0)), "amplitudes must not repeat a value"),
+            (dict(solvers=("altproj", "altproj")), "solvers must not repeat a value"),
+            (dict(solvers=(1, "x")), r"unknown solver ids in solvers: \[1, 'x'\]"),
+            (dict(solvers=(["altproj"],)), r"unknown solver ids in solvers: \[\['altproj'\]\]"),
+        ],
+        ids=["alphas", "amplitudes", "solvers", "int-solver", "list-solver"],
+    )
+    def test_repeated_values_and_non_string_solvers_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides)
+
     def test_paper_config_shape(self):
         config = paper_phase_config()
         assert config.n == 2500 and config.rank == 5 and config.trials == 10

@@ -110,10 +110,6 @@ class TestThinQR:
         q2, r2 = thin_qr(a)
         assert np.array_equal(q1, q2) and np.array_equal(r1, r2)
 
-    def test_wide_input_rejected(self):
-        with pytest.raises(ValueError, match="rows >= cols"):
-            thin_qr(np.ones((2, 3)))
-
 
 class TestSvdSmall:
     def test_diagonal(self):
@@ -333,12 +329,6 @@ class TestSvdTruncatedStart:
         dense = svd_small(a)
         assert np.array_equal(f.sigma, dense.sigma[:5])
         assert np.array_equal(window, dense.sigma[:6])
-
-    @pytest.mark.parametrize("shape", [(50, 5), (40, 4), (40, 6), (40,), (40, 5, 1)])
-    def test_start_of_the_wrong_shape_rejected(self, shape):
-        a = low_rank_plus_sparse(np.random.default_rng(89), 50, 40, 5)  # start is 40 x 5
-        with pytest.raises(ValueError, match="start of shape"):
-            svd_truncated(a, 5, start=np.ones(shape))
 
     def test_altproj_solve_takes_fewer_sweeps(self, svd_small_shapes, monkeypatch):
         # Each sweep of svd_truncated is one svd_small call on the k x k core

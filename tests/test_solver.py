@@ -406,14 +406,6 @@ class TestStructuredTruncate:
         assert frob(out.V.T @ out.V - np.eye(4)) <= 1e-10
         assert (np.diff(window) <= 1e-12 * window[0]).all()
 
-    def test_shape_mismatch(self):
-        rng = np.random.default_rng(14)
-        low = random_factored(rng, 8, 8, 2)
-        with pytest.raises(ValueError, match="shape"):
-            structured_truncate(low, np.ones((2, 7)), np.ones((8, 2)))
-        with pytest.raises(ValueError, match="shape"):
-            structured_truncate(low, np.ones((2, 8)), np.ones((7, 2)))
-
 
 class TestThresholdValue:
     def test_arithmetic(self):
@@ -484,21 +476,10 @@ class TestHardThreshold:
             assert not np.signbit(out[out == 0.0]).any()  # no -0.0
         assert z.tobytes() == before  # input untouched
 
-    def test_out_overlapping_input_rejected(self):
-        z = np.arange(12.0).reshape(3, 4)
-        for out in (z, z[::-1], z.view()):
-            with pytest.raises(ValueError, match="overlap"):
-                hard_threshold(z, 1.0, out=out)
-        # other rows of the same array are no overlap
+    def test_out_may_be_other_rows_of_the_input_array(self):
         larger = np.arange(24.0).reshape(6, 4)
         out = hard_threshold(larger[:3], 5.0, out=larger[3:])
         assert np.array_equal(out, [[0, 0, 0, 0], [0, 0, 6, 7], [8, 9, 10, 11]])
-
-    def test_out_of_wrong_shape_or_dtype_rejected(self):
-        z = np.ones((3, 4))
-        for out in (np.empty((4, 3)), np.empty((3, 4), dtype=np.float32)):
-            with pytest.raises(ValueError, match="shape"):
-                hard_threshold(z, 0.5, out=out)
 
 
 class Hand6x6:
@@ -571,14 +552,6 @@ class TestInitialize:
         with pytest.raises(ValueError, match="out of range"):
             initialize(np.ones((3, 3)), params)
 
-    def test_non_finite_rejected(self):
-        # a direct call, without a solver's validation in front of it
-        params = RpcaParams(rank=1, mu=1.0, beta=0.1, beta_init=0.2)
-        d = np.ones((4, 4))
-        d[1, 3] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            initialize(d, params)
-
     def test_thresholds_match_dense_oracle(self):
         prob = generate(SyntheticSpec(300, 300, 5, 0.1, 1.0, 808))
         d, params = prob.data, desk_params(prob)
@@ -645,6 +618,13 @@ def desk_params(problem, **overrides):
         gamma=0.7,
         **overrides,
     )
+
+
+def with_entry(value):
+    """A 4 x 4 matrix of ones with ``value`` at (2, 2)."""
+    d = np.ones((4, 4))
+    d[2, 2] = value
+    return d
 
 
 class TestSolvers:
@@ -725,10 +705,25 @@ class TestSolvers:
         init = sol.trace[0]
         assert 0.0 < init.l_update_seconds < init.iter_seconds
 
-    def test_zero_matrix_rejected(self):
-        params = RpcaParams(rank=1, mu=1.0, beta=0.1, beta_init=0.2)
-        with pytest.raises(ValueError, match="zero"):
-            accaltproj_solve(np.zeros((5, 5)), params)
+    @pytest.mark.parametrize("solve", [accaltproj_solve, altproj_solve], ids=["acc", "alt"])
+    @pytest.mark.parametrize(
+        "d, rank, message",
+        [
+            pytest.param(with_entry(np.nan), 1, "non-finite", id="nan"),
+            pytest.param(with_entry(np.inf), 1, "non-finite", id="+inf"),
+            pytest.param(with_entry(-np.inf), 1, "non-finite", id="-inf"),
+            pytest.param(np.ones(4), 1, "2-dimensional", id="1-d"),
+            pytest.param(np.ones((4, 4, 1)), 1, "2-dimensional", id="3-d"),
+            pytest.param(np.ones((0, 4)), 1, "non-empty", id="empty"),
+            pytest.param(np.zeros((5, 5)), 1, "zero or out of scale", id="zero"),
+            pytest.param(np.eye(4), 5, "rank 5 out of range for a 4 x 4 matrix", id="rank"),
+        ],
+    )
+    def test_invalid_input_rejected(self, solve, d, rank, message):
+        # the checks that guard the entry points; the routines below them trust D
+        params = RpcaParams(rank=rank, mu=1.0, beta=0.1, beta_init=0.2)
+        with pytest.raises(ValueError, match=message):
+            solve(d, params)
 
     @pytest.mark.parametrize("solve", [accaltproj_solve, altproj_solve])
     @pytest.mark.parametrize("power", [-600, -540, 505])
@@ -752,18 +747,6 @@ class TestSolvers:
         assert sol.iterations == ref.iterations
         assert np.array_equal(sol.low_rank.matrix() / scale, ref.low_rank.matrix())
         assert np.array_equal(sol.sparse / scale, ref.sparse)
-
-    def test_non_finite_rejected(self):
-        params = RpcaParams(rank=1, mu=1.0, beta=0.1, beta_init=0.2)
-        d = np.ones((4, 4))
-        d[2, 2] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            accaltproj_solve(d, params)
-
-    def test_rank_out_of_range(self):
-        params = RpcaParams(rank=9, mu=1.0, beta=0.1, beta_init=0.2)
-        with pytest.raises(ValueError, match="out of range"):
-            altproj_solve(np.eye(4), params)
 
     def test_rectangular_problem(self):
         prob = generate(SyntheticSpec(120, 80, 3, 0.1, 1.0, 808))
