@@ -4,8 +4,9 @@ The SVDs return a :class:`FactoredLowRank`, the one container of a thin
 factorization.  Every routine is a pure function of its inputs and
 deterministic on a given platform.  ``SKETCH_SEED`` is the module's only
 seed, and the caller does not choose it: the truncated SVD draws its sketch
-(whose first columns a caller's start vectors may replace), and the
-spectral norm its Lanczos start vector, from a generator seeded with it.
+(whose first columns a caller's start vectors may replace), the spectral
+norm its Lanczos start vector, and the two-product lower bound on the
+spectral norm its start vector, from a generator seeded with it.
 """
 
 from __future__ import annotations
@@ -169,3 +170,20 @@ def spectral_norm(a):
         return float(np.linalg.norm(a))
     v0 = np.random.default_rng(SKETCH_SEED).standard_normal(min(a.shape))
     return float(svds(a, k=1, v0=v0, return_singular_vectors=False)[0])
+
+
+def _spectral_lower_bound(a):
+    """A lower bound on the largest singular value of ``a`` from two products.
+
+    ||A^T y|| <= sigma_1(A) for every unit vector y; this takes y = A x /
+    ||A x|| for a seeded start vector x, and 0 when A x = 0.  Normalizing
+    A x before the second product keeps every square inside the float64
+    range wherever the solvers accept ``a``.  ``a`` (finite float64) is not
+    checked.
+    """
+    y = a @ np.random.default_rng(SKETCH_SEED).standard_normal(a.shape[1])
+    norm = float(np.linalg.norm(y))
+    if norm == 0.0:
+        return 0.0
+    y /= norm
+    return float(np.linalg.norm(y @ a))

@@ -33,7 +33,8 @@ L again up to rounding, not bit for bit: the baseline's truncation starts
 its sketch from V_k, and the accelerated solver projects at L_k, so the
 later zeta and L agree with the fully computed loop to rounding (see
 :func:`_skipped_step`).  ``initialize`` likewise truncates D itself when
-no entry exceeds the first threshold.
+no entry exceeds the first threshold, and it computes sigma_1(D), which
+sets that threshold, only when a cheaper lower bound on it cannot show this.
 
 The solver entry points are pure functions of their arguments: D is only
 read, and each solve allocates its own S buffer, so concurrent solves never
@@ -49,7 +50,15 @@ from time import perf_counter
 
 import numpy as np
 
-from .kernel import FactoredLowRank, ensure_matrix, spectral_norm, svd_small, svd_truncated, thin_qr
+from .kernel import (
+    FactoredLowRank,
+    _spectral_lower_bound,
+    ensure_matrix,
+    spectral_norm,
+    svd_small,
+    svd_truncated,
+    thin_qr,
+)
 
 # A pass over an m x n operand goes in row tiles of about 1/_TILES of its
 # rows, so that a tile adds little to the peak memory, clamped to between
@@ -57,6 +66,10 @@ from .kernel import FactoredLowRank, ensure_matrix, spectral_norm, svd_small, sv
 # (above which the tiles a pass touches drop out of cache).
 _TILES = 16
 _TILE_BYTES = (64 * 1024, 256 * 1024)
+# ``initialize`` calls the first threshold idle from the lower bound on
+# sigma_1(D) only with this relative margin, more than the bound's rounding,
+# so that it never does where the test against sigma_1(D) itself would not.
+_BOUND_MARGIN = 1e-12
 
 __all__ = [
     "IterationRecord",
@@ -321,21 +334,28 @@ def initialize(d, params):
     best rank-r approximation of D - S_init, since there is no estimate yet
     to project at.  S_0 then thresholds D - L_0 at beta * sigma_1(D - S_init),
     a threshold that, unlike the later schedule, uses the top singular value
-    only.  sigma_1(D) comes from Lanczos (:func:`spectral_norm`): a rank-1
-    subspace iteration stalls on clustered top singular values.  The solve's
-    one m x n array is allocated here: it holds S_init, then D - S_init,
-    which the L-update forms over it, then S_0.  When no entry of D exceeds
-    the first threshold, a test much cheaper than thresholding D, S_init is
-    zero and D itself is truncated, with the same bits.  Either way
-    :func:`_tiled_pass`, the sparse update of every loop step, writes S_0.
+    only.  When no entry of D exceeds the first threshold, S_init is zero
+    and D itself is truncated, with the same bits.  Two matrix-vector
+    products give a lower bound on sigma_1(D) that usually proves this
+    (:func:`_spectral_lower_bound`, with a margin for its rounding); only
+    when it does not is sigma_1(D) computed, by Lanczos
+    (:func:`spectral_norm`), since a rank-1 subspace iteration stalls on
+    clustered top singular values, and D thresholded at it if some entry
+    exceeds it.  The solve's one m x n array is allocated after the bound's
+    vectors are freed: it holds S_init, then D - S_init, which the L-update
+    forms over it, then S_0.  Either way :func:`_tiled_pass`, the sparse
+    update of every loop step, writes S_0.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d``, a non-empty finite float64
     matrix, is not checked (the solvers validate it before calling), the
     rank is checked by :func:`svd_truncated`, and ``d`` is only read.
     """
-    zeta_init = params.beta_init * spectral_norm(d)
-    idle = max(float(d.max()), -float(d.min())) <= zeta_init  # S_init = 0
+    max_abs_d = max(float(d.max()), -float(d.min()))
+    idle = max_abs_d <= params.beta_init * _spectral_lower_bound(d) * (1.0 - _BOUND_MARGIN)
+    if not idle:  # the bound does not prove S_init = 0; sigma_1(D) decides
+        zeta_init = params.beta_init * spectral_norm(d)
+        idle = max_abs_d <= zeta_init
     sparse = np.empty(d.shape)
     if not idle:
         hard_threshold(d, zeta_init, out=sparse)  # S_init

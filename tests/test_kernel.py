@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import rpca.kernel
 import rpca.solver
 from rpca.kernel import (
     FactoredLowRank,
+    _spectral_lower_bound,
     ensure_matrix,
     spectral_norm,
     svd_small,
@@ -392,6 +395,44 @@ class TestSpectralNorm:
         a = np.random.default_rng(8).standard_normal(shape)
         expected = np.linalg.svd(a, compute_uv=False)[0]
         assert spectral_norm(a) == pytest.approx(expected, rel=1e-12)
+
+
+def bound_inputs():
+    rng = np.random.default_rng(9)
+    return {
+        "square": rng.standard_normal((60, 60)),
+        "tall": rng.standard_normal((90, 20)),
+        "wide": rng.standard_normal((20, 90)),
+        "rank-1": np.outer(rng.standard_normal(40), rng.standard_normal(30)),
+        "1 x n": rng.standard_normal((1, 50)),
+        "n x 1": rng.standard_normal((50, 1)),
+        # a clustered top spectrum: the r = 50 shape of the benchmark, smaller
+        "clustered-r50": generate(SyntheticSpec(300, 300, 50, 0.05, 1.0, 3)).data,
+    }
+
+
+class TestSpectralLowerBound:
+    @pytest.mark.parametrize("name", sorted(bound_inputs()))
+    def test_at_most_the_spectral_norm(self, name):
+        a = bound_inputs()[name]
+        bound = _spectral_lower_bound(a)
+        assert 0.0 < bound <= np.linalg.norm(a, 2) * (1.0 + 1e-12)
+
+    def test_exact_on_rank_one(self):
+        a = bound_inputs()["rank-1"]
+        assert _spectral_lower_bound(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
+    def test_zero_matrix(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _spectral_lower_bound(np.zeros((5, 3))) == 0.0
+
+    @pytest.mark.parametrize("power", [-300, 300])
+    def test_finite_and_scale_equivariant(self, power):
+        a = bound_inputs()["square"]
+        scaled = _spectral_lower_bound(a * 2.0**power)
+        assert np.isfinite(scaled)
+        assert scaled == _spectral_lower_bound(a) * 2.0**power
 
 
 class TestWeylInequality:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rpca.solver
-from rpca.kernel import spectral_norm, svd_truncated
-from rpca.metrics import factor_incoherence, relative_error
+from rpca.kernel import _spectral_lower_bound, spectral_norm, svd_truncated
+from rpca.metrics import factor_incoherence, incoherence_of, relative_error
 from rpca.solver import (
     FactoredLowRank,
     IterationState,
@@ -498,6 +498,83 @@ class Hand6x6:
         self.params = RpcaParams(
             rank=1, mu=1.0, beta=0.1, beta_init=2.0 / sigma1, gamma=0.5
         )
+
+
+@pytest.fixture
+def arpack_calls(monkeypatch):
+    """Count the spectral_norm calls made by ``initialize``."""
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return spectral_norm(a)
+
+    monkeypatch.setattr(rpca.solver, "spectral_norm", counting)
+    return calls
+
+
+def arpack_initialize(d, params):
+    """Reference for ``initialize``: sigma_1(D) by ARPACK on every call, then
+    the idle test against beta_init * sigma_1(D).  Returns the state, the
+    residual norm and S_init."""
+    zeta_init = params.beta_init * spectral_norm(d)
+    s_init = hard_threshold(d, zeta_init)
+    idle = np.abs(d).max() <= zeta_init
+    low, window = svd_truncated(d if idle else d - s_init, params.rank)
+    zeta_0 = params.beta * float(low.sigma[0])
+    sparse = np.empty(d.shape)
+    norm, max_abs_dl = _tiled_pass(d, low, sparse, zeta_0, track_max=idle)
+    return IterationState(low, sparse, 0, zeta_0, window, 0.0, max_abs_dl), norm, s_init
+
+
+def assert_same_start(got, ref):
+    """The state and residual norm of ``initialize`` equal the reference's bit for bit."""
+    (state, norm), (want, want_norm) = got, ref
+    for name in ("U", "sigma", "V"):
+        assert np.array_equal(getattr(state.low_rank, name), getattr(want.low_rank, name))
+    assert np.array_equal(state.sparse, want.sparse)
+    assert np.array_equal(state.sigma_window, want.sigma_window)
+    assert (state.k, state.zeta, state.max_abs_dl, norm) == (want.k, want.zeta, want.max_abs_dl, want_norm)
+
+
+class TestInitializePaths:
+    """``initialize`` computes sigma_1(D) only when its two-product lower
+    bound cannot prove that no entry of D exceeds the first threshold; the
+    state is the same on all three paths."""
+
+    def test_bound_proves_the_first_threshold_idle(self, arpack_calls):
+        prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
+        d, params = prob.data, desk_params(prob)
+        got = initialize(d, params)
+        assert arpack_calls == []
+        state, norm, s_init = arpack_initialize(d, params)
+        assert not np.any(s_init)
+        assert_same_start(got, (state, norm))
+
+    def test_sigma_1_proves_what_the_bound_cannot(self, arpack_calls):
+        prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
+        d, params = prob.data.copy(), desk_params(prob)
+        bound, sigma_1 = _spectral_lower_bound(d), spectral_norm(d)
+        d[17, 42] = params.beta_init * (bound + sigma_1) / 2.0
+        # the entry lies between the two thresholds of the changed D as well
+        max_abs_d = np.abs(d).max()
+        assert max_abs_d > params.beta_init * _spectral_lower_bound(d) * (1.0 - 1e-12)
+        assert max_abs_d <= params.beta_init * spectral_norm(d)
+        got = initialize(d, params)
+        assert len(arpack_calls) == 1
+        state, norm, s_init = arpack_initialize(d, params)
+        assert not np.any(s_init)
+        assert_same_start(got, (state, norm))
+
+    def test_spiked_input_thresholds_d(self, arpack_calls):
+        # the spiked input of acceptance criterion 7, with the CLI's parameters
+        d = generate(SyntheticSpec(64, 64, 2, 0.1, 20.0, 17)).data
+        params = RpcaParams.defaults(d.shape, 2, incoherence_of(d, 2), gamma=0.7)
+        got = initialize(d, params)
+        assert len(arpack_calls) == 1
+        state, norm, s_init = arpack_initialize(d, params)
+        assert np.any(s_init)
+        assert_same_start(got, (state, norm))
 
 
 class TestInitialize:

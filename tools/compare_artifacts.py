@@ -19,6 +19,9 @@ files.  The pipeline is:
   ``m != n``);
 - a ``synth`` whose corruption exceeds the first threshold, so that
   ``S_init`` is nonzero, and a ``solve`` of it with each solver;
+- a ``synth`` whose corruption stays below the first threshold by a margin
+  that only sigma_1(D) itself, not its two-product lower bound, proves, and a
+  ``solve`` of it, so that all three ways of starting a solve run;
 - a ``synth`` at alpha 0.45, and one at alpha 0.3 with a ``solve`` of it, so
   that the support sampler runs rejection rounds at the paper's corruption
   levels (the rounds above are at alpha 0.1, and the 0.6 cell samples a
@@ -92,6 +95,12 @@ COMMANDS = [
      "--output-dir", "solve-spiked"],
     ["solve", "--input", "synth-spiked/D.bin", "--rank", "2", "--gamma", "0.7",
      "--solver", "altproj", "--output-dir", "solve-spiked-altproj"],
+    # max|D| is 1.30 times beta_init times the lower bound on sigma_1(D), and
+    # 0.89 times beta_init * sigma_1(D): S_init = 0, after the ARPACK call
+    ["synth", "--n", "64", "--rank", "2", "--alpha", "0.1", "--c", "9", "--seed", "17",
+     "--output-dir", "synth-fallback"],
+    ["solve", "--input", "synth-fallback/D.bin", "--rank", "2", "--gamma", "0.7",
+     "--output-dir", "solve-fallback"],
     ["synth", "--n", "200", "--rank", "5", "--alpha", "0.45", "--c", "1", "--seed", "29",
      "--output-dir", "synth-alpha45"],
     ["synth", "--n", "150", "--rank", "3", "--alpha", "0.3", "--c", "1", "--seed", "31",
