@@ -88,6 +88,7 @@ class TrialRecord:
     converged: bool
     success: bool
     wall_seconds: float
+    init_seconds: float  # the k = 0 trace row's time: initialization's share of wall_seconds
     mean_iter_seconds: float | None
     mean_l_update_seconds: float | None
     err_history: list[float]
@@ -233,6 +234,7 @@ def _run_trial(solver_id, spec, d, l_true, params):
         converged=solution.converged,
         success=recovery_success(l_true, solution.low_rank),
         wall_seconds=wall_seconds,
+        init_seconds=solution.trace[0].iter_seconds,
         mean_iter_seconds=mean_iter,
         mean_l_update_seconds=mean_l,
         err_history=[rec.err for rec in solution.trace],

@@ -73,41 +73,27 @@ def ensure_matrix(a, name="matrix"):
 
 
 def thin_qr(a):
-    """Thin QR factorization A = QR with non-negative diagonal of R.
+    """Thin QR factorization A = QR (Householder, LAPACK).
 
-    Householder-based (LAPACK); column signs are then normalized so that
-    diag(R) >= 0, which pins the factorization down for full-rank input.
+    Q and R are returned as LAPACK gives them: a column of Q and the same
+    row of R may flip sign together, and no caller reads that sign.
     Rank-deficient input is allowed and simply yields a singular R.  ``a``
     (finite float64, rows >= cols) is not checked.  Returns ``(Q, R)``.
     """
-    q, rr = np.linalg.qr(a, mode="reduced")
-    flip = np.diagonal(rr) < 0.0
-    if flip.any():
-        q[:, flip] *= -1.0
-        rr[flip, :] *= -1.0
-    return q, rr
-
-
-def _fix_svd_signs(u, v):
-    # Deterministic sign choice: the largest-magnitude entry of each column of
-    # U is made positive (first such entry on ties); V columns flip along.
-    lead = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[lead, np.arange(u.shape[1])])
-    signs[signs == 0.0] = 1.0
-    return u * signs, v * signs
+    q, r = np.linalg.qr(a, mode="reduced")
+    return q, r
 
 
 def svd_small(a):
     """Full SVD of a small dense matrix, U diag(sigma) V^T = A.
 
-    Returns all min(p, q) triplets with descending singular values and a
-    deterministic sign convention (largest-magnitude entry of each column of
-    U positive).
+    Returns all min(p, q) triplets with descending singular values, as
+    LAPACK gives them: a pair (u_i, v_i) may flip sign together, and no
+    caller reads that sign.
     """
     a = ensure_matrix(a, "A")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    u, v = _fix_svd_signs(u, vh.T)
-    return FactoredLowRank(u, s, v)
+    return FactoredLowRank(u, s, vh.T)
 
 
 def svd_truncated(a, r, start=None):
@@ -131,7 +117,8 @@ def svd_truncated(a, r, start=None):
     Returns ``(low_rank, window)``: the rank-r factorization, and sigma
     followed by the (r+1)-th value when r < min(m, n): the next Ritz value of
     the sketch, a lower bound on sigma_{r+1}, or the exact value on the dense
-    fallback.
+    fallback.  As in :func:`svd_small`, a pair (u_i, v_i) may flip sign
+    together, and no caller reads that sign.
     """
     a = ensure_matrix(a, "A")
     m, n = a.shape
@@ -150,8 +137,7 @@ def svd_truncated(a, r, start=None):
         ap = a @ p
         residual = np.linalg.norm(ap @ wb[:, :r] - u * s[:r], axis=0)
         if (residual <= _CERTIFY_RTOL * s[0]).all():
-            u, v = _fix_svd_signs(u, p @ wb[:, :r])
-            return FactoredLowRank(u, s[:r].copy(), v), s[: r + 1].copy()
+            return FactoredLowRank(u, s[:r].copy(), p @ wb[:, :r]), s[: r + 1].copy()
         q = np.linalg.qr(ap)[0]
     u, s, v = svd_small(a)
     return FactoredLowRank(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()), s[: r + 1].copy()
@@ -162,11 +148,13 @@ def spectral_norm(a):
 
     Lanczos (ARPACK) from a fixed seeded start vector, so the value is
     accurate to rounding and deterministic at every size.  A matrix with a
-    single row or column, or with no nonzero entry, has the Euclidean norm
-    of its entries as its spectral norm; ARPACK cannot take either.  ``a``
-    (non-empty, finite float64) is not checked; the solvers validate ``D``.
+    single row or column has the Euclidean norm of its entries as its
+    spectral norm; ARPACK cannot take it.  ``a`` (non-empty, finite float64)
+    is not checked, nor is it checked for being zero, on which ARPACK raises
+    ``ArpackError``: its one caller, :func:`initialize`, never passes a zero
+    ``D``, whose two-product bound already proves the first threshold idle.
     """
-    if min(a.shape) == 1 or not a.any():
+    if min(a.shape) == 1:
         return float(np.linalg.norm(a))
     v0 = np.random.default_rng(SKETCH_SEED).standard_normal(min(a.shape))
     return float(svds(a, k=1, v0=v0, return_singular_vectors=False)[0])

@@ -190,6 +190,7 @@ class TestRuntimeExperiment:
         assert report.config["gamma"] is None and report.config["solvers"] == list(SOLVER_IDS)
         for rec in report.records:
             assert rec.n == 80 and rec.wall_seconds > 0.0
+            assert 0.0 < rec.init_seconds <= rec.wall_seconds
             assert rec.mean_l_update_seconds is None or rec.mean_l_update_seconds > 0.0
 
     def test_timing_means_are_over_executed_rows(self):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -575,6 +576,17 @@ class TestInitializePaths:
         state, norm, s_init = arpack_initialize(d, params)
         assert np.any(s_init)
         assert_same_start(got, (state, norm))
+
+    def test_zero_d_never_reaches_sigma_1(self, arpack_calls):
+        # ARPACK raises on a zero matrix; the bound of a zero D is 0, and
+        # max|D| = 0 <= beta_init * 0 takes the idle branch
+        params = RpcaParams(rank=2, mu=1.0, beta=0.1, beta_init=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state, norm = initialize(np.zeros((6, 5)), params)
+        assert arpack_calls == []
+        assert np.array_equal(state.sparse, np.zeros((6, 5)))
+        assert norm == 0.0
 
 
 class TestInitialize:
@@ -1173,6 +1185,60 @@ class TestTiledStep:
         # with one row or column L is D up to rounding, and so is the residual:
         # it has no relative accuracy below the rounding level of D
         assert abs(tiled_norm - dense_norm) <= 1e-12 * dense_norm + 1e-15 * frob(d)
+
+
+def flip_factor_signs(low_rank, seed):
+    """The same L with column i of U and of V multiplied by one seeded sign."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=low_rank.rank)
+    return low_rank._replace(U=low_rank.U * signs, V=low_rank.V * signs)
+
+
+def desk_state(l_update, **overrides):
+    """A 200 x 200, r = 5 problem stepped to k = 10, where S_k is nonzero."""
+    prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
+    d, params = prob.data, replace(desk_params(prob), **overrides)
+    state, _ = initialize(d, params)
+    while state.k < 10:
+        state, _ = _step(state, d, params, l_update)
+    assert np.count_nonzero(state.sparse) > 0
+    return state, d, params
+
+
+class TestFactorSigns:
+    """A step reads L_k, not the signs of its factors: flipping column i of
+    U and of V together leaves the next L, zeta and support of S as they are."""
+
+    @pytest.mark.parametrize(
+        "l_update, overrides",
+        [
+            pytest.param(_tangent_l_update, {}, id="accaltproj"),
+            pytest.param(_tangent_l_update, {"mu": 1.0}, id="accaltproj-trim-fires"),
+            pytest.param(_svd_l_update, {}, id="altproj"),
+        ],
+    )
+    def test_step_depends_on_l_only(self, l_update, overrides):
+        state, d, params = desk_state(l_update, **overrides)
+        if overrides:  # mu = 1 is below the incoherence, so trim fires
+            assert trim(state.low_rank, params.mu) is not state.low_rank
+        flipped = replace(state, low_rank=flip_factor_signs(state.low_rank, 89))
+        l_k = state.low_rank.matrix()
+        assert frob(flipped.low_rank.matrix() - l_k) <= 1e-15 * frob(l_k)
+        want, _ = stepped_copy(state, d, params, l_update)
+        got, _ = stepped_copy(flipped, d, params, l_update)
+        l_next = want.low_rank.matrix()
+        assert frob(got.low_rank.matrix() - l_next) <= 1e-12 * frob(l_next)
+        assert got.zeta == pytest.approx(want.zeta, rel=1e-12)
+        assert np.count_nonzero(want.sparse) > 0
+        assert np.array_equal(got.sparse != 0.0, want.sparse != 0.0)
+
+    def test_trim_depends_on_l_only(self):
+        state, _, _ = desk_state(_tangent_l_update)
+        want = trim(state.low_rank, 1.0)
+        got = trim(flip_factor_signs(state.low_rank, 97), 1.0)
+        assert want is not state.low_rank  # mu = 1 is below the incoherence
+        l_trimmed = want.matrix()
+        assert frob(got.matrix() - l_trimmed) <= 1e-12 * frob(l_trimmed)
+        assert np.allclose(got.sigma, want.sigma, rtol=1e-12, atol=0.0)
 
 
 class TestSparseSpectralBound:

@@ -31,7 +31,11 @@ files.  The pipeline is:
   iteration cap (exit 2); with ``--no-trim`` as well it converges; and
   ``--eps`` with ``--max-iter`` stops a run early (exit 2);
 - a ``solve`` of the first input without ``--gamma``, so that the default
-  gamma runs.
+  gamma runs;
+- a ``synth`` at rank 30 and a ``solve`` of it with each solver, so that the
+  ``2r x 2r`` core SVD (60 x 60) is large enough for LAPACK's
+  divide-and-conquer SVD to divide (above 25); every other round has
+  ``r <= 3``.
 
 Each side must import ``rpca`` from its own tree.  Every ``.bin`` and
 ``.csv`` matrix file must match byte for byte.  Every JSON file and
@@ -115,6 +119,12 @@ COMMANDS = [
      "--eps", "1e-9", "--max-iter", "8", "--output-dir", "solve-capped"],
     ["solve", "--input", "synth/D.bin", "--rank", "2", "--mu", "5.5",
      "--output-dir", "solve-default-gamma"],
+    ["synth", "--n", "300", "--rank", "30", "--alpha", "0.05", "--c", "1", "--seed", "37",
+     "--output-dir", "synth-r30"],
+    ["solve", "--input", "synth-r30/D.bin", "--rank", "30", "--gamma", "0.7",
+     "--output-dir", "solve-r30"],
+    ["solve", "--input", "synth-r30/D.bin", "--rank", "30", "--gamma", "0.7",
+     "--solver", "altproj", "--output-dir", "solve-r30-altproj"],
 ]
 
 # Runs in the subprocess, in the output directory: prints where rpca came
