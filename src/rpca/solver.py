@@ -2,7 +2,8 @@
 
 The solver splits a dense matrix D into a rank-r part L and a sparse part S.
 Each iteration first projects the residual D - S onto the tangent space of
-the rank-r manifold at the (trimmed) current estimate, which compresses it to
+the rank-r manifold at the current estimate, which depends only on the spans
+of its factors (over-budget rows trimmed first), and so compresses D - S to
 a rank-2r object; the best rank-r truncation then only needs two tall-skinny
 QR factorizations and one 2r x 2r SVD instead of a full-size SVD.  The sparse
 part is updated by entrywise hard thresholding with a geometrically decaying
@@ -196,19 +197,18 @@ class RpcaSolution:
 
 
 def trim(low_rank, mu):
-    """Rescale factor rows that exceed the incoherence budget.
+    """Orthonormal bases of the factors with over-budget rows rescaled.
 
     Row i of U is scaled by min(1, c_m / ||U_(i)||) with c_m = sqrt(mu r / m);
     rows of V analogously with c_n = sqrt(mu r / n).  When nothing exceeds
-    its budget the input is returned unchanged.  Otherwise the scaled factors
-    are no longer orthonormal, so they are re-orthogonalized (thin QR of both
-    factors, SVD of the r x r core) before being returned.
+    its budget the input is returned unchanged.  Otherwise U and V become the
+    Q factors of thin QRs of the scaled factors, orthonormal bases of their
+    spans, which is all the tangent projection at the trimmed matrix reads.
+    ``sigma`` is carried over from the input, so ``matrix()`` of the result
+    is not the trimmed matrix: the result never leaves the L-update.
     """
-    u, s, v = low_rank.U, low_rank.sigma, low_rank.V
-    m, n = low_rank.shape
-    r = low_rank.rank
-    cap_u = math.sqrt(mu * r / m)
-    cap_v = math.sqrt(mu * r / n)
+    u, v = low_rank.U, low_rank.V
+    cap_u, cap_v = (math.sqrt(mu * low_rank.rank / k) for k in low_rank.shape)
     u_norms = np.linalg.norm(u, axis=1)
     v_norms = np.linalg.norm(v, axis=1)
     if (u_norms <= cap_u).all() and (v_norms <= cap_v).all():
@@ -216,10 +216,9 @@ def trim(low_rank, mu):
     with np.errstate(divide="ignore"):
         u_scale = np.minimum(1.0, cap_u / u_norms)
         v_scale = np.minimum(1.0, cap_v / v_norms)
-    qa, ra = thin_qr(u * u_scale[:, None])
-    qb, rb = thin_qr(v * v_scale[:, None])
-    core = svd_small((ra * s) @ rb.T)
-    return FactoredLowRank(qa @ core.U, core.sigma, qb @ core.V)
+    qa, _ = thin_qr(u * u_scale[:, None])
+    qb, _ = thin_qr(v * v_scale[:, None])
+    return low_rank._replace(U=qa, V=qb)
 
 
 def _row_tiles(shape, floor=1):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rpca.solver
-from rpca.kernel import _spectral_lower_bound, spectral_norm, svd_truncated
+from rpca.kernel import _spectral_lower_bound, spectral_norm, svd_small, svd_truncated, thin_qr
 from rpca.metrics import factor_incoherence, incoherence_of, relative_error
 from rpca.solver import (
     FactoredLowRank,
@@ -62,6 +62,23 @@ def tangent_complement_project(low_rank, z):
     return w - (w @ v) @ v.T
 
 
+def rescaled_factors(low_rank, mu):
+    """Oracle for trim's row rescaling: each row of U over sqrt(mu r / m), and
+    of V over sqrt(mu r / n), scaled onto that budget; other rows kept."""
+    scaled = []
+    for f in (low_rank.U, low_rank.V):
+        norms = np.linalg.norm(f, axis=1)
+        with np.errstate(divide="ignore"):
+            scale = np.minimum(1.0, math.sqrt(mu * low_rank.rank / f.shape[0]) / norms)
+        scaled.append(f * scale[:, None])
+    return scaled
+
+
+def projector(a):
+    """Orthogonal projector onto the column space of a full-rank ``a``."""
+    return a @ np.linalg.pinv(a)
+
+
 def truncate_dense(low_rank, w):
     """structured_truncate of a whole W, with both products formed from it."""
     return structured_truncate(low_rank, low_rank.U.T @ w, w @ low_rank.V)
@@ -72,7 +89,10 @@ def dense_step(state, d, params, l_update):
     whole m x n matrix.  Returns (state, ||D - L - S||_F)."""
     w = d - state.sparse
     if l_update is _tangent_l_update:
-        basis = trim(state.low_rank, params.mu) if params.trim_enabled else state.low_rank
+        basis = state.low_rank
+        if params.trim_enabled:  # the tangent space reads only the spans of the factors
+            qa, qb = (np.linalg.qr(f)[0] for f in rescaled_factors(basis, params.mu))
+            basis = basis._replace(U=qa, V=qb)
         low, window = truncate_dense(basis, w)
     else:
         low, window = svd_truncated(w, params.rank, start=state.low_rank.V)
@@ -193,17 +213,20 @@ class TestTrim:
     def test_hand_instance(self):
         # m = n = 4, r = 1, U = e1, sigma = 2, V = (1,1,1,1)/2, mu = 1:
         # cap = 1/2, so row 1 of U is scaled to norm 1/2 and V is untouched;
-        # the trimmed matrix is e1 * 2 * V^T with row 1 halved.
+        # the bases of the rescaled factors are U = +-e1 and V = +-(1,1,1,1)/2.
         low = FactoredLowRank(
             np.array([[1.0], [0.0], [0.0], [0.0]]),
             np.array([2.0]),
             np.full((4, 1), 0.5),
         )
-        expected = np.zeros((4, 4))
-        expected[0, :] = 0.5
+        e1 = np.array([[1.0], [0.0], [0.0], [0.0]])
         out = trim(low, 1.0)
         assert out is not low
-        assert np.allclose(out.matrix(), expected, atol=1e-14)
+        assert frob(projector(out.U) - e1 @ e1.T) <= 1e-12
+        assert frob(projector(out.V) - np.full((4, 4), 0.25)) <= 1e-12
+        assert frob(np.abs(out.U) - e1) <= 1e-12
+        assert frob(np.abs(out.V) - 0.5) <= 1e-12
+        assert out.sigma is low.sigma
         assert frob(out.U.T @ out.U - np.eye(1)) <= 1e-12
         assert frob(out.V.T @ out.V - np.eye(1)) <= 1e-12
 
@@ -213,16 +236,32 @@ class TestTrim:
             m, n, r = 25, 18, 3
             low = random_factored(rng, m, n, r)
             mu = 1.0
-            cap_u = np.sqrt(mu * r / m)
-            cap_v = np.sqrt(mu * r / n)
-            su = np.minimum(1.0, cap_u / np.linalg.norm(low.U, axis=1))
-            sv = np.minimum(1.0, cap_v / np.linalg.norm(low.V, axis=1))
-            expected = (low.U * su[:, None] * low.sigma) @ (low.V * sv[:, None]).T
             out = trim(low, mu)
-            assert frob(out.matrix() - expected) <= 1e-12 * max(frob(expected), 1.0)
+            for got, scaled in zip((out.U, out.V), rescaled_factors(low, mu)):
+                expected = projector(scaled)
+                assert frob(projector(got) - expected) <= 1e-12 * max(frob(expected), 1.0)
             assert frob(out.U.T @ out.U - np.eye(r)) <= 1e-10 * r
             assert frob(out.V.T @ out.V - np.eye(r)) <= 1e-10 * r
-            assert (np.diff(out.sigma) <= 1e-12 * max(out.sigma[0], 1.0)).all()
+            assert out.sigma is low.sigma
+
+    def test_hands_over_the_qr_bases_without_a_core_svd(self, monkeypatch):
+        # The tangent projection reads only the spans of the trimmed factors,
+        # so trim returns the Q factors of the rescaled factors as they are.
+        svd_calls = []
+
+        def counting(a):
+            svd_calls.append(a.shape)
+            return svd_small(a)
+
+        state, _, _ = desk_state(_tangent_l_update)
+        monkeypatch.setattr(rpca.solver, "svd_small", counting)
+        out = trim(state.low_rank, 1.0)
+        assert out is not state.low_rank  # mu = 1 is below the incoherence
+        assert svd_calls == []
+        u_scaled, v_scaled = rescaled_factors(state.low_rank, 1.0)
+        assert np.array_equal(out.U, thin_qr(u_scaled)[0])
+        assert np.array_equal(out.V, thin_qr(v_scaled)[0])
+        assert out.sigma is state.low_rank.sigma
 
     def test_idempotent_when_output_within_budget(self):
         # Conditional property: a second trim changes nothing whenever the
@@ -247,8 +286,7 @@ class TestTrim:
             ).all()
             if within:
                 seen += 1
-                again = trim(tight, mu / 1.5)
-                assert frob(again.matrix() - tight.matrix()) <= 1e-10 * frob(tight.matrix())
+                assert trim(tight, mu / 1.5) is tight
         assert seen >= 0  # the active branch is data-dependent
 
     def test_row_bound_near_an_incoherent_matrix(self):
@@ -1162,13 +1200,22 @@ class TestTiledStep:
         _tangent_l_update(state.low_rank, prob.data, state.sparse, params)
         assert heights == [40]  # 4r, over the 14 rows of a sixteenth
 
-    @pytest.mark.parametrize("l_update", [_tangent_l_update, _svd_l_update])
+    @pytest.mark.parametrize(
+        "l_update, overrides",
+        [
+            pytest.param(_tangent_l_update, {}, id="_tangent_l_update"),
+            pytest.param(_svd_l_update, {}, id="_svd_l_update"),
+            pytest.param(_tangent_l_update, {"mu": 1.0}, id="_tangent_l_update-trim-fires"),
+        ],
+    )
     @pytest.mark.parametrize("m, n, r", TILED_CASES)
-    def test_step_matches_dense_oracle(self, m, n, r, l_update):
+    def test_step_matches_dense_oracle(self, m, n, r, l_update, overrides):
         prob = generate(SyntheticSpec(m, n, r, 0.1, 1.0, 1000 + m + n + r))
         d = prob.data
-        params = desk_params(prob)
+        params = replace(desk_params(prob), **overrides)
         state, _ = initialize(d, params)
+        if overrides:  # mu = 1 is below the incoherence, so trim fires
+            assert trim(state.low_rank, params.mu) is not state.low_rank
         while state.k < 10:  # past the start of the schedule, where S_k stays empty
             state, _ = _step(state, d, params, l_update)
         tiled, tiled_norm = stepped_copy(state, d, params, l_update)
@@ -1233,12 +1280,15 @@ class TestFactorSigns:
 
     def test_trim_depends_on_l_only(self):
         state, _, _ = desk_state(_tangent_l_update)
+        flipped = flip_factor_signs(state.low_rank, 97)
         want = trim(state.low_rank, 1.0)
-        got = trim(flip_factor_signs(state.low_rank, 97), 1.0)
+        got = trim(flipped, 1.0)
         assert want is not state.low_rank  # mu = 1 is below the incoherence
-        l_trimmed = want.matrix()
-        assert frob(got.matrix() - l_trimmed) <= 1e-12 * frob(l_trimmed)
-        assert np.allclose(got.sigma, want.sigma, rtol=1e-12, atol=0.0)
+        for out in (want, got):
+            for basis, scaled in zip((out.U, out.V), rescaled_factors(state.low_rank, 1.0)):
+                expected = projector(scaled)
+                assert frob(projector(basis) - expected) <= 1e-12 * frob(expected)
+        assert got.sigma is flipped.sigma and np.array_equal(got.sigma, want.sigma)
 
 
 class TestSparseSpectralBound:

@@ -27,9 +27,9 @@ files.  The pipeline is:
   levels (the rounds above are at alpha 0.1, and the 0.6 cell samples a
   permutation);
 - three ``solve`` runs of the first input with an explicit ``--mu``: at
-  ``--mu 1`` trim fires and re-orthogonalizes and the run stops at the
-  iteration cap (exit 2); with ``--no-trim`` as well it converges; and
-  ``--eps`` with ``--max-iter`` stops a run early (exit 2);
+  ``--mu 1`` trim fires on every step and the run stops at the iteration
+  cap (exit 2); with ``--no-trim`` as well it converges; and ``--eps`` with
+  ``--max-iter`` stops a run early (exit 2);
 - a ``solve`` of the first input without ``--gamma``, so that the default
   gamma runs;
 - a ``synth`` at rank 30 and a ``solve`` of it with each solver, so that the
@@ -44,6 +44,12 @@ Each side must import ``rpca`` from its own tree.  Every ``.bin`` and
 directory, so input paths match.  The exit codes of the commands are
 compared too.  One line is printed per file, and the exit status is 1 if any
 file differs.
+
+Trim fires in every accelerated ``solve`` that measures ``mu`` on its input
+(no ``--mu``): ``solve``, ``solve-csv``, ``solve-spiked``, ``solve-fallback``,
+``solve-alpha30`` and ``solve-r30``, on some of their steps; and at the
+explicit ``--mu 1`` and ``--mu 1.5`` of ``solve-trim`` and ``solve-capped``,
+on every step.  A change to trim's arithmetic shows in those eight rounds.
 
 The bits depend on the BLAS build, so both sides run on the same machine.  A
 change that alters the bits on purpose makes this check fail by design.
