@@ -245,9 +245,10 @@ def _run_trial(solver_id, spec, d, l_true, params):
 def _problem_and_params(spec, gamma=None, **overrides):
     """Seeded problem for ``spec`` and its solver parameters.
 
-    The solvers receive 1.1x the measured ground-truth incoherence (at least
-    1); gamma is 0.65 if the declared alpha is at least 0.55, else the field
-    default 0.5, unless ``gamma`` overrides it.
+    The solvers receive 1.1x the measured ground-truth incoherence, which
+    :func:`~rpca.metrics.factor_incoherence` floors at 1; gamma is 0.65 if the
+    declared alpha is at least 0.55, else the field default 0.5, unless
+    ``gamma`` overrides it.
     """
     problem = generate(spec)
     if gamma is None:
@@ -255,7 +256,7 @@ def _problem_and_params(spec, gamma=None, **overrides):
     params = RpcaParams.defaults(
         problem.data.shape,
         spec.rank,
-        mu=max(1.0, 1.1 * problem.mu_true),
+        mu=1.1 * problem.mu_true,
         gamma=gamma,
         **overrides,
     )

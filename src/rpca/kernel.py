@@ -4,9 +4,8 @@ The SVDs return a :class:`FactoredLowRank`, the one container of a thin
 factorization.  Every routine is a pure function of its inputs and
 deterministic on a given platform.  ``SKETCH_SEED`` is the module's only
 seed, and the caller does not choose it: the truncated SVD draws its sketch
-(whose first columns a caller's start vectors may replace), the spectral
-norm its Lanczos start vector, and the two-product lower bound on the
-spectral norm its start vector, from a generator seeded with it.
+(whose first columns a caller's start vectors may replace), and the spectral
+norm its Lanczos start vector, from a generator seeded with it.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import svds
 
 __all__ = [
     "SKETCH_SEED",
@@ -143,35 +141,42 @@ def svd_truncated(a, r, start=None):
     return FactoredLowRank(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()), s[: r + 1].copy()
 
 
-def spectral_norm(a):
-    """Largest singular value of ``a``.
+def spectral_norm(a, enough=np.inf):
+    """Largest singular value of ``a``, or a lower bound on it that reaches ``enough``.
 
-    Lanczos (ARPACK) from a fixed seeded start vector, so the value is
-    accurate to rounding and deterministic at every size.  A matrix with a
-    single row or column has the Euclidean norm of its entries as its
-    spectral norm; ARPACK cannot take it.  ``a`` (non-empty, finite float64)
-    is not checked, nor is it checked for being zero, on which ARPACK raises
-    ``ArpackError``: its one caller, :func:`initialize`, never passes a zero
-    ``D``, whose two-product bound already proves the first threshold idle.
+    Golub-Kahan-Lanczos with full reorthogonalization from a seeded unit
+    vector v_1.  Step j gives the j x (j+1) bidiagonal U_j^T A V_{j+1}, whose
+    top singular value theta_j is a lower bound on sigma_1(A) that rises with
+    j; theta_1 = ||A^T u_1|| with u_1 = A v_1 / ||A v_1|| takes two products.
+    theta_j is returned once it reaches ``enough``, or once its Ritz pair is
+    certified as in :func:`svd_truncated`, ||A v - theta_j u|| <= 1e-10
+    theta_j: then sigma_1(A) - theta_j is at most 1e-10 theta_j, or the
+    squared residual over the gap to sigma_2 (barring, as for any Krylov
+    method, a start vector almost orthogonal to sigma_1's).  A zero matrix
+    gives 0.  Each product takes a unit vector, so squares stay inside the
+    float64 range wherever the solvers accept ``a``, and scaling ``a`` by a
+    power of two scales the result exactly.  ``a`` is not checked.
     """
-    if min(a.shape) == 1:
-        return float(np.linalg.norm(a))
-    v0 = np.random.default_rng(SKETCH_SEED).standard_normal(min(a.shape))
-    return float(svds(a, k=1, v0=v0, return_singular_vectors=False)[0])
-
-
-def _spectral_lower_bound(a):
-    """A lower bound on the largest singular value of ``a`` from two products.
-
-    ||A^T y|| <= sigma_1(A) for every unit vector y; this takes y = A x /
-    ||A x|| for a seeded start vector x, and 0 when A x = 0.  Normalizing
-    A x before the second product keeps every square inside the float64
-    range wherever the solvers accept ``a``.  ``a`` (finite float64) is not
-    checked.
-    """
-    y = a @ np.random.default_rng(SKETCH_SEED).standard_normal(a.shape[1])
-    norm = float(np.linalg.norm(y))
-    if norm == 0.0:
-        return 0.0
-    y /= norm
-    return float(np.linalg.norm(y @ a))
+    v = np.random.default_rng(SKETCH_SEED).standard_normal(a.shape[1])
+    us, vs = np.empty((0, a.shape[0])), (v / np.linalg.norm(v))[None]
+    alphas, betas, sigma, y = [], [], 0.0, np.ones(1)
+    for _ in range(min(a.shape)):  # the Krylov space has at most this dimension
+        p = a @ vs[-1]
+        if alphas:
+            p -= betas[-1] * us[-1]
+            p -= (us @ p) @ us
+        alpha = float(np.linalg.norm(p))
+        if alpha * abs(y[-1]) <= _CERTIFY_RTOL * sigma:  # ||A v - sigma u||
+            break
+        us = np.vstack([us, p / alpha])
+        w = us[-1] @ a - alpha * vs[-1]
+        w -= (vs @ w) @ vs
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        _, s, yh = np.linalg.svd((np.diag(alphas + [0.0]) + np.diag(betas, 1))[:-1])
+        sigma, y = float(s[0]), yh[0]
+        if sigma >= enough or beta == 0.0:
+            break
+        vs = np.vstack([vs, w / beta])
+    return sigma

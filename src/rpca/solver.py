@@ -34,8 +34,8 @@ L again up to rounding, not bit for bit: the baseline's truncation starts
 its sketch from V_k, and the accelerated solver projects at L_k, so the
 later zeta and L agree with the fully computed loop to rounding (see
 :func:`_skipped_step`).  ``initialize`` likewise truncates D itself when
-no entry exceeds the first threshold, and it computes sigma_1(D), which
-sets that threshold, only when a cheaper lower bound on it cannot show this.
+no entry exceeds the first threshold, and its Lanczos run for sigma_1(D),
+which sets that threshold, stops as soon as a lower bound shows this.
 
 The solver entry points are pure functions of their arguments: D is only
 read, and each solve allocates its own S buffer, so concurrent solves never
@@ -53,7 +53,6 @@ import numpy as np
 
 from .kernel import (
     FactoredLowRank,
-    _spectral_lower_bound,
     ensure_matrix,
     spectral_norm,
     svd_small,
@@ -67,10 +66,6 @@ from .kernel import (
 # (above which the tiles a pass touches drop out of cache).
 _TILES = 16
 _TILE_BYTES = (64 * 1024, 256 * 1024)
-# ``initialize`` calls the first threshold idle from the lower bound on
-# sigma_1(D) only with this relative margin, more than the bound's rounding,
-# so that it never does where the test against sigma_1(D) itself would not.
-_BOUND_MARGIN = 1e-12
 
 __all__ = [
     "IterationRecord",
@@ -334,16 +329,15 @@ def initialize(d, params):
     to project at.  S_0 then thresholds D - L_0 at beta * sigma_1(D - S_init),
     a threshold that, unlike the later schedule, uses the top singular value
     only.  When no entry of D exceeds the first threshold, S_init is zero
-    and D itself is truncated, with the same bits.  Two matrix-vector
-    products give a lower bound on sigma_1(D) that usually proves this
-    (:func:`_spectral_lower_bound`, with a margin for its rounding); only
-    when it does not is sigma_1(D) computed, by Lanczos
-    (:func:`spectral_norm`), since a rank-1 subspace iteration stalls on
-    clustered top singular values, and D thresholded at it if some entry
-    exceeds it.  The solve's one m x n array is allocated after the bound's
-    vectors are freed: it holds S_init, then D - S_init, which the L-update
-    forms over it, then S_0.  Either way :func:`_tiled_pass`, the sparse
-    update of every loop step, writes S_0.
+    and D itself is truncated, with the same bits.  Lanczos
+    (:func:`spectral_norm`) stops as soon as its lower bound on sigma_1(D)
+    reaches max|D| / beta_init, which proves this; its first step, two
+    matrix-vector products, usually does.  Only a certified sigma_1(D)
+    says otherwise, and D is then thresholded at beta_init times it.  The
+    solve's one m x n array is allocated after the Lanczos vectors are
+    freed: it holds S_init, then D - S_init, which the L-update forms over
+    it, then S_0.  Either way :func:`_tiled_pass`, the sparse update of
+    every loop step, writes S_0.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d``, a non-empty finite float64
@@ -351,13 +345,12 @@ def initialize(d, params):
     rank is checked by :func:`svd_truncated`, and ``d`` is only read.
     """
     max_abs_d = max(float(d.max()), -float(d.min()))
-    idle = max_abs_d <= params.beta_init * _spectral_lower_bound(d) * (1.0 - _BOUND_MARGIN)
-    if not idle:  # the bound does not prove S_init = 0; sigma_1(D) decides
-        zeta_init = params.beta_init * spectral_norm(d)
-        idle = max_abs_d <= zeta_init
+    level = max_abs_d / params.beta_init
+    sigma_1 = spectral_norm(d, level)
+    idle = sigma_1 >= level
     sparse = np.empty(d.shape)
     if not idle:
-        hard_threshold(d, zeta_init, out=sparse)  # S_init
+        hard_threshold(d, params.beta_init * sigma_1, out=sparse)  # S_init
     t0 = perf_counter()
     low, window = svd_truncated(d, params.rank) if idle else _svd_l_update(None, d, sparse, params)
     l_seconds = perf_counter() - t0

@@ -186,8 +186,9 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("scale", [1e155, 1e-160])
     def test_d_out_of_scale_exits_one(self, tmp_path, capsys, scale):
-        # at 1e155 ARPACK failed with a traceback; at 1e-160 the squared
-        # residual underflowed and the solve reported a false convergence
+        # at 1e155 sigma_1(D), then from ARPACK, failed with a traceback; at
+        # 1e-160 the squared residual underflowed and the solve reported a
+        # false convergence
         self.solve_out_of_scale(tmp_path, capsys, scale, mu_flag=True)
 
     @pytest.mark.parametrize("scale", [1e155, 1e-160])

@@ -7,7 +7,6 @@ import rpca.kernel
 import rpca.solver
 from rpca.kernel import (
     FactoredLowRank,
-    _spectral_lower_bound,
     ensure_matrix,
     spectral_norm,
     svd_small,
@@ -397,27 +396,70 @@ def bound_inputs():
 
 
 class TestSpectralLowerBound:
+    """The first Lanczos step, ``spectral_norm(a, 0.0)``: two products."""
+
     @pytest.mark.parametrize("name", sorted(bound_inputs()))
     def test_at_most_the_spectral_norm(self, name):
         a = bound_inputs()[name]
-        bound = _spectral_lower_bound(a)
+        bound = spectral_norm(a, 0.0)
         assert 0.0 < bound <= np.linalg.norm(a, 2) * (1.0 + 1e-12)
 
     def test_exact_on_rank_one(self):
         a = bound_inputs()["rank-1"]
-        assert _spectral_lower_bound(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+        assert spectral_norm(a, 0.0) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
 
     def test_zero_matrix(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert _spectral_lower_bound(np.zeros((5, 3))) == 0.0
+            assert spectral_norm(np.zeros((5, 3)), 0.0) == 0.0
 
     @pytest.mark.parametrize("power", [-300, 300])
     def test_finite_and_scale_equivariant(self, power):
         a = bound_inputs()["square"]
-        scaled = _spectral_lower_bound(a * 2.0**power)
+        scaled = spectral_norm(a * 2.0**power, 0.0)
         assert np.isfinite(scaled)
-        assert scaled == _spectral_lower_bound(a) * 2.0**power
+        assert scaled == spectral_norm(a, 0.0) * 2.0**power
+
+
+class TestSpectralNormConverged:
+    """``spectral_norm(a)`` runs Lanczos until sigma_1 is certified."""
+
+    @pytest.mark.parametrize("name", sorted(bound_inputs()))
+    def test_matches_dense_to_rounding(self, name):
+        a = bound_inputs()[name]
+        assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-14)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_spiked_input_matches_dense_to_rounding(self, seed):
+        # gross spikes (c = 20) put sigma_1(D) beyond what two products reach
+        a = generate(SyntheticSpec(200, 200, 5, 0.2, 20.0, seed)).data
+        assert spectral_norm(a, 0.0) < 0.99 * np.linalg.norm(a, 2)
+        assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-14)
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_tight_top_cluster(self, seed):
+        # The top 20 singular values lie within 1e-6 of each other, where
+        # theta_j can stall for a step long before it reaches sigma_1: a stop
+        # on the first step that does not raise it was 4.7e-8 off at seed 2.
+        rng = np.random.default_rng(seed)
+        left = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        right = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        s = 1.0 + 1e-6 * rng.random(40)
+        s[20:] *= 0.1
+        a = (left * s) @ right.T
+        assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
+
+    @pytest.mark.parametrize("power", [-300, 300])
+    @pytest.mark.parametrize("name", sorted(bound_inputs()))
+    def test_scale_equivariant(self, name, power):
+        a = bound_inputs()[name]
+        assert spectral_norm(a * 2.0**power) == spectral_norm(a) * 2.0**power
+
+    def test_stops_once_the_bound_reaches_enough(self):
+        a = generate(SyntheticSpec(200, 200, 5, 0.2, 20.0, 1)).data
+        first, sigma_1 = spectral_norm(a, 0.0), spectral_norm(a)
+        enough = (first + sigma_1) / 2.0
+        assert first < enough <= spectral_norm(a, enough) < sigma_1
 
 
 class TestWeylInequality:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rpca.solver
-from rpca.kernel import _spectral_lower_bound, spectral_norm, svd_small, svd_truncated, thin_qr
+from rpca.kernel import SKETCH_SEED, spectral_norm, svd_small, svd_truncated, thin_qr
 from rpca.metrics import factor_incoherence, incoherence_of, relative_error
 from rpca.solver import (
     FactoredLowRank,
@@ -264,12 +264,12 @@ class TestTrim:
         assert out.sigma is state.low_rank.sigma
 
     def test_idempotent_when_output_within_budget(self):
-        # Conditional property: a second trim changes nothing whenever the
-        # re-factorized rows stay within the budget.  Inputs already within
-        # budget always satisfy the condition; actively trimmed ones only
-        # sometimes do (clipped rows land at the cap).
+        # An input within budget comes back as the same object, so a second
+        # trim changes nothing.  A trimmed output is never within budget: row
+        # i of its U is s_i u_i R^-1 with R^T R = I - Delta, where Delta =
+        # sum_k (1 - s_k^2) u_k u_k^T is positive semidefinite, so a clipped
+        # row ends in (cap, cap / sqrt(1 - lambda_max(Delta))]; V likewise.
         rng = np.random.default_rng(9)
-        seen = 0
         for _ in range(10):
             low = random_factored(rng, 20, 20, 2)
             mu = 20.0 / 2.0 * max(
@@ -281,13 +281,16 @@ class TestTrim:
             assert trim(out, mu) is out
             tight = trim(low, mu / 1.5)
             cap = np.sqrt(mu / 1.5 * 2 / 20)
-            within = (np.linalg.norm(tight.U, axis=1) <= cap).all() and (
-                np.linalg.norm(tight.V, axis=1) <= cap
-            ).all()
-            if within:
-                seen += 1
-                assert trim(tight, mu / 1.5) is tight
-        assert seen >= 0  # the active branch is data-dependent
+            clipped_rows = 0
+            for basis, trimmed in ((low.U, tight.U), (low.V, tight.V)):
+                norms = np.linalg.norm(basis, axis=1)
+                shrink = 1.0 - np.minimum(1.0, cap / norms) ** 2
+                delta = (basis * shrink[:, None]).T @ basis
+                top = cap / np.sqrt(1.0 - np.linalg.eigvalsh(delta)[-1])
+                rows = np.linalg.norm(trimmed[norms > cap], axis=1)
+                assert ((rows > cap) & (rows <= top * (1.0 + 1e-12))).all()
+                clipped_rows += rows.size
+            assert clipped_rows >= 1
 
     def test_row_bound_near_an_incoherent_matrix(self):
         # When the input is close to a mu-incoherent rank-r matrix the
@@ -540,23 +543,32 @@ class Hand6x6:
 
 
 @pytest.fixture
-def arpack_calls(monkeypatch):
-    """Count the spectral_norm calls made by ``initialize``."""
+def sigma_calls(monkeypatch):
+    """Record each spectral_norm call of ``initialize`` as (enough, value)."""
     calls = []
 
-    def counting(a):
-        calls.append(a.shape)
-        return spectral_norm(a)
+    def recording(a, enough):
+        value = spectral_norm(a, enough)
+        calls.append((enough, value))
+        return value
 
-    monkeypatch.setattr(rpca.solver, "spectral_norm", counting)
+    monkeypatch.setattr(rpca.solver, "spectral_norm", recording)
     return calls
 
 
-def arpack_initialize(d, params):
-    """Reference for ``initialize``: sigma_1(D) by ARPACK on every call, then
-    the idle test against beta_init * sigma_1(D).  Returns the state, the
+def two_product_bound(d):
+    """||D^T y|| for y = D x / ||D x||, x the seeded start vector: a lower
+    bound on sigma_1(D) from two products."""
+    y = d @ np.random.default_rng(SKETCH_SEED).standard_normal(d.shape[1])
+    y /= np.linalg.norm(y)
+    return float(np.linalg.norm(y @ d))
+
+
+def dense_initialize(d, params):
+    """Reference for ``initialize``: sigma_1(D) from the dense SVD, then the
+    idle test against beta_init * sigma_1(D).  Returns the state, the
     residual norm and S_init."""
-    zeta_init = params.beta_init * spectral_norm(d)
+    zeta_init = params.beta_init * np.linalg.norm(d, 2)
     s_init = hard_threshold(d, zeta_init)
     idle = np.abs(d).max() <= zeta_init
     low, window = svd_truncated(d if idle else d - s_init, params.rank)
@@ -577,52 +589,60 @@ def assert_same_start(got, ref):
 
 
 class TestInitializePaths:
-    """``initialize`` computes sigma_1(D) only when its two-product lower
-    bound cannot prove that no entry of D exceeds the first threshold; the
-    state is the same on all three paths."""
+    """``initialize`` asks Lanczos for sigma_1(D) only up to max|D| / beta_init:
+    its first step, two products, usually proves that no entry of D exceeds
+    the first threshold, a later step may, and only a certified sigma_1(D)
+    thresholds D.  The state is the same on all three paths."""
 
-    def test_bound_proves_the_first_threshold_idle(self, arpack_calls):
+    def test_bound_proves_the_first_threshold_idle(self, sigma_calls):
         prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
         d, params = prob.data, desk_params(prob)
         got = initialize(d, params)
-        assert arpack_calls == []
-        state, norm, s_init = arpack_initialize(d, params)
+        [(level, value)] = sigma_calls
+        # Lanczos stopped at its first step, well below sigma_1(D)
+        assert value == pytest.approx(two_product_bound(d), rel=1e-15)
+        assert level <= value < 0.99 * np.linalg.norm(d, 2)
+        state, norm, s_init = dense_initialize(d, params)
         assert not np.any(s_init)
         assert_same_start(got, (state, norm))
 
-    def test_sigma_1_proves_what_the_bound_cannot(self, arpack_calls):
+    def test_sigma_1_proves_what_the_bound_cannot(self, sigma_calls):
         prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
         d, params = prob.data.copy(), desk_params(prob)
-        bound, sigma_1 = _spectral_lower_bound(d), spectral_norm(d)
+        bound, sigma_1 = two_product_bound(d), np.linalg.norm(d, 2)
         d[17, 42] = params.beta_init * (bound + sigma_1) / 2.0
         # the entry lies between the two thresholds of the changed D as well
         max_abs_d = np.abs(d).max()
-        assert max_abs_d > params.beta_init * _spectral_lower_bound(d) * (1.0 - 1e-12)
-        assert max_abs_d <= params.beta_init * spectral_norm(d)
+        assert max_abs_d > params.beta_init * two_product_bound(d) * (1.0 + 1e-12)
+        assert max_abs_d <= params.beta_init * np.linalg.norm(d, 2)
         got = initialize(d, params)
-        assert len(arpack_calls) == 1
-        state, norm, s_init = arpack_initialize(d, params)
+        [(level, value)] = sigma_calls
+        assert two_product_bound(d) < level <= value <= np.linalg.norm(d, 2) * (1.0 + 1e-14)
+        state, norm, s_init = dense_initialize(d, params)
         assert not np.any(s_init)
         assert_same_start(got, (state, norm))
 
-    def test_spiked_input_thresholds_d(self, arpack_calls):
+    def test_spiked_input_thresholds_d(self, sigma_calls):
         # the spiked input of acceptance criterion 7, with the CLI's parameters
         d = generate(SyntheticSpec(64, 64, 2, 0.1, 20.0, 17)).data
         params = RpcaParams.defaults(d.shape, 2, incoherence_of(d, 2), gamma=0.7)
         got = initialize(d, params)
-        assert len(arpack_calls) == 1
-        state, norm, s_init = arpack_initialize(d, params)
+        [(level, value)] = sigma_calls
+        # not idle: Lanczos ran until sigma_1(D) was certified
+        assert value < level
+        assert value == pytest.approx(np.linalg.norm(d, 2), rel=1e-14)
+        state, norm, s_init = dense_initialize(d, params)
         assert np.any(s_init)
         assert_same_start(got, (state, norm))
 
-    def test_zero_d_never_reaches_sigma_1(self, arpack_calls):
-        # ARPACK raises on a zero matrix; the bound of a zero D is 0, and
-        # max|D| = 0 <= beta_init * 0 takes the idle branch
+    def test_zero_d_never_reaches_sigma_1(self, sigma_calls):
+        # the first Lanczos product of a zero D is 0, so sigma_1 = 0 without
+        # a division, and max|D| / beta_init = 0 <= 0 takes the idle branch
         params = RpcaParams(rank=2, mu=1.0, beta=0.1, beta_init=0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             state, norm = initialize(np.zeros((6, 5)), params)
-        assert arpack_calls == []
+        assert sigma_calls == [(0.0, 0.0)]
         assert np.array_equal(state.sparse, np.zeros((6, 5)))
         assert norm == 0.0
 

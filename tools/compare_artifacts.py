@@ -20,8 +20,9 @@ files.  The pipeline is:
 - a ``synth`` whose corruption exceeds the first threshold, so that
   ``S_init`` is nonzero, and a ``solve`` of it with each solver;
 - a ``synth`` whose corruption stays below the first threshold by a margin
-  that only sigma_1(D) itself, not its two-product lower bound, proves, and a
-  ``solve`` of it, so that all three ways of starting a solve run;
+  that the first Lanczos step on D (two products) cannot prove and a later
+  step does, and a ``solve`` of it, so that all three ways of starting a
+  solve run;
 - a ``synth`` at alpha 0.45, and one at alpha 0.3 with a ``solve`` of it, so
   that the support sampler runs rejection rounds at the paper's corruption
   levels (the rounds above are at alpha 0.1, and the 0.6 cell samples a
@@ -98,15 +99,16 @@ COMMANDS = [
      "--output-dir", "solve-csv"],
     ["solve", "--input", "synth-csv/D.csv", "--rank", "2", "--gamma", "0.7",
      "--solver", "altproj", "--output-dir", "solve-csv-altproj"],
-    # max|D| is 1.21 times beta_init * sigma_1(D)
+    # max|D| is 1.21 times beta_init * sigma_1(D), which Lanczos converges to
     ["synth", "--n", "64", "--rank", "2", "--alpha", "0.1", "--c", "20", "--seed", "17",
      "--output-dir", "synth-spiked"],
     ["solve", "--input", "synth-spiked/D.bin", "--rank", "2", "--gamma", "0.7",
      "--output-dir", "solve-spiked"],
     ["solve", "--input", "synth-spiked/D.bin", "--rank", "2", "--gamma", "0.7",
      "--solver", "altproj", "--output-dir", "solve-spiked-altproj"],
-    # max|D| is 1.30 times beta_init times the lower bound on sigma_1(D), and
-    # 0.89 times beta_init * sigma_1(D): S_init = 0, after the ARPACK call
+    # max|D| is 1.30 times beta_init times the first Lanczos step's bound on
+    # sigma_1(D), and 0.89 times beta_init * sigma_1(D): S_init = 0, which
+    # the second step proves
     ["synth", "--n", "64", "--rank", "2", "--alpha", "0.1", "--c", "9", "--seed", "17",
      "--output-dir", "synth-fallback"],
     ["solve", "--input", "synth-fallback/D.bin", "--rank", "2", "--gamma", "0.7",
