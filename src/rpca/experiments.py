@@ -13,12 +13,13 @@ from time import perf_counter
 
 import numpy as np
 
+from .kernel import svd_truncated
 from .metrics import recovery_success
 from .solver import (
     RpcaParams,
+    _sparse_part,
     _step,
-    _svd_l_update,
-    _tangent_l_update,
+    _view_of_w,
     accaltproj_solve,
     altproj_solve,
     initialize,
@@ -330,45 +331,69 @@ def run_runtime_experiment(sizes, rank=5, master_seed=0):
 
 
 def _l_update_case(n, rank):
-    """``(state, D, params)`` at the first nonzero S_k of the accelerated solve.
+    """``(L_k, D, S_k, params)`` at the first nonzero S_k of the accelerated solve.
 
     The problem is the runtime harness's (its corrupted fraction and
     amplitude, seed ``_BENCH_SEED``).  ``initialize`` and then the
-    accelerated steps lead to that state; a solve skips the idle steps
+    accelerated steps lead to that state, and S_k is rebuilt from L_k and
+    zeta_k as a solve writes its final S; a solve skips the idle steps
     among them, which this computes, so its S_k agrees to rounding.  A
     problem too small to hold a corrupted entry stops at k = max_iter.
     """
     spec = SyntheticSpec(n, n, rank, _RUNTIME["alpha"], _RUNTIME["amplitude"], _BENCH_SEED)
     problem, params = _problem_and_params(spec)
-    state, _ = initialize(problem.data, params)
-    while not state.sparse.any() and state.k < params.max_iter:
-        state, _ = _step(state, problem.data, params, _tangent_l_update)
-    return state, problem.data, params
+    d = problem.data
+    state, _ = initialize(d, params)
+    sparse = _sparse_part(d, state.low_rank, state.zeta)
+    while not sparse.any() and state.k < params.max_iter:
+        state, _ = _step(state, d, params)
+        _sparse_part(d, state.low_rank, state.zeta, out=sparse)
+    return state.low_rank, d, sparse, params
+
+
+def _accelerated_l_update(low_rank, d, sparse, params):
+    """AccAltProj's L-update from (D, S): trim, U^T W and W V of W = D - S
+    over the row blocks that a solve's sparse pass gathers them in, and the
+    structured truncation.  ``sparse`` is only read."""
+    gather = _view_of_w(low_rank, d.shape, params, tangent=True)
+    buf = np.empty((gather.blocks[0].stop, d.shape[1]))
+    for t in gather.blocks:
+        gather.add(t, np.subtract(d[t], sparse[t], out=buf[: t.stop - t.start]))
+    return gather.truncate()
+
+
+def _baseline_l_update(low_rank, d, sparse, params):
+    """AltProj's L-update from (D, S): the truncated SVD of W = D - S, formed
+    over ``sparse``, its sketch started from V_k."""
+    return svd_truncated(np.subtract(d, sparse, out=sparse), params.rank, low_rank.V)
 
 
 def benchmark_l_updates(n, rank):
     """Mean and median wall seconds of a single L-update, accelerated vs baseline.
 
-    Both of the solvers' L-updates run, as the solvers call them, on the
-    same D and S_k of a seeded synthetic problem (:func:`_l_update_case`):
-    S_k is the first nonzero sparse iterate of the accelerated solve, since
-    at a zero S_k the step would be idle and a solve skips it.  The
-    accelerated update is trim, one row-tiled pass over D - S_k and the
-    factored tangent-space truncation; the baseline forms D - S_k over S_k,
-    as a solve does, and takes its certified truncated SVD
-    (:func:`rpca.kernel.svd_truncated`).  So every call gets the same
-    preallocated buffer, refilled with S_k outside the timer.  The two
-    alternate, one call each per round, so that host drift slows both alike.
+    Both of the solvers' L-updates run whole on the same D, S_k and L_k of a
+    seeded synthetic problem (:func:`_l_update_case`): S_k is the first
+    nonzero sparse iterate of the accelerated solve, since at a zero S_k the
+    step would be idle and a solve skips it.  The accelerated update is
+    trim, the row-blocked products U^T (D - S_k) and (D - S_k) V and the
+    factored tangent-space truncation; a solve forms those products in the
+    sparse pass that builds S_k, and they are timed here all the same.  The
+    baseline forms D - S_k and takes its certified truncated SVD
+    (:func:`rpca.kernel.svd_truncated`), as a solve's sparse pass and
+    L-update do.  It forms D - S_k over its S argument, so every call gets
+    the same preallocated buffer, refilled with S_k outside the timer.  The
+    two alternate, one call each per round, so that host drift slows both
+    alike.
     """
-    state, d, params = _l_update_case(n, rank)
-    sparse = np.empty_like(state.sparse)
-    updates = {"accelerated": _tangent_l_update, "baseline": _svd_l_update}
+    low_rank, d, s_k, params = _l_update_case(n, rank)
+    sparse = np.empty_like(s_k)
+    updates = {"accelerated": _accelerated_l_update, "baseline": _baseline_l_update}
     seconds = {name: [] for name in updates}
     for _ in range(1 + _BENCH_ITERS):  # the first round is a warm-up, dropped below
         for name, l_update in updates.items():
-            np.copyto(sparse, state.sparse)
+            np.copyto(sparse, s_k)
             t0 = perf_counter()
-            l_update(state.low_rank, d, sparse, params)
+            l_update(low_rank, d, sparse, params)
             seconds[name].append(perf_counter() - t0)
     out = {"n": n, "rank": rank, "iters": _BENCH_ITERS, "seed": _BENCH_SEED}
     for name, times in seconds.items():

@@ -129,7 +129,7 @@ def svd_truncated(a, r, start=None):
     q = np.linalg.qr(a @ sketch)[0]
     del sketch  # not kept through the sweeps
     for _ in range(_MAX_SWEEPS):
-        p, core_t = np.linalg.qr(a.T @ q)
+        p, core_t = np.linalg.qr((q.T @ a).T)  # A^T Q, in the layout BLAS runs fast
         ub, s, wb = svd_small(core_t.T)
         u = q @ ub[:, :r]
         ap = a @ p

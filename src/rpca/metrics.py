@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import FactoredLowRank, svd_truncated
-from .solver import _tiled_pass
+from .solver import _row_tiles
 
 __all__ = [
     "RECOVERY_TOL",
@@ -27,18 +27,26 @@ def _dense(a):
 def relative_error(d, low_rank, sparse):
     """Relative residual ||D - L - S||_F / ||D||_F.
 
-    A factored L goes through the row-tiled pass that gives the solvers
-    their stopping metric, so a solution's ``final_err`` is exactly the
-    relative error of its output; a dense L is subtracted whole.
+    A factored L is formed over the row tiles of the solvers' sparse pass,
+    and the squares are summed tile by tile in the same order, so a
+    solution's ``final_err`` is exactly the relative error of its output;
+    a dense L is subtracted whole.
     """
     d = np.asarray(d, dtype=np.float64)
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
         raise ValueError("relative error is undefined for an identically zero matrix")
     sparse = _dense(sparse)
-    if isinstance(low_rank, FactoredLowRank):
-        return float(_tiled_pass(d, low_rank, sparse)[0] / d_norm)
-    return float(np.linalg.norm(d - _dense(low_rank) - sparse) / d_norm)
+    if not isinstance(low_rank, FactoredLowRank):
+        return float(np.linalg.norm(d - _dense(low_rank) - sparse) / d_norm)
+    us, vt = low_rank.U * low_rank.sigma, low_rank.V.T
+    total = 0.0
+    for t in _row_tiles(d.shape):
+        residual = d[t] - us[t] @ vt
+        residual -= sparse[t]
+        flat = residual.ravel()
+        total += float(flat @ flat)
+    return float(np.sqrt(total) / d_norm)
 
 
 def recovery_success(l_true, l_estimate, tol=RECOVERY_TOL):

@@ -11,15 +11,21 @@ threshold.  A plain alternating-projections baseline (full truncated SVD per
 iteration, its sketch started from the previous right factor) is provided
 for comparison.
 
-Each half-iteration reads the m x n operands in one pass over row tiles, so
-no m x n workspace is kept: the L-update of the accelerated solver gathers
-U^T (D - S_k) and (D - S_k) V tile by tile, and the shared sparse update
-builds L_{k+1}, D - L_{k+1}, S_{k+1} and the residual norm tile by tile.
-S_k is dead once the L-update has read it, so ``initialize`` allocates the
-solve's one S buffer and each step advances the state in place, writing
-S_{k+1} over S_k; the baseline first forms D - S_k in that buffer for its
-SVD.  L_0 is that baseline L-update at S_init, as in AltProj.  An iteration
-allocates only tiles and thin factors, and a solve peaks at D plus 1 buffer.
+Each iteration makes one pass over D, and the accelerated loop keeps no
+m x n array.  The L-update reads W_k = D - S_k only through what the
+previous pass handed on, and the sparse pass that follows builds L_{k+1},
+D - L_{k+1}, S_{k+1} = H_zeta(D - L_{k+1}), W_{k+1} = D - S_{k+1} and the
+residual norm over row tiles, with each tile of S in a tile buffer.  For the
+accelerated solver it adds each block of W_{k+1} into U'^T W and W V' at
+(U', V') = trim(L_{k+1}), which depends only on L_{k+1}, so the L-update
+itself is the structured truncation.  The baseline's pass stores W_{k+1} in
+the solve's one m x n array, which its truncated SVD reads.  L_0 is that
+baseline L-update at S_init, as in AltProj, and ``initialize``'s S_0 pass
+feeds the first step the same way.  S itself is written once, after the
+loop, by one more pass with :func:`hard_threshold`: into a new array for
+the accelerated solver, over W_K for the baseline.  So an accelerated solve
+peaks at D plus the returned S, and the baseline at D plus its one array,
+each with row tiles and thin factors.
 
 The schedule starts above every corrupted entry, so a solve usually opens
 with a run of idle iterations.  While every sparse iterate is zero, S_init
@@ -28,19 +34,21 @@ changes only k and zeta: S_{k+1} = H_zeta(D - L_k) stays zero as long as
 zeta_{k+1} >= max|D - L_k|.  The sparse pass records max|D - L| while that
 prefix lasts; once one loop step has taken S_k = 0 to S_{k+1} = 0, each
 following k whose threshold is at least that maximum is advanced without
-computing and logged as a ``skipped`` trace row with its own zeta.  The next
-step whose S would be nonzero runs in full.  The skipped steps would return
-L again up to rounding, not bit for bit: the baseline's truncation starts
-its sketch from V_k, and the accelerated solver projects at L_k, so the
-later zeta and L agree with the fully computed loop to rounding (see
-:func:`_skipped_step`).  ``initialize`` likewise truncates D itself when
-no entry exceeds the first threshold, and its Lanczos run for sigma_1(D),
-which sets that threshold, stops as soon as a lower bound shows this.
+computing, keeping what the last pass handed on, and logged as a
+``skipped`` trace row with its own zeta.  The next step whose S would be
+nonzero runs in full.  The skipped steps would return L again up to
+rounding, not bit for bit: the baseline's truncation starts its sketch from
+V_k, and the accelerated solver projects at L_k, so the later zeta and L
+agree with the fully computed loop to rounding (see :func:`_skipped_step`).
+``initialize`` likewise truncates D itself when no entry exceeds the first
+threshold, and its Lanczos run for sigma_1(D), which sets that threshold,
+stops as soon as a lower bound shows this.
 
 The solver entry points are pure functions of their arguments: D is only
-read, and each solve allocates its own S buffer, so concurrent solves never
+read, and each solve allocates its own arrays, so concurrent solves never
 share mutable state.  States and parameter sets are frozen, but inside a
-solve a state is not a snapshot: the next step writes over its ``sparse``.
+baseline solve a state is not a snapshot: the next step writes over its
+``w``.
 """
 
 from __future__ import annotations
@@ -138,19 +146,23 @@ class RpcaParams:
 class IterationState:
     """Solver state after iteration ``k``.
 
-    ``sigma_window`` holds the singular values (descending) of the matrix
-    whose truncation produced ``low_rank``: the projected residual during the
-    main loop, the thresholded data during initialization.  Where that
-    truncation is :func:`svd_truncated`, the value after the first r is its
-    next Ritz value, a lower bound on sigma_{r+1}.  ``l_update_seconds`` is
-    the wall time of the truncation (0 for a state built by hand or a
-    skipped step).  ``max_abs_dl`` is max|D - L_k| while S_init and every
-    S_j up to S_k are zero, and None once one of them is not (or for a state
-    built by hand); it decides which steps :func:`_solve` may skip.
+    The state holds no S.  S_k is H_zeta(D - L_k) with zeta = ``zeta``, and
+    ``w`` is what the next L-update reads of W_k = D - S_k, as the sparse
+    pass that built S_k handed it on: a ``_Gather`` of U^T W_k and W_k V at
+    the basis trim(L_k) (AccAltProj), or W_k itself in the solve's one m x n
+    array (AltProj).  ``sigma_window`` holds the singular values
+    (descending) of the matrix whose truncation produced ``low_rank``: the
+    projected residual during the main loop, the thresholded data during
+    initialization.  Where that truncation is :func:`svd_truncated`, the
+    value after the first r is its next Ritz value, a lower bound on
+    sigma_{r+1}.  ``l_update_seconds`` is the wall time of the truncation
+    (0 for a skipped step).  ``max_abs_dl`` is max|D - L_k| while S_init and
+    every S_j up to S_k are zero, and None once one of them is not; it
+    decides which steps :func:`_solve` may skip.
     """
 
     low_rank: FactoredLowRank
-    sparse: np.ndarray
+    w: object
     k: int
     zeta: float
     sigma_window: np.ndarray
@@ -291,36 +303,112 @@ def hard_threshold(z, zeta, out=None):
     return out
 
 
-def _tiled_pass(d, low, sparse, zeta=None, track_max=False):
-    """||D - L - S||_F with L = ``low``, in one pass over row tiles of D.
+class _Gather:
+    """U^T W and W V at a basis (U, V) of the rank-r iterate, summed over row blocks of W.
 
-    Each tile of L is formed from the factors, subtracted from D, and, with
-    ``zeta``, thresholded into the same rows of ``sparse``: the sparse
-    update S = H_zeta(D - L), which does not read what ``sparse`` held.
-    Then S is subtracted and the squares are summed.  Without ``zeta``,
-    ``sparse`` is only read.  One tile buffer is allocated.
+    This is all that AccAltProj's L-update reads of W = D - S.  A block is
+    at least 4r rows: U_t^T W_t has the block height as its inner
+    dimension, and BLAS runs such a product poorly when that is small next
+    to r.  The sums are complete once every block has been added, in order.
+    """
 
-    Returns ``(norm, max_abs_dl)``: with ``track_max``, max|D - L| while the
-    S written is zero (max|D - L| <= zeta), else None.
+    def __init__(self, basis, shape):
+        r = basis.rank
+        self.basis = basis
+        self.blocks = _row_tiles(shape, floor=4 * r)
+        self.utw = np.zeros((r, shape[1]))
+        self.wv = np.empty((shape[0], r))
+
+    def add(self, block, w):
+        """Add the rows ``block`` of W, given as ``w``."""
+        self.utw += self.basis.U[block].T @ w
+        np.matmul(w, self.basis.V, out=self.wv[block])
+
+    def truncate(self):
+        """The L-update: the structured truncation of the projection of W."""
+        return structured_truncate(self.basis, self.utw, self.wv)
+
+
+def _view_of_w(low, shape, params, tangent, buffer=None):
+    """Where the sparse pass at ``low`` hands W = D - S on to the next L-update.
+
+    AccAltProj (``tangent``) reads W through a new :class:`_Gather` at
+    trim(``low``), which depends only on ``low`` and so is known before the
+    pass.  AltProj reads W whole, from ``buffer``, the solve's one m x n
+    array, allocated here when there is none yet; a tangent view ignores it.
+    """
+    if tangent:
+        return _Gather(trim(low, params.mu) if params.trim_enabled else low, shape)
+    return np.empty(shape) if buffer is None else buffer
+
+
+def _tiled_pass(d, low, zeta, w, track_max=False):
+    """S = H_zeta(D - L) with L = ``low``, in one pass over row tiles of D.
+
+    Each tile of L is formed from the factors and subtracted from D, and its
+    tile of S is thresholded from that into the rows of W that ``w`` takes,
+    then turned in place into W = D - S.  S is never stored whole.  ``w`` is
+    the m x n W itself (AltProj), or a :class:`_Gather` (AccAltProj), whose
+    rows of W collect in a block buffer until they complete one of its
+    blocks, which it then gets; the rows past that block move to the front
+    of the buffer.  The tiles are those of :func:`_row_tiles` either way, so
+    S, W and the norm do not depend on the blocks.  The part of D - L that S
+    did not take gives ||D - L - S||_F.  The tile of S skips
+    :func:`hard_threshold`'s +0.0: no output reads the sign of its zeros.
+
+    Returns ``(norm, max_abs_dl)``: with ``track_max``, max|D - L| while S is
+    zero (max|D - L| <= zeta), else None.
     """
     us, vt = low.U * low.sigma, low.V.T
     tiles = _row_tiles(d.shape)
     buf = np.empty((tiles[0].stop, d.shape[1]))
+    pending, first = [], 0  # the gather's blocks still to come; the first row in w
+    if isinstance(w, _Gather):
+        gather, pending = w, list(w.blocks)
+        # a block is at least a tile high, so w never holds more rows than this
+        w = np.empty((pending[0].stop + tiles[0].stop, d.shape[1]))
     total, max_abs_dl = 0.0, 0.0
     for t in tiles:
         residual = np.matmul(us[t], vt, out=buf[: t.stop - t.start])
         np.subtract(d[t], residual, out=residual)
         if track_max:
             max_abs_dl = max(max_abs_dl, float(residual.max()), -float(residual.min()))
-        if zeta is not None:
-            hard_threshold(residual, zeta, out=sparse[t])
-        residual -= sparse[t]
+        s = w[t.start - first : t.stop - first]
+        np.abs(residual, out=s)
+        np.greater(s, zeta, out=s)
+        s *= residual
+        residual -= s
+        np.subtract(d[t], s, out=s)  # W = D - S over its tile of S
         flat = residual.ravel()
         total += float(flat @ flat)
+        while pending and pending[0].stop <= t.stop:
+            block = pending.pop(0)
+            height, left = block.stop - block.start, t.stop - block.stop
+            gather.add(block, w[:height])
+            w[:left] = w[height : height + left]
+            first = block.stop
     return math.sqrt(total), (max_abs_dl if track_max and max_abs_dl <= zeta else None)
 
 
-def initialize(d, params):
+def _sparse_part(d, low, zeta, out=None):
+    """S = H_zeta(D - L) with L = ``low``, written into ``out`` (new when None).
+
+    The tiles and the thresholding are those of the sparse pass, with
+    :func:`hard_threshold` itself, so S is the pass's S bit for bit, with
+    +0.0 for each dropped entry.  One tile buffer is allocated.
+    """
+    us, vt = low.U * low.sigma, low.V.T
+    tiles = _row_tiles(d.shape)
+    buf = np.empty((tiles[0].stop, d.shape[1]))
+    out = np.empty(d.shape) if out is None else out
+    for t in tiles:
+        dl = np.matmul(us[t], vt, out=buf[: t.stop - t.start])
+        np.subtract(d[t], dl, out=dl)
+        hard_threshold(dl, zeta, out=out[t])
+    return out
+
+
+def initialize(d, params, tangent=True):
     """Build (L_0, S_0) by two projection steps from scratch.
 
     First D is thresholded at beta_init * sigma_1(D) to strip the largest
@@ -333,11 +421,11 @@ def initialize(d, params):
     (:func:`spectral_norm`) stops as soon as its lower bound on sigma_1(D)
     reaches max|D| / beta_init, which proves this; its first step, two
     matrix-vector products, usually does.  Only a certified sigma_1(D)
-    says otherwise, and D is then thresholded at beta_init times it.  The
-    solve's one m x n array is allocated after the Lanczos vectors are
-    freed: it holds S_init, then D - S_init, which the L-update forms over
-    it, then S_0.  Either way :func:`_tiled_pass`, the sparse update of
-    every loop step, writes S_0.
+    says otherwise, and D is then thresholded at beta_init times it, into
+    an m x n array that the L-update forms D - S_init over.  S_0 comes
+    from :func:`_tiled_pass`, the sparse pass of every loop step, which
+    hands W_0 = D - S_0 on to the first L-update: AccAltProj's
+    (``tangent``, the default) or AltProj's, whose W_0 reuses that array.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d``, a non-empty finite float64
@@ -348,69 +436,50 @@ def initialize(d, params):
     level = max_abs_d / params.beta_init
     sigma_1 = spectral_norm(d, level)
     idle = sigma_1 >= level
-    sparse = np.empty(d.shape)
-    if not idle:
-        hard_threshold(d, params.beta_init * sigma_1, out=sparse)  # S_init
+    buffer = None if idle else hard_threshold(d, params.beta_init * sigma_1)  # S_init
     t0 = perf_counter()
-    low, window = svd_truncated(d, params.rank) if idle else _svd_l_update(None, d, sparse, params)
+    if idle:
+        low, window = svd_truncated(d, params.rank)
+    else:
+        low, window = svd_truncated(np.subtract(d, buffer, out=buffer), params.rank)
     l_seconds = perf_counter() - t0
     zeta_0 = params.beta * float(low.sigma[0])
-    # S_0 goes into the buffer; the truncation has finished reading W
-    residual_norm, max_abs_dl = _tiled_pass(d, low, sparse, zeta_0, track_max=idle)
-    state = IterationState(low, sparse, 0, zeta_0, window, l_seconds, max_abs_dl)
+    w = _view_of_w(low, d.shape, params, tangent, buffer)
+    del buffer  # AccAltProj is done with D - S_init
+    residual_norm, max_abs_dl = _tiled_pass(d, low, zeta_0, w, track_max=idle)
+    state = IterationState(low, w, 0, zeta_0, window, l_seconds, max_abs_dl)
     return state, residual_norm
 
 
-def _tangent_l_update(low_rank, d, sparse, params):
-    """AccAltProj: trim, then truncate the tangent-space projection of W = D - S.
+def _step(state, d, params):
+    """One iteration: L-update, next threshold, sparse pass.
 
-    U^T W and W V are summed over row tiles, so W is never formed and
-    ``sparse`` is only read.  A tile is at least 4r rows high: U_t^T W_t has
-    the tile height as its inner dimension, and BLAS runs such a product
-    poorly when that is small next to r.
-    """
-    basis = trim(low_rank, params.mu) if params.trim_enabled else low_rank
-    u, v = basis.U, basis.V
-    r, n = basis.rank, d.shape[1]
-    tiles = _row_tiles(d.shape, floor=4 * r)
-    buf = np.empty((tiles[0].stop, n))
-    utw = np.zeros((r, n))
-    wv = np.empty((d.shape[0], r))
-    for t in tiles:
-        w = np.subtract(d[t], sparse[t], out=buf[: t.stop - t.start])
-        utw += u[t].T @ w
-        np.matmul(w, v, out=wv[t])
-    return structured_truncate(basis, utw, wv)
-
-
-def _svd_l_update(low_rank, d, sparse, params):
-    # AltProj: truncated SVD of the whole W = D - S, formed over S, which is
-    # dead once W is formed.  The sketch starts from V_k when there is an L_k.
-    start = None if low_rank is None else low_rank.V
-    return svd_truncated(np.subtract(d, sparse, out=sparse), params.rank, start)
-
-
-def _step(state, d, params, l_update):
-    """One iteration: L-update, next threshold, sparse update, in place.
-
-    ``l_update(low_rank, D, S_k, params)`` returns the next low-rank iterate
-    and its singular-value window from W = D - S_k; it may write over S_k.
-    The sparse pass :func:`_tiled_pass` then writes S_{k+1} over
-    ``state.sparse``, so the input state's ``sparse`` is spent; a caller
-    that keeps it steps a copy.  ``d`` is only read.
+    The L-update reads what the previous sparse pass handed on of
+    W_k = D - S_k (``state.w``): AccAltProj truncates the tangent-space
+    projection at trim(L_k) from the gathered U^T W_k and W_k V, and
+    AltProj takes the truncated SVD of W_k, its sketch started from V_k.
+    The sparse pass :func:`_tiled_pass` then builds S_{k+1} tile by tile
+    and hands W_{k+1} on the same way, into a new gather at trim(L_{k+1})
+    or over W_k in the solve's buffer, so an AltProj input state's ``w`` is
+    spent.  ``d`` is only read.
 
     Returns ``(state, residual_norm)`` with residual_norm =
     ||D - L_{k+1} - S_{k+1}||_F.  max|D - L_{k+1}| is tracked while the
     input state tracks it (see :class:`IterationState`).
     """
+    tangent = isinstance(state.w, _Gather)
     t0 = perf_counter()
-    low, window = l_update(state.low_rank, d, state.sparse, params)
+    if tangent:
+        low, window = state.w.truncate()
+    else:
+        low, window = svd_truncated(state.w, params.rank, state.low_rank.V)
     l_seconds = perf_counter() - t0
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
+    w = _view_of_w(low, d.shape, params, tangent, state.w)
     residual_norm, max_abs_dl = _tiled_pass(
-        d, low, state.sparse, zeta, track_max=state.max_abs_dl is not None
+        d, low, zeta, w, track_max=state.max_abs_dl is not None
     )
-    state = IterationState(low, state.sparse, state.k + 1, zeta, window, l_seconds, max_abs_dl)
+    state = IterationState(low, w, state.k + 1, zeta, window, l_seconds, max_abs_dl)
     return state, residual_norm
 
 
@@ -434,7 +503,7 @@ def _skipped_step(state, params):
     zeta = threshold_value(state.sigma_window, params.rank, params.beta, params.gamma, state.k)
     if zeta < state.max_abs_dl:
         return None
-    return replace(state, k=state.k + 1, zeta=zeta, l_update_seconds=0.0)
+    return replace(state, k=state.k + 1, zeta=zeta, l_update_seconds=0.0)  # w stays valid
 
 
 def _record(state, err, iter_seconds, skipped=False):
@@ -457,11 +526,11 @@ def _checked_norm(d):
     return d_norm
 
 
-def _solve(d, params, l_update):
+def _solve(d, params, tangent):
     d = ensure_matrix(d, "D")
     d_norm = _checked_norm(d)
     t0 = perf_counter()
-    state, residual_norm = initialize(d, params)
+    state, residual_norm = initialize(d, params, tangent)
     err = residual_norm / d_norm
     trace = [_record(state, err, perf_counter() - t0)]
     while err >= params.epsilon and state.k < params.max_iter:
@@ -470,10 +539,14 @@ def _solve(d, params, l_update):
             trace.append(_record(state, err, 0.0, skipped=True))
             continue
         t0 = perf_counter()
-        state, residual_norm = _step(state, d, params, l_update)
+        state, residual_norm = _step(state, d, params)
         err = residual_norm / d_norm
         trace.append(_record(state, err, perf_counter() - t0))
-    return RpcaSolution(state.low_rank, state.sparse, trace, converged=bool(err < params.epsilon))
+    # S_K, written once, over AltProj's W_K; the gathered products are dead
+    low, zeta, buffer = state.low_rank, state.zeta, None if tangent else state.w
+    del state
+    sparse = _sparse_part(d, low, zeta, out=buffer)
+    return RpcaSolution(low, sparse, trace, converged=bool(err < params.epsilon))
 
 
 def accaltproj_solve(d, params):
@@ -483,7 +556,7 @@ def accaltproj_solve(d, params):
     below ``params.epsilon`` or ``params.max_iter`` iterations have run.
     Deterministic for fixed inputs.
     """
-    return _solve(d, params, _tangent_l_update)
+    return _solve(d, params, tangent=True)
 
 
 def altproj_solve(d, params):
@@ -494,4 +567,4 @@ def altproj_solve(d, params):
     applies the same threshold schedule, driven by the singular values of
     D - S_k, with the same stopping rule as :func:`accaltproj_solve`.
     """
-    return _solve(d, params, _svd_l_update)
+    return _solve(d, params, tangent=False)

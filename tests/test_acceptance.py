@@ -27,7 +27,7 @@ from rpca.solver import (
 )
 from rpca.synthetic import SyntheticSpec, generate
 from test_experiments import alternated_l_update_medians
-from test_solver import desk_params, random_factored, tangent_project
+from test_solver import desk_params, random_factored, sparse_of, tangent_project
 
 # Desk-scale protocol: n = 200 with the slow threshold decay (gamma = 0.7,
 # from the published parameter family); at this size the faster published
@@ -134,10 +134,11 @@ def test_criterion_4_initialization_on_exact_low_rank():
             s_first = hard_threshold(d, params.beta_init * spectral_norm(d))
             assert np.count_nonzero(s_first) == 0
             state, _ = initialize(d, params)
-            assert np.count_nonzero(state.sparse) == 0
+            sparse = sparse_of(state, d)
+            assert np.count_nonzero(sparse) == 0
             gap = np.linalg.norm(state.low_rank.matrix() - d) / np.linalg.norm(d)
             assert gap <= 1e-12
-            assert relative_error(d, state.low_rank.matrix(), state.sparse) <= 1e-12
+            assert relative_error(d, state.low_rank.matrix(), sparse) <= 1e-12
 
 
 def test_criterion_5_tangent_projection_norm_bound():

@@ -16,7 +16,7 @@ from rpca.experiments import (
     run_runtime_experiment,
     trial_seed,
 )
-from rpca.solver import _step, _svd_l_update, _tangent_l_update, accaltproj_solve, initialize
+from rpca.solver import _sparse_part, _step, accaltproj_solve, initialize
 from rpca.synthetic import SyntheticSpec
 
 
@@ -32,15 +32,12 @@ def alternated_l_update_medians(shapes, calls=20):
     call the update once per shape in turn, so host drift slows every shape
     alike.
     """
-    cases = []
-    for n, rank in shapes:
-        state, d, params = rpca.experiments._l_update_case(n, rank)
-        cases.append((state.low_rank, d, state.sparse, params))
+    cases = [rpca.experiments._l_update_case(n, rank) for n, rank in shapes]
     seconds = [[] for _ in cases]
     for round_index in range(calls + 1):
         for case, times in zip(cases, seconds):
             t0 = perf_counter()
-            _tangent_l_update(*case)
+            rpca.experiments._accelerated_l_update(*case)
             if round_index:
                 times.append(perf_counter() - t0)
     return [float(np.median(times)) for times in seconds]
@@ -249,29 +246,30 @@ class TestBenchmark:
 
     def test_every_baseline_call_reads_the_first_nonzero_s_k(self, monkeypatch):
         # Both updates are timed at the first nonzero S_k of the accelerated
-        # solve (S_0 is zero on the benchmark's problems, an idle step).  The
-        # baseline forms D - S_k over its S argument, as a solve does, so
-        # S_k must be put back before every call.
+        # solve (S_0 is zero on the benchmark's problems, an idle step).  A
+        # state holds no S, so each S_j is rebuilt from (L_j, zeta_j) as a
+        # solve writes its final S.  The baseline forms D - S_k over its S
+        # argument, as a solve does, so S_k must be put back before every call.
         iterates, seen = [], []
 
         def recording_initialize(d, params):
             state, residual_norm = initialize(d, params)
-            iterates.append(state.sparse.copy())
+            iterates.append(_sparse_part(d, state.low_rank, state.zeta))
             return state, residual_norm
 
-        def recording_step(state, d, params, l_update):
-            assert l_update is _tangent_l_update
-            state, residual_norm = _step(state, d, params, l_update)
-            iterates.append(state.sparse.copy())
+        def recording_step(state, d, params):
+            state, residual_norm = _step(state, d, params)
+            iterates.append(_sparse_part(d, state.low_rank, state.zeta))
             return state, residual_norm
 
-        def recording_svd_l_update(low_rank, d, sparse, params):
+        def recording_baseline(low_rank, d, sparse, params):
             seen.append(sparse.copy())
-            return _svd_l_update(low_rank, d, sparse, params)
+            return baseline(low_rank, d, sparse, params)
 
+        baseline = rpca.experiments._baseline_l_update
         monkeypatch.setattr(rpca.experiments, "initialize", recording_initialize)
         monkeypatch.setattr(rpca.experiments, "_step", recording_step)
-        monkeypatch.setattr(rpca.experiments, "_svd_l_update", recording_svd_l_update)
+        monkeypatch.setattr(rpca.experiments, "_baseline_l_update", recording_baseline)
         out = benchmark_l_updates(100, 3)
         assert len(iterates) >= 2  # S_0 is zero here, so at least one step ran
         assert not any(s.any() for s in iterates[:-1])

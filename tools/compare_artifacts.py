@@ -44,7 +44,11 @@ Each side must import ``rpca`` from its own tree.  Every ``.bin`` and
 ``seconds``) are removed; commands name their files relative to the output
 directory, so input paths match.  The exit codes of the commands are
 compared too.  One line is printed per file, and the exit status is 1 if any
-file differs.
+file differs.  A differing line says how far the two differ: for a matrix
+file, the largest entrywise difference relative to the largest entry of
+REV's matrix, and whether the nonzero supports match; for a ``trace.json``,
+whether ``iterations`` and ``converged`` match, and the largest relative
+move of ``err``.
 
 Trim fires in every accelerated ``solve`` that measures ``mu`` on its input
 (no ``--mu``): ``solve``, ``solve-csv``, ``solve-spiked``, ``solve-fallback``,
@@ -68,7 +72,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+from rpca.matio import read_matrix  # noqa: E402  (the working tree's reader)
 
 GRIDS = {
     # acceptance criterion 7
@@ -203,6 +211,27 @@ def comparable(path):
     return path.read_bytes()
 
 
+def how_far(first, second):
+    """How far two differing artifacts differ, or "" for a kind not described."""
+    if first.suffix in (".bin", ".csv") and first.name != "report.csv":
+        a, b = read_matrix(first), read_matrix(second)
+        if a.shape != b.shape:
+            return f"shape {a.shape} vs {b.shape}"
+        rel = float(np.abs(a - b).max()) / max(float(np.abs(a).max()), np.finfo(float).tiny)
+        support = "same" if np.array_equal(a != 0.0, b != 0.0) else "differs"
+        return f"max rel diff {rel:.2g}, support {support}"
+    if first.name == "trace.json":
+        a, b = (json.loads(path.read_text()) for path in (first, second))
+        keys = ("iterations", "converged")
+        equal = ", ".join(f"{key} {'equal' if a[key] == b[key] else 'differ'}" for key in keys)
+        errs = [np.asarray(t["trace"]["err"], dtype=float) for t in (a, b)]
+        if errs[0].shape != errs[1].shape:
+            return equal
+        moved = np.abs(errs[0] - errs[1]) / np.maximum(np.abs(errs[0]), np.finfo(float).tiny)
+        return f"{equal}, err moves by at most {float(moved.max(initial=0.0)):.2g} relative"
+    return ""
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
@@ -220,14 +249,16 @@ def main(argv=None):
         names = sorted(files[0] | files[1])
         differ = 0
         for name in names:
+            note = ""
             if name not in files[0] or name not in files[1]:
                 verdict = f"only in {'the working tree' if name in files[1] else args.rev}"
             elif comparable(outputs[0] / name) == comparable(outputs[1] / name):
                 verdict = "identical"
             else:
                 verdict = "DIFFERS"
+                note = how_far(outputs[0] / name, outputs[1] / name)
             differ += verdict != "identical"
-            print(f"{verdict:<24} {name}")
+            print(f"{verdict:<24} {name}" + (f"  ({note})" if note else ""))
     print(f"{differ} of {len(names)} files differ")
     return 1 if differ else 0
 
