@@ -17,9 +17,9 @@ from .kernel import svd_truncated
 from .metrics import recovery_success
 from .solver import (
     RpcaParams,
+    _Gather,
     _sparse_part,
     _step,
-    _view_of_w,
     accaltproj_solve,
     altproj_solve,
     initialize,
@@ -347,7 +347,7 @@ def _l_update_case(n, rank):
     sparse = _sparse_part(d, state.low_rank, state.zeta)
     while not sparse.any() and state.k < params.max_iter:
         state, _ = _step(state, d, params)
-        _sparse_part(d, state.low_rank, state.zeta, out=sparse)
+        sparse = _sparse_part(d, state.low_rank, state.zeta)
     return state.low_rank, d, sparse, params
 
 
@@ -355,7 +355,7 @@ def _accelerated_l_update(low_rank, d, sparse, params):
     """AccAltProj's L-update from (D, S): trim, U^T W and W V of W = D - S
     over the row blocks that a solve's sparse pass gathers them in, and the
     structured truncation.  ``sparse`` is only read."""
-    gather = _view_of_w(low_rank, d.shape, params, tangent=True)
+    gather = _Gather(low_rank, d.shape, params)
     buf = np.empty((gather.blocks[0].stop, d.shape[1]))
     for t in gather.blocks:
         gather.add(t, np.subtract(d[t], sparse[t], out=buf[: t.stop - t.start]))

@@ -136,6 +136,7 @@ def svd_truncated(a, r, start=None):
         residual = np.linalg.norm(ap @ wb[:, :r] - u * s[:r], axis=0)
         if (residual <= _CERTIFY_RTOL * s[0]).all():
             return FactoredLowRank(u, s[:r].copy(), p @ wb[:, :r]), s[: r + 1].copy()
+        del q, p, u  # not kept through the QR that starts the next sweep
         q = np.linalg.qr(ap)[0]
     u, s, v = svd_small(a)
     return FactoredLowRank(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()), s[: r + 1].copy()

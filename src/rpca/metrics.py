@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import FactoredLowRank, svd_truncated
-from .solver import _row_tiles
+from .solver import _residual_tiles
 
 __all__ = [
     "RECOVERY_TOL",
@@ -39,10 +39,8 @@ def relative_error(d, low_rank, sparse):
     sparse = _dense(sparse)
     if not isinstance(low_rank, FactoredLowRank):
         return float(np.linalg.norm(d - _dense(low_rank) - sparse) / d_norm)
-    us, vt = low_rank.U * low_rank.sigma, low_rank.V.T
     total = 0.0
-    for t in _row_tiles(d.shape):
-        residual = d[t] - us[t] @ vt
+    for t, residual in _residual_tiles(d, low_rank):
         residual -= sparse[t]
         flat = residual.ravel()
         total += float(flat @ flat)

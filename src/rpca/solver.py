@@ -22,10 +22,11 @@ itself is the structured truncation.  The baseline's pass stores W_{k+1} in
 the solve's one m x n array, which its truncated SVD reads.  L_0 is that
 baseline L-update at S_init, as in AltProj, and ``initialize``'s S_0 pass
 feeds the first step the same way.  S itself is written once, after the
-loop, by one more pass with :func:`hard_threshold`: into a new array for
-the accelerated solver, over W_K for the baseline.  So an accelerated solve
-peaks at D plus the returned S, and the baseline at D plus its one array,
-each with row tiles and thin factors.
+loop, by one more pass with :func:`hard_threshold`, into a new array that is
+allocated once the last state, and with it the baseline's W_K, is dropped.
+So an accelerated solve peaks at D plus the returned S, and the baseline at
+D plus its one array, each with row tiles and thin factors.  Every pass
+forms D - L tile by tile in one place, :func:`_residual_tiles`.
 
 The schedule starts above every corrupted entry, so a solve usually opens
 with a run of idle iterations.  While every sparse iterate is zero, S_init
@@ -150,15 +151,15 @@ class IterationState:
     ``w`` is what the next L-update reads of W_k = D - S_k, as the sparse
     pass that built S_k handed it on: a ``_Gather`` of U^T W_k and W_k V at
     the basis trim(L_k) (AccAltProj), or W_k itself in the solve's one m x n
-    array (AltProj).  ``sigma_window`` holds the singular values
-    (descending) of the matrix whose truncation produced ``low_rank``: the
-    projected residual during the main loop, the thresholded data during
-    initialization.  Where that truncation is :func:`svd_truncated`, the
-    value after the first r is its next Ritz value, a lower bound on
-    sigma_{r+1}.  ``l_update_seconds`` is the wall time of the truncation
-    (0 for a skipped step).  ``max_abs_dl`` is max|D - L_k| while S_init and
-    every S_j up to S_k are zero, and None once one of them is not; it
-    decides which steps :func:`_solve` may skip.
+    array (AltProj), freed with the last state before S is returned.
+    ``sigma_window`` holds the singular values (descending) of the matrix
+    whose truncation produced ``low_rank``: the projected residual during
+    the main loop, the thresholded data during initialization.  Where that
+    truncation is :func:`svd_truncated`, the value after the first r is its
+    next Ritz value, a lower bound on sigma_{r+1}.  ``l_update_seconds`` is
+    the wall time of the truncation (0 for a skipped step).  ``max_abs_dl``
+    is max|D - L_k| while S_init and every S_j up to S_k are zero, and None
+    once one of them is not; it decides which steps :func:`_solve` may skip.
     """
 
     low_rank: FactoredLowRank
@@ -304,15 +305,17 @@ def hard_threshold(z, zeta, out=None):
 
 
 class _Gather:
-    """U^T W and W V at a basis (U, V) of the rank-r iterate, summed over row blocks of W.
+    """U^T W and W V at the basis trim(L) of the iterate L, summed over row blocks of W.
 
-    This is all that AccAltProj's L-update reads of W = D - S.  A block is
-    at least 4r rows: U_t^T W_t has the block height as its inner
-    dimension, and BLAS runs such a product poorly when that is small next
-    to r.  The sums are complete once every block has been added, in order.
+    This is all that AccAltProj's L-update reads of W = D - S.  The basis
+    is L itself when ``params.trim_enabled`` is False.  A block is at least
+    4r rows: U_t^T W_t has the block height as its inner dimension, and BLAS
+    runs such a product poorly when that is small next to r.  The sums are
+    complete once every block has been added, in order.
     """
 
-    def __init__(self, basis, shape):
+    def __init__(self, low, shape, params):
+        basis = trim(low, params.mu) if params.trim_enabled else low
         r = basis.rank
         self.basis = basis
         self.blocks = _row_tiles(shape, floor=4 * r)
@@ -329,48 +332,51 @@ class _Gather:
         return structured_truncate(self.basis, self.utw, self.wv)
 
 
-def _view_of_w(low, shape, params, tangent, buffer=None):
-    """Where the sparse pass at ``low`` hands W = D - S on to the next L-update.
+def _residual_tiles(d, low):
+    """An iterator of ``(t, D_t - L_t)`` over the row tiles of :func:`_row_tiles`, L = ``low``.
 
-    AccAltProj (``tangent``) reads W through a new :class:`_Gather` at
-    trim(``low``), which depends only on ``low`` and so is known before the
-    pass.  AltProj reads W whole, from ``buffer``, the solve's one m x n
-    array, allocated here when there is none yet; a tangent view ignores it.
+    Each tile of L is formed from the factors into one reused tile buffer
+    and subtracted from D there; the receiver may write over it.  The buffer
+    is allocated by this call, before a pass allocates its own: the other
+    order made a gathering pass 4-6% slower at n = 1000 and 2000 (1 BLAS
+    thread, 2 cores).
     """
-    if tangent:
-        return _Gather(trim(low, params.mu) if params.trim_enabled else low, shape)
-    return np.empty(shape) if buffer is None else buffer
+    us, vt = low.U * low.sigma, low.V.T
+    tiles = _row_tiles(d.shape)
+    buf = np.empty((tiles[0].stop, d.shape[1]))
+
+    def residual(t):
+        dl = np.matmul(us[t], vt, out=buf[: t.stop - t.start])
+        return t, np.subtract(d[t], dl, out=dl)
+
+    return map(residual, tiles)
 
 
 def _tiled_pass(d, low, zeta, w, track_max=False):
     """S = H_zeta(D - L) with L = ``low``, in one pass over row tiles of D.
 
-    Each tile of L is formed from the factors and subtracted from D, and its
-    tile of S is thresholded from that into the rows of W that ``w`` takes,
-    then turned in place into W = D - S.  S is never stored whole.  ``w`` is
-    the m x n W itself (AltProj), or a :class:`_Gather` (AccAltProj), whose
-    rows of W collect in a block buffer until they complete one of its
-    blocks, which it then gets; the rows past that block move to the front
-    of the buffer.  The tiles are those of :func:`_row_tiles` either way, so
-    S, W and the norm do not depend on the blocks.  The part of D - L that S
-    did not take gives ||D - L - S||_F.  The tile of S skips
-    :func:`hard_threshold`'s +0.0: no output reads the sign of its zeros.
+    Each tile of D - L (:func:`_residual_tiles`) has its tile of S
+    thresholded from it into the rows of W that ``w`` takes, then turned in
+    place into W = D - S.  S is never stored whole.  ``w`` is the m x n W
+    itself (AltProj), or a :class:`_Gather` (AccAltProj), whose rows of W
+    collect in a block buffer until they complete one of its blocks, which
+    it then gets; the rows past that block move to the front of the buffer.
+    The tiles are the same either way, so S, W and the norm do not depend on
+    the blocks.  The part of D - L that S did not take gives
+    ||D - L - S||_F.  The tile of S skips :func:`hard_threshold`'s +0.0: no
+    output reads the sign of its zeros.
 
     Returns ``(norm, max_abs_dl)``: with ``track_max``, max|D - L| while S is
     zero (max|D - L| <= zeta), else None.
     """
-    us, vt = low.U * low.sigma, low.V.T
-    tiles = _row_tiles(d.shape)
-    buf = np.empty((tiles[0].stop, d.shape[1]))
+    residuals = _residual_tiles(d, low)
     pending, first = [], 0  # the gather's blocks still to come; the first row in w
     if isinstance(w, _Gather):
         gather, pending = w, list(w.blocks)
         # a block is at least a tile high, so w never holds more rows than this
-        w = np.empty((pending[0].stop + tiles[0].stop, d.shape[1]))
+        w = np.empty((pending[0].stop + _row_tiles(d.shape)[0].stop, d.shape[1]))
     total, max_abs_dl = 0.0, 0.0
-    for t in tiles:
-        residual = np.matmul(us[t], vt, out=buf[: t.stop - t.start])
-        np.subtract(d[t], residual, out=residual)
+    for t, residual in residuals:
         if track_max:
             max_abs_dl = max(max_abs_dl, float(residual.max()), -float(residual.min()))
         s = w[t.start - first : t.stop - first]
@@ -390,22 +396,17 @@ def _tiled_pass(d, low, zeta, w, track_max=False):
     return math.sqrt(total), (max_abs_dl if track_max and max_abs_dl <= zeta else None)
 
 
-def _sparse_part(d, low, zeta, out=None):
-    """S = H_zeta(D - L) with L = ``low``, written into ``out`` (new when None).
+def _sparse_part(d, low, zeta):
+    """S = H_zeta(D - L) with L = ``low``, as a new m x n array.
 
     The tiles and the thresholding are those of the sparse pass, with
     :func:`hard_threshold` itself, so S is the pass's S bit for bit, with
-    +0.0 for each dropped entry.  One tile buffer is allocated.
+    +0.0 for each dropped entry.  One tile buffer is allocated besides.
     """
-    us, vt = low.U * low.sigma, low.V.T
-    tiles = _row_tiles(d.shape)
-    buf = np.empty((tiles[0].stop, d.shape[1]))
-    out = np.empty(d.shape) if out is None else out
-    for t in tiles:
-        dl = np.matmul(us[t], vt, out=buf[: t.stop - t.start])
-        np.subtract(d[t], dl, out=dl)
-        hard_threshold(dl, zeta, out=out[t])
-    return out
+    sparse = np.empty(d.shape)
+    for t, residual in _residual_tiles(d, low):
+        hard_threshold(residual, zeta, out=sparse[t])
+    return sparse
 
 
 def initialize(d, params, tangent=True):
@@ -425,7 +426,8 @@ def initialize(d, params, tangent=True):
     an m x n array that the L-update forms D - S_init over.  S_0 comes
     from :func:`_tiled_pass`, the sparse pass of every loop step, which
     hands W_0 = D - S_0 on to the first L-update: AccAltProj's
-    (``tangent``, the default) or AltProj's, whose W_0 reuses that array.
+    (``tangent``, the default) or AltProj's, whose W_0 is the solve's one
+    m x n array, allocated once D - S_init is freed.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d``, a non-empty finite float64
@@ -436,16 +438,13 @@ def initialize(d, params, tangent=True):
     level = max_abs_d / params.beta_init
     sigma_1 = spectral_norm(d, level)
     idle = sigma_1 >= level
-    buffer = None if idle else hard_threshold(d, params.beta_init * sigma_1)  # S_init
+    s_init = None if idle else hard_threshold(d, params.beta_init * sigma_1)
     t0 = perf_counter()
-    if idle:
-        low, window = svd_truncated(d, params.rank)
-    else:
-        low, window = svd_truncated(np.subtract(d, buffer, out=buffer), params.rank)
+    low, window = svd_truncated(d if idle else np.subtract(d, s_init, out=s_init), params.rank)
     l_seconds = perf_counter() - t0
+    del s_init  # D - S_init, read by the truncation only
     zeta_0 = params.beta * float(low.sigma[0])
-    w = _view_of_w(low, d.shape, params, tangent, buffer)
-    del buffer  # AccAltProj is done with D - S_init
+    w = _Gather(low, d.shape, params) if tangent else np.empty(d.shape)
     residual_norm, max_abs_dl = _tiled_pass(d, low, zeta_0, w, track_max=idle)
     state = IterationState(low, w, 0, zeta_0, window, l_seconds, max_abs_dl)
     return state, residual_norm
@@ -475,7 +474,7 @@ def _step(state, d, params):
         low, window = svd_truncated(state.w, params.rank, state.low_rank.V)
     l_seconds = perf_counter() - t0
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
-    w = _view_of_w(low, d.shape, params, tangent, state.w)
+    w = _Gather(low, d.shape, params) if tangent else state.w
     residual_norm, max_abs_dl = _tiled_pass(
         d, low, zeta, w, track_max=state.max_abs_dl is not None
     )
@@ -542,10 +541,10 @@ def _solve(d, params, tangent):
         state, residual_norm = _step(state, d, params)
         err = residual_norm / d_norm
         trace.append(_record(state, err, perf_counter() - t0))
-    # S_K, written once, over AltProj's W_K; the gathered products are dead
-    low, zeta, buffer = state.low_rank, state.zeta, None if tangent else state.w
-    del state
-    sparse = _sparse_part(d, low, zeta, out=buffer)
+    # S_K, written once; the last state (``skipped`` too) holds AltProj's W_K: drop it first
+    low, zeta = state.low_rank, state.zeta
+    state = skipped = None
+    sparse = _sparse_part(d, low, zeta)
     return RpcaSolution(low, sparse, trace, converged=bool(err < params.epsilon))
 
 

@@ -208,7 +208,7 @@ class TestSolveCommand:
     def test_peak_memory_is_two_buffers_with_the_read(self, tmp_path, solver, bound):
         # Peak of the whole command above what was live at the call, in
         # n x n float64 buffers, with the read of D counted: D and the
-        # returned S (AltProj: its one buffer, W until the loop ends), then
+        # returned S (AltProj: its one buffer W, dropped before S), then
         # S and the dense L once D is dropped for writing (measured 2.056
         # and 2.113).
         n = 1000

@@ -31,6 +31,9 @@ files.  The pipeline is:
   ``--mu 1`` trim fires on every step and the run stops at the iteration
   cap (exit 2); with ``--no-trim`` as well it converges; and ``--eps`` with
   ``--max-iter`` stops a run early (exit 2);
+- a ``solve`` of the first input with ``--solver altproj`` and
+  ``--max-iter 4``, which skips steps 2-6, so that it stops at the cap on a
+  skipped step (exit 2) and writes ``S.bin`` from the state that step left;
 - a ``solve`` of the first input without ``--gamma``, so that the default
   gamma runs;
 - a ``synth`` at rank 30 and a ``solve`` of it with each solver, so that the
@@ -133,6 +136,8 @@ COMMANDS = [
      "--no-trim", "--output-dir", "solve-no-trim"],
     ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7", "--mu", "1.5",
      "--eps", "1e-9", "--max-iter", "8", "--output-dir", "solve-capped"],
+    ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7", "--solver", "altproj",
+     "--max-iter", "4", "--output-dir", "solve-capped-altproj"],
     ["solve", "--input", "synth/D.bin", "--rank", "2", "--mu", "5.5",
      "--output-dir", "solve-default-gamma"],
     ["synth", "--n", "300", "--rank", "30", "--alpha", "0.05", "--c", "1", "--seed", "37",
