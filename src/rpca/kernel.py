@@ -132,11 +132,13 @@ def svd_truncated(a, r, start=None):
         p, core_t = np.linalg.qr((q.T @ a).T)  # A^T Q, in the layout BLAS runs fast
         ub, s, wb = svd_small(core_t.T)
         u = q @ ub[:, :r]
+        del q  # not kept through A P
         ap = a @ p
-        residual = np.linalg.norm(ap @ wb[:, :r] - u * s[:r], axis=0)
-        if (residual <= _CERTIFY_RTOL * s[0]).all():
+        residual = ap @ wb[:, :r]
+        residual -= u * s[:r]
+        if (np.linalg.norm(residual, axis=0) <= _CERTIFY_RTOL * s[0]).all():
             return FactoredLowRank(u, s[:r].copy(), p @ wb[:, :r]), s[: r + 1].copy()
-        del q, p, u  # not kept through the QR that starts the next sweep
+        del p, u, residual  # not kept through the QR that starts the next sweep
         q = np.linalg.qr(ap)[0]
     u, s, v = svd_small(a)
     return FactoredLowRank(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()), s[: r + 1].copy()

@@ -16,17 +16,18 @@ m x n array.  The L-update reads W_k = D - S_k only through what the
 previous pass handed on, and the sparse pass that follows builds L_{k+1},
 D - L_{k+1}, S_{k+1} = H_zeta(D - L_{k+1}), W_{k+1} = D - S_{k+1} and the
 residual norm over row tiles, with each tile of S in a tile buffer.  For the
-accelerated solver it adds each block of W_{k+1} into U'^T W and W V' at
-(U', V') = trim(L_{k+1}), which depends only on L_{k+1}, so the L-update
-itself is the structured truncation.  The baseline's pass stores W_{k+1} in
-the solve's one m x n array, which its truncated SVD reads.  L_0 is that
-baseline L-update at S_init, as in AltProj, and ``initialize``'s S_0 pass
-feeds the first step the same way.  S itself is written once, after the
-loop, by one more pass with :func:`hard_threshold`, into a new array that is
-allocated once the last state, and with it the baseline's W_K, is dropped.
-So an accelerated solve peaks at D plus the returned S, and the baseline at
-D plus its one array, each with row tiles and thin factors.  Every pass
-forms D - L tile by tile in one place, :func:`_residual_tiles`.
+accelerated solver it adds each block of W_{k+1}, whole tiles at least 4r
+rows high, into U'^T W and W V' at (U', V') = trim(L_{k+1}), which depends
+only on L_{k+1}, so the L-update itself is the structured truncation.  The
+baseline's pass stores W_{k+1} in the solve's one m x n array, which its
+truncated SVD reads.  L_0 is that baseline L-update at S_init, as in
+AltProj, and ``initialize``'s S_0 pass feeds the first step the same way.
+S itself is written once, after the loop, by one more pass with
+:func:`hard_threshold`, into a new array that is allocated once the last
+state, and with it the baseline's W_K, is dropped.  So an accelerated solve
+peaks at D plus the returned S, and the baseline at D plus its one array,
+each with row tiles and thin factors.  Every pass forms D - L tile by tile
+in one place, :func:`_residual_tiles`.
 
 The schedule starts above every corrupted entry, so a solve usually opens
 with a run of idle iterations.  While every sparse iterate is zero, S_init
@@ -308,17 +309,18 @@ class _Gather:
     """U^T W and W V at the basis trim(L) of the iterate L, summed over row blocks of W.
 
     This is all that AccAltProj's L-update reads of W = D - S.  The basis
-    is L itself when ``params.trim_enabled`` is False.  A block is at least
-    4r rows: U_t^T W_t has the block height as its inner dimension, and BLAS
-    runs such a product poorly when that is small next to r.  The sums are
-    complete once every block has been added, in order.
+    is L itself when ``params.trim_enabled`` is False.  A block is a run of
+    whole tiles of :func:`_row_tiles`, 4r rows or more but the last: U_t^T
+    W_t has the block height as its inner dimension, which BLAS runs poorly
+    when small next to r.  The sums are complete once every block has been
+    added, in order.
     """
 
     def __init__(self, low, shape, params):
         basis = trim(low, params.mu) if params.trim_enabled else low
-        r = basis.rank
+        r, tile = basis.rank, _row_tiles(shape)[0].stop
         self.basis = basis
-        self.blocks = _row_tiles(shape, floor=4 * r)
+        self.blocks = _row_tiles(shape, floor=-(-4 * r // tile) * tile)
         self.utw = np.zeros((r, shape[1]))
         self.wv = np.empty((shape[0], r))
 
@@ -359,10 +361,9 @@ def _tiled_pass(d, low, zeta, w, track_max=False):
     thresholded from it into the rows of W that ``w`` takes, then turned in
     place into W = D - S.  S is never stored whole.  ``w`` is the m x n W
     itself (AltProj), or a :class:`_Gather` (AccAltProj), whose rows of W
-    collect in a block buffer until they complete one of its blocks, which
-    it then gets; the rows past that block move to the front of the buffer.
-    The tiles are the same either way, so S, W and the norm do not depend on
-    the blocks.  The part of D - L that S did not take gives
+    collect in a block buffer until a tile ends one of its blocks, which it
+    then gets.  The tiles are the same either way, so S, W and the norm do
+    not depend on the blocks.  The part of D - L that S did not take gives
     ||D - L - S||_F.  The tile of S skips :func:`hard_threshold`'s +0.0: no
     output reads the sign of its zeros.
 
@@ -373,8 +374,7 @@ def _tiled_pass(d, low, zeta, w, track_max=False):
     pending, first = [], 0  # the gather's blocks still to come; the first row in w
     if isinstance(w, _Gather):
         gather, pending = w, list(w.blocks)
-        # a block is at least a tile high, so w never holds more rows than this
-        w = np.empty((pending[0].stop + _row_tiles(d.shape)[0].stop, d.shape[1]))
+        w = np.empty((pending[0].stop, d.shape[1]))  # the first block is the tallest
     total, max_abs_dl = 0.0, 0.0
     for t, residual in residuals:
         if track_max:
@@ -387,11 +387,9 @@ def _tiled_pass(d, low, zeta, w, track_max=False):
         np.subtract(d[t], s, out=s)  # W = D - S over its tile of S
         flat = residual.ravel()
         total += float(flat @ flat)
-        while pending and pending[0].stop <= t.stop:
+        if pending and pending[0].stop == t.stop:
             block = pending.pop(0)
-            height, left = block.stop - block.start, t.stop - block.stop
-            gather.add(block, w[:height])
-            w[:left] = w[height : height + left]
+            gather.add(block, w[: block.stop - block.start])
             first = block.stop
     return math.sqrt(total), (max_abs_dl if track_max and max_abs_dl <= zeta else None)
 

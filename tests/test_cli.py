@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -205,7 +204,7 @@ class TestSolveCommand:
         assert "--mu not given; using 1," in capsys.readouterr().err
 
     @pytest.mark.parametrize("solver, bound", [("accaltproj", 2.1), ("altproj", 2.2)])
-    def test_peak_memory_is_two_buffers_with_the_read(self, tmp_path, solver, bound):
+    def test_peak_memory_is_two_buffers_with_the_read(self, tmp_path, solver, bound, peak_buffers):
         # Peak of the whole command above what was live at the call, in
         # n x n float64 buffers, with the read of D counted: D and the
         # returned S (AltProj: its one buffer W, dropped before S), then
@@ -218,16 +217,7 @@ class TestSolveCommand:
                 "--mu", repr(1.1 * prob.mu_true), "--gamma", "0.7", "--solver", solver,
                 "--output-dir", str(tmp_path)]
         del prob
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            code = main(argv)
-            peak = (tracemalloc.get_traced_memory()[1] - base) / (8 * n * n)
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        code, peak = peak_buffers(lambda: main(argv), 8 * n * n)
         assert code == 0
         assert peak <= bound, f"peak {peak:.3f} buffers"
 

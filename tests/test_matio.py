@@ -1,6 +1,5 @@
 import struct
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,37 +204,23 @@ def test_roundtrip_property(tmp_path_factory, suffix, a):
     assert back.tobytes() == a.tobytes()
 
 
-def _peak_buffers(fn, nbytes):
-    """tracemalloc peak of ``fn()`` above what was live at the call, in buffers."""
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return (tracemalloc.get_traced_memory()[1] - base) / nbytes
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-
-
 class TestBinaryMemory:
-    def test_write_makes_no_full_size_copy(self, tmp_path):
+    def test_write_makes_no_full_size_copy(self, tmp_path, peak_buffers):
         a = np.random.default_rng(3).standard_normal((400, 400))
-        peak = _peak_buffers(lambda: write_matrix(a, tmp_path / "a.bin"), a.nbytes)
+        _, peak = peak_buffers(lambda: write_matrix(a, tmp_path / "a.bin"), a.nbytes)
         assert peak <= 0.1, f"peak {peak:.2f} buffers"
 
-    def test_read_allocates_the_matrix_once(self, tmp_path):
+    def test_read_allocates_the_matrix_once(self, tmp_path, peak_buffers):
         a = np.random.default_rng(4).standard_normal((400, 400))
         write_matrix(a, tmp_path / "a.bin")
-        peak = _peak_buffers(lambda: read_matrix(tmp_path / "a.bin"), a.nbytes)
+        _, peak = peak_buffers(lambda: read_matrix(tmp_path / "a.bin"), a.nbytes)
         assert peak <= 1.1, f"peak {peak:.2f} buffers"
 
 
 class TestCsvMemory:
-    def test_read_converts_rows_as_it_reads(self, tmp_path):
+    def test_read_converts_rows_as_it_reads(self, tmp_path, peak_buffers):
         # the float64 rows and the matrix stacked from them, not Python floats
         a = np.random.default_rng(5).standard_normal((400, 400))
         write_matrix(a, tmp_path / "a.csv")
-        peak = _peak_buffers(lambda: read_matrix(tmp_path / "a.csv"), a.nbytes)
+        _, peak = peak_buffers(lambda: read_matrix(tmp_path / "a.csv"), a.nbytes)
         assert peak <= 2.1, f"peak {peak:.2f} buffers"

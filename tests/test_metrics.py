@@ -66,6 +66,24 @@ class TestRecoverySuccess:
         with pytest.raises(ValueError, match="zero"):
             recovery_success(np.zeros((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("scale, success", [(1.0 + 5e-5, True), (1.001, False)])
+    def test_factored_estimate_agrees_with_the_dense_one(self, scale, success):
+        # 300 x 200 spans several row tiles of the solvers' sparse pass
+        rng = np.random.default_rng(6)
+        u = np.linalg.qr(rng.standard_normal((300, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((200, 3)))[0]
+        l = FactoredLowRank(u, np.array([3.0, 2.0, 1.0]), v)
+        estimate = l._replace(sigma=scale * l.sigma)  # relative error scale - 1
+        assert recovery_success(l.matrix(), estimate) is success
+        assert recovery_success(l.matrix(), estimate.matrix()) is success
+
+    def test_factored_estimate_of_another_shape_rejected(self):
+        low = FactoredLowRank(np.eye(4, 1), np.ones(1), np.eye(3, 1))
+        with pytest.raises(ValueError, match="4 x 3, not 3 x 3"):
+            recovery_success(np.eye(3), low)
+        with pytest.raises(ValueError, match="4 x 3, not 3 x 3"):
+            relative_error(np.eye(3), low, np.zeros((3, 3)))
+
 
 class TestIncoherence:
     def test_spiky_rank_one(self):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -1182,11 +1181,11 @@ class TestWorkspaceReuse:
             # freed before the returned S is allocated, plus the SVD's thin
             # factors (measured 1.230)
             pytest.param(altproj_solve, 5, 0.1, {}, 1.27, id="altproj_solve"),
-            # 80-row blocks of W, 2r-column factors: an S buffer in the loop,
-            # beside the block buffer, read 1.754 (measured 1.236)
+            # 100-row blocks of W, 2r-column factors: an S buffer in the loop,
+            # beside the block buffer, read 1.754 (measured 1.240)
             pytest.param(accaltproj_solve, 20, 0.05, {}, 1.3, id="accaltproj_solve-r20"),
-            # the SVD's r + 10 sketch columns (measured 1.555)
-            pytest.param(altproj_solve, 20, 0.05, {}, 1.6, id="altproj_solve-r20"),
+            # the SVD's r + 10 sketch columns (measured 1.518)
+            pytest.param(altproj_solve, 20, 0.05, {}, 1.55, id="altproj_solve-r20"),
             # The cap lands on a skipped step (k = 2 and 3 are skipped), whose
             # state must let go of W_K before S is allocated: a solve that kept
             # it read 2.113 (measured 1.111 and 1.195).
@@ -1196,31 +1195,23 @@ class TestWorkspaceReuse:
                          id="altproj_solve-capped-on-skip"),
         ],
     )
-    def test_peak_memory_is_one_buffer(self, solve, rank, alpha, overrides, bound):
+    def test_peak_memory_is_one_buffer(self, solve, rank, alpha, overrides, bound, peak_buffers):
         # Measured above what is live at the call, which includes D.
         prob = generate(SyntheticSpec(400, 400, rank, alpha, 1.0, 929))
         params = desk_params(prob, **overrides)
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            sol = solve(prob.data, params)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        sol, peak = peak_buffers(lambda: solve(prob.data, params), prob.data.nbytes)
         if overrides:  # S is the one of the skipped row's (L_K, zeta_K)
             assert not sol.converged and sol.trace[-1].skipped
             want = _sparse_part(prob.data, sol.low_rank, sol.trace[-1].zeta)
             assert np.array_equal(sol.sparse, want)
         else:
             assert sol.converged
-        assert peak <= bound * prob.data.nbytes, f"peak {peak / prob.data.nbytes:.2f} buffers"
+        assert peak <= bound, f"peak {peak:.3f} buffers"
 
 
 # (m, n, r), with the tile heights of _row_tiles: a sixteenth of the rows,
-# clamped to 64-256 KiB of rows, at least 4r rows in the L-update.
+# clamped to 64-256 KiB of rows; the L-update's blocks are runs of whole
+# tiles, at least 4r rows.
 TILED_CASES = [
     pytest.param(300, 300, 3, id="ragged-last-tile"),     # 11 tiles of 27 rows, then 3
     pytest.param(20, 300, 3, id="m-below-one-tile"),      # a 27-row tile cut to 20
@@ -1228,7 +1219,7 @@ TILED_CASES = [
     pytest.param(300, 40, 3, id="tall"),                  # 204 rows, then 96
     pytest.param(1, 300, 1, id="one-row"),
     pytest.param(300, 1, 1, id="one-column"),
-    pytest.param(215, 1200, 10, id="rank-floored-tile"),  # L-update 40 rows, sparse 14
+    pytest.param(215, 1200, 10, id="rank-floored-tile"),  # L-update 3 tiles of 14 rows
 ]
 
 
@@ -1259,6 +1250,29 @@ class TestTiledStep:
         assert tiles[0].start == 0 and tiles[-1].stop == shape[0]
         assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
 
+    @pytest.mark.parametrize(
+        "shape, r, heights",
+        [
+            ((215, 1200), 10, [42] * 5 + [5]),  # 3 tiles of 14 rows
+            ((400, 400), 20, [100] * 4),  # 4 tiles of 25
+            ((1200, 1200), 50, [216] * 5 + [120]),  # 8 tiles of 27
+            ((2000, 2000), 5, [32] * 62 + [16]),  # 2 tiles of 16
+            ((300, 300), 30, [135, 135, 30]),  # 5 tiles of 27
+            ((1000, 1000), 5, [32] * 31 + [8]),  # one 32-row tile covers 4r
+        ],
+    )
+    def test_gather_blocks_are_runs_of_whole_tiles(self, shape, r, heights):
+        # the sparse pass hands a block on when a tile ends it
+        m, n = shape
+        low = random_factored(np.random.default_rng(r), m, n, r)
+        params = RpcaParams(rank=r, mu=1.0, beta=1.0, beta_init=1.0, trim_enabled=False)
+        blocks, tiles = _Gather(low, shape, params).blocks, _row_tiles(shape)
+        assert [b.stop - b.start for b in blocks] == heights
+        assert all(b.stop - b.start >= 4 * r for b in blocks[:-1])
+        assert blocks[0].start == 0 and blocks[-1].stop == m
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert {b.stop for b in blocks} <= {t.stop for t in tiles}
+
     def test_l_update_tiles_are_at_least_4r_rows(self, monkeypatch):
         # U_t^T W_t has the block height as its inner dimension
         heights = []
@@ -1274,7 +1288,8 @@ class TestTiledStep:
         state, _ = initialize(prob.data, params)
         heights.clear()
         _step(state, prob.data, params)
-        assert heights == [40] * 5 + [15]  # 4r, over the 14 rows of a sixteenth
+        assert heights == [42] * 5 + [5]  # 3 tiles of 14 rows, a sixteenth, cover 4r
+        assert all(h >= 4 * 10 for h in heights[:-1])
 
     @pytest.mark.parametrize(
         "tangent, overrides",
@@ -1313,7 +1328,7 @@ class TestTiledStep:
 
     @pytest.mark.parametrize(
         "m, n, r",
-        TILED_CASES + [pytest.param(400, 400, 20, id="block-of-sub-tiles")],  # 80 rows, 25-row tiles
+        TILED_CASES + [pytest.param(400, 400, 20, id="block-of-sub-tiles")],  # 100-row blocks of 25-row tiles
     )
     def test_pass_hands_on_the_products_at_the_trimmed_basis(self, m, n, r):
         # The sparse pass that builds S_k gathers U'^T (D - S_k) and

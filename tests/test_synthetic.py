@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -155,21 +153,12 @@ class TestSampleSupport:
         assert (got.mu_true, got.kappa_true) == (want.mu_true, want.kappa_true)
 
     @pytest.mark.parametrize("alpha, bound", [(0.3, 3.4), (0.45, 3.55)])
-    def test_generate_peak_memory(self, alpha, bound):
+    def test_generate_peak_memory(self, alpha, bound, peak_buffers):
         # Peak above what was live, in 400 x 400 float64 buffers: L, S, the
         # int64 support (alpha of a buffer) and D = L + S (measured 3.37 at
         # alpha 0.3 and 3.52 at 0.45).  Sampling the support holds a byte
         # map and one round of draws, well below that.
         spec = SyntheticSpec(400, 400, 5, alpha, 1.0, 3)
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            problem = generate(spec)
-            peak = (tracemalloc.get_traced_memory()[1] - base) / (8 * 400 * 400)
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        problem, peak = peak_buffers(lambda: generate(spec), 8 * 400 * 400)
         assert problem.support.size == spec.support_size
         assert peak <= bound, f"peak {peak:.3f} buffers"
