@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -335,20 +336,19 @@ def _l_update_case(n, rank):
 
     The problem is the runtime harness's (its corrupted fraction and
     amplitude, seed ``_BENCH_SEED``).  ``initialize`` and then the
-    accelerated steps lead to that state, and S_k is rebuilt from L_k and
-    zeta_k as a solve writes its final S; a solve skips the idle steps
-    among them, which this computes, so its S_k agrees to rounding.  A
-    problem too small to hold a corrupted entry stops at k = max_iter.
+    accelerated steps lead to that state, stepping while ``max_abs_dl``
+    says that S_init and every S_j up to S_k are zero; a solve skips the
+    idle steps among them, which this computes, so its S_k agrees to
+    rounding.  S_k is built once, as a solve writes its final S.  A problem
+    too small to hold a corrupted entry stops at k = max_iter.
     """
     spec = SyntheticSpec(n, n, rank, _RUNTIME["alpha"], _RUNTIME["amplitude"], _BENCH_SEED)
     problem, params = _problem_and_params(spec)
     d = problem.data
     state, _ = initialize(d, params)
-    sparse = _sparse_part(d, state.low_rank, state.zeta)
-    while not sparse.any() and state.k < params.max_iter:
+    while state.max_abs_dl is not None and state.k < params.max_iter:
         state, _ = _step(state, d, params)
-        sparse = _sparse_part(d, state.low_rank, state.zeta)
-    return state.low_rank, d, sparse, params
+    return state.low_rank, d, _sparse_part(d, state.low_rank, state.zeta), params
 
 
 def _accelerated_l_update(low_rank, d, sparse, params):
@@ -362,10 +362,11 @@ def _accelerated_l_update(low_rank, d, sparse, params):
     return gather.truncate()
 
 
-def _baseline_l_update(low_rank, d, sparse, params):
-    """AltProj's L-update from (D, S): the truncated SVD of W = D - S, formed
-    over ``sparse``, its sketch started from V_k."""
-    return svd_truncated(np.subtract(d, sparse, out=sparse), params.rank, low_rank.V)
+def _baseline_l_update(low_rank, d, sparse, params, w):
+    """AltProj's L-update from (D, S): W = D - S formed into ``w``, an
+    m x n buffer, and its truncated SVD, its sketch started from V_k.
+    ``sparse`` is only read."""
+    return svd_truncated(np.subtract(d, sparse, out=w), params.rank, low_rank.V)
 
 
 def benchmark_l_updates(n, rank):
@@ -378,22 +379,20 @@ def benchmark_l_updates(n, rank):
     trim, the row-blocked products U^T (D - S_k) and (D - S_k) V and the
     factored tangent-space truncation; a solve forms those products in the
     sparse pass that builds S_k, and they are timed here all the same.  The
-    baseline forms D - S_k and takes its certified truncated SVD
-    (:func:`rpca.kernel.svd_truncated`), as a solve's sparse pass and
-    L-update do.  It forms D - S_k over its S argument, so every call gets
-    the same preallocated buffer, refilled with S_k outside the timer.  The
-    two alternate, one call each per round, so that host drift slows both
+    baseline forms D - S_k, into one m x n buffer allocated here once, and
+    takes its certified truncated SVD (:func:`rpca.kernel.svd_truncated`),
+    as a solve's sparse pass and L-update do.  S_k is only read.  The two
+    alternate, one call each per round, so that host drift slows both
     alike.
     """
     low_rank, d, s_k, params = _l_update_case(n, rank)
-    sparse = np.empty_like(s_k)
-    updates = {"accelerated": _accelerated_l_update, "baseline": _baseline_l_update}
+    baseline = partial(_baseline_l_update, w=np.empty_like(d))
+    updates = {"accelerated": _accelerated_l_update, "baseline": baseline}
     seconds = {name: [] for name in updates}
     for _ in range(1 + _BENCH_ITERS):  # the first round is a warm-up, dropped below
         for name, l_update in updates.items():
-            np.copyto(sparse, s_k)
             t0 = perf_counter()
-            l_update(low_rank, d, sparse, params)
+            l_update(low_rank, d, s_k, params)
             seconds[name].append(perf_counter() - t0)
     out = {"n": n, "rank": rank, "iters": _BENCH_ITERS, "seed": _BENCH_SEED}
     for name, times in seconds.items():

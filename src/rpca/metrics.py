@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import FactoredLowRank, svd_truncated
-from .solver import _residual_tiles
+from .solver import _residual_tiles, _row_tiles
 
 __all__ = [
     "RECOVERY_TOL",
@@ -20,24 +20,28 @@ __all__ = [
 RECOVERY_TOL = 1e-4
 
 
-def _dense(a):
-    return a.matrix() if hasattr(a, "matrix") else np.asarray(a, dtype=np.float64)
+def _distance(a, b, c=None):
+    """||A - B - C||_F, with B dense or factored and C dense or 0.
 
-
-def _tiled_norm(a, low_rank, sparse=None):
-    """||A - L - S||_F for a factored L = ``low_rank``, S = ``sparse`` or 0.
-
-    L is formed over the row tiles of the solvers' sparse pass, and the
-    squares are summed tile by tile in the same order, so no m x n array
-    is allocated.
+    The difference is formed over the row tiles of the solvers' sparse
+    pass: a factored B through :func:`rpca.solver._residual_tiles`, a dense
+    one as ``a[t] - b[t]``.  The squares are summed tile by tile in the
+    pass's order, so no m x n array is allocated.  B and C must have A's
+    shape.
     """
-    if low_rank.shape != a.shape:
-        m, n = low_rank.shape
-        raise ValueError(f"L is {m} x {n}, not {a.shape[0]} x {a.shape[1]}")
+    if isinstance(b, FactoredLowRank):
+        tiles = _residual_tiles(a, b)
+    else:
+        b = np.asarray(b, dtype=np.float64)
+        tiles = ((t, a[t] - b[t]) for t in _row_tiles(a.shape))
+    for name, x in (("L", b), ("S", c)):
+        if x is not None and x.shape != a.shape:
+            sizes = (" x ".join(map(str, shape)) for shape in (x.shape, a.shape))
+            raise ValueError("{} is {}, not {}".format(name, *sizes))
     total = 0.0
-    for t, residual in _residual_tiles(a, low_rank):
-        if sparse is not None:
-            residual -= sparse[t]
+    for t, residual in tiles:
+        if c is not None:
+            residual -= c[t]
         flat = residual.ravel()
         total += float(flat @ flat)
     return np.sqrt(total)
@@ -46,33 +50,28 @@ def _tiled_norm(a, low_rank, sparse=None):
 def relative_error(d, low_rank, sparse):
     """Relative residual ||D - L - S||_F / ||D||_F.
 
-    A factored L is formed tile by tile (:func:`_tiled_norm`), in the order
-    of the solvers' sparse pass, so a solution's ``final_err`` is exactly
-    the relative error of its output; a dense L is subtracted whole.
+    L, dense or factored, and S are subtracted tile by tile
+    (:func:`_distance`), in the order of the solvers' sparse pass, so a
+    solution's ``final_err`` is exactly the relative error of its output.
     """
     d = np.asarray(d, dtype=np.float64)
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
         raise ValueError("relative error is undefined for an identically zero matrix")
-    sparse = _dense(sparse)
-    if not isinstance(low_rank, FactoredLowRank):
-        return float(np.linalg.norm(d - _dense(low_rank) - sparse) / d_norm)
-    return float(_tiled_norm(d, low_rank, sparse) / d_norm)
+    return float(_distance(d, low_rank, np.asarray(sparse, dtype=np.float64)) / d_norm)
 
 
 def recovery_success(l_true, l_estimate, tol=RECOVERY_TOL):
-    """Whether ||L_est - L||_F / ||L||_F <= tol.
+    """Whether ||L - L_est||_F / ||L||_F <= tol.
 
-    A factored estimate is compared tile by tile (:func:`_tiled_norm`); a
-    dense one is subtracted whole.
+    A dense or factored estimate is compared tile by tile
+    (:func:`_distance`), so no m x n difference is allocated.
     """
     l_true = np.asarray(l_true, dtype=np.float64)
     true_norm = float(np.linalg.norm(l_true))
     if true_norm == 0.0:
         raise ValueError("recovery check is undefined for a zero ground truth")
-    if isinstance(l_estimate, FactoredLowRank):
-        return bool(_tiled_norm(l_true, l_estimate) / true_norm <= tol)
-    return bool(np.linalg.norm(_dense(l_estimate) - l_true) / true_norm <= tol)
+    return bool(_distance(l_true, l_estimate) / true_norm <= tol)
 
 
 def factor_incoherence(u, v):

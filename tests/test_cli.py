@@ -203,7 +203,10 @@ class TestSolveCommand:
         assert code == 0
         assert "--mu not given; using 1," in capsys.readouterr().err
 
-    @pytest.mark.parametrize("solver, bound", [("accaltproj", 2.1), ("altproj", 2.2)])
+    @pytest.mark.parametrize(
+        "solver, bound",
+        [pytest.param("accaltproj", 2.1, id="accaltproj"), pytest.param("altproj", 2.2, id="altproj")],
+    )
     def test_peak_memory_is_two_buffers_with_the_read(self, tmp_path, solver, bound, peak_buffers):
         # Peak of the whole command above what was live at the call, in
         # n x n float64 buffers, with the read of D counted: D and the

@@ -237,9 +237,14 @@ class TestBenchmark:
         # Both updates are timed at the first nonzero S_k of the accelerated
         # solve (S_0 is zero on the benchmark's problems, an idle step).  A
         # state holds no S, so each S_j is rebuilt from (L_j, zeta_j) as a
-        # solve writes its final S.  The baseline forms D - S_k over its S
-        # argument, as a solve does, so S_k must be put back before every call.
-        iterates, seen = [], []
+        # solve writes its final S.  The baseline forms D - S_k into a buffer
+        # of its own, so S_k is only read.
+        iterates, seen, cases, received = [], [], [], set()
+
+        def recording_case(n, rank):
+            case = l_update_case(n, rank)
+            cases.append((case[2], case[2].tobytes()))
+            return case
 
         def recording_initialize(d, params):
             state, residual_norm = initialize(d, params)
@@ -251,11 +256,14 @@ class TestBenchmark:
             iterates.append(_sparse_part(d, state.low_rank, state.zeta))
             return state, residual_norm
 
-        def recording_baseline(low_rank, d, sparse, params):
+        def recording_baseline(low_rank, d, sparse, params, w):
             seen.append(sparse.copy())
-            return baseline(low_rank, d, sparse, params)
+            received.add(id(sparse))
+            return baseline(low_rank, d, sparse, params, w)
 
         baseline = rpca.experiments._baseline_l_update
+        l_update_case = rpca.experiments._l_update_case
+        monkeypatch.setattr(rpca.experiments, "_l_update_case", recording_case)
         monkeypatch.setattr(rpca.experiments, "initialize", recording_initialize)
         monkeypatch.setattr(rpca.experiments, "_step", recording_step)
         monkeypatch.setattr(rpca.experiments, "_baseline_l_update", recording_baseline)
@@ -265,6 +273,9 @@ class TestBenchmark:
         assert np.count_nonzero(iterates[-1]) > 0
         assert len(seen) == 1 + out["iters"]  # the warm-up round, then the timed ones
         assert all(arg.tobytes() == iterates[-1].tobytes() for arg in seen)
+        [(s_k, before)] = cases
+        # every call got the case's own S_k, and left it as it was
+        assert received == {id(s_k)} and s_k.tobytes() == before
 
     def test_quadratic_scaling_in_n(self):
         # Doubling n at fixed r should scale the accelerated update by about

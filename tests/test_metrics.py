@@ -39,6 +39,17 @@ class TestRelativeError:
         err = relative_error(low.matrix(), low, np.zeros((2, 2)))
         assert err <= 1e-15
 
+    def test_dense_and_factored_l_give_the_same_error(self):
+        # 300 x 200 spans several row tiles of the solvers' sparse pass
+        rng = np.random.default_rng(7)
+        u = np.linalg.qr(rng.standard_normal((300, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((200, 3)))[0]
+        low = FactoredLowRank(u, np.array([3.0, 2.0, 1.0]), v)
+        d = low.matrix() + rng.standard_normal((300, 200))
+        s = rng.standard_normal((300, 200))
+        factored = relative_error(d, low, s)
+        assert relative_error(d, low.matrix(), s) == pytest.approx(factored, rel=1e-14)
+
     def test_zero_data_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             relative_error(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
@@ -76,6 +87,19 @@ class TestRecoverySuccess:
         estimate = l._replace(sigma=scale * l.sigma)  # relative error scale - 1
         assert recovery_success(l.matrix(), estimate) is success
         assert recovery_success(l.matrix(), estimate.matrix()) is success
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1)], ids=["1x3", "3x1"])
+    def test_dense_operand_of_another_shape_rejected(self, shape):
+        # a wrongly shaped L or S used to broadcast against the 3 x 3 matrix
+        size = f"{shape[0]} x {shape[1]}, not 3 x 3"
+        with pytest.raises(ValueError, match=f"L is {size}"):
+            recovery_success(np.ones((3, 3)), np.ones(shape))
+        with pytest.raises(ValueError, match=f"L is {size}"):
+            relative_error(np.ones((3, 3)), np.ones(shape), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=f"S is {size}"):
+            relative_error(np.ones((3, 3)), np.ones((3, 3)), np.zeros(shape))
+        with pytest.raises(ValueError, match=f"L is 3 x 3, not {shape[0]} x {shape[1]}"):
+            recovery_success(np.ones(shape), np.ones((3, 3)))
 
     def test_factored_estimate_of_another_shape_rejected(self):
         low = FactoredLowRank(np.eye(4, 1), np.ones(1), np.eye(3, 1))

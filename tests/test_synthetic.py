@@ -152,7 +152,10 @@ class TestSampleSupport:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert (got.mu_true, got.kappa_true) == (want.mu_true, want.kappa_true)
 
-    @pytest.mark.parametrize("alpha, bound", [(0.3, 3.4), (0.45, 3.55)])
+    @pytest.mark.parametrize(
+        "alpha, bound",
+        [pytest.param(0.3, 3.4, id="alpha-0.3"), pytest.param(0.45, 3.55, id="alpha-0.45")],
+    )
     def test_generate_peak_memory(self, alpha, bound, peak_buffers):
         # Peak above what was live, in 400 x 400 float64 buffers: L, S, the
         # int64 support (alpha of a buffer) and D = L + S (measured 3.37 at
