@@ -27,9 +27,9 @@ from .experiments import (
     run_runtime_experiment,
 )
 from .kernel import SKETCH_SEED
-from .matio import MatrixIOError, read_matrix, write_matrix
+from .matio import MatrixIOError, _write_rows, read_matrix, write_matrix
 from .metrics import incoherence_of
-from .solver import IterationRecord, RpcaParams, _checked_norm, accaltproj_solve, altproj_solve
+from .solver import IterationRecord, RpcaParams, _checked_norm, _solve, _sparse_tiles
 from .synthetic import RNG_ID, SyntheticSpec, generate
 
 __all__ = ["CliError", "build_parser", "main", "run"]
@@ -107,6 +107,12 @@ def _output_dir(args):
 
 
 def _cmd_solve(args):
+    """Solve the input file and write L, S and trace.json.
+
+    The solve returns L as factors and zeta.  S = H_zeta(D - L) goes to its
+    file tile by tile from D; then D is dropped, and only then is the dense
+    L formed for its file.
+    """
     d = read_matrix(args.input)
     m, n = d.shape
     if not 1 <= args.rank <= min(m, n):
@@ -134,16 +140,16 @@ def _cmd_solve(args):
     }
     trim_enabled = args.solver == "accaltproj" and not args.no_trim  # altproj has no trim step
     params = RpcaParams.defaults((m, n), args.rank, mu, trim_enabled=trim_enabled, **overrides)
-    solve = accaltproj_solve if args.solver == "accaltproj" else altproj_solve
 
     t0 = perf_counter()
-    solution = solve(d, params)
+    low, zeta, trace, converged = _solve(d, params, tangent=args.solver == "accaltproj")
     total_seconds = perf_counter() - t0
-    del d  # so that D is freed before the dense L is formed for writing
+    last = trace[-1]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix(solution.low_rank.matrix(), outputs[0])
-    write_matrix(solution.sparse, outputs[1])
+    _write_rows(_sparse_tiles(d, low, zeta), (m, n), outputs[1])
+    del d  # so that D is freed before the dense L is formed for writing
+    write_matrix(low.matrix(), outputs[0])
     _write_json(
         out_dir / "trace.json",
         {
@@ -153,20 +159,20 @@ def _cmd_solve(args):
             "seed": SKETCH_SEED,  # the kernel's only seed; solve is otherwise deterministic
             "params": asdict(params),
             "input": {"path": str(args.input), "rows": m, "cols": n},
-            "converged": solution.converged,
-            "iterations": solution.iterations,
-            "final_err": solution.final_err,
+            "converged": converged,
+            "iterations": last.k,
+            "final_err": last.err,
             "trace": {
-                f.name: [np.asarray(getattr(rec, f.name)).tolist() for rec in solution.trace]
+                f.name: [np.asarray(getattr(rec, f.name)).tolist() for rec in trace]
                 for f in fields(IterationRecord)
             },
             "total_seconds": total_seconds,
         },
     )
-    if not solution.converged:
+    if not converged:
         print(
             f"did not converge within {params.max_iter} iterations "
-            f"(final err {solution.final_err:.3e})",
+            f"(final err {last.err:.3e})",
             file=sys.stderr,
         )
         return 2

@@ -49,13 +49,27 @@ def write_matrix(a, path):
     Binary round-trips are bitwise exact.  Empty matrices are rejected.
     """
     a = ensure_matrix(a)
+    _write_rows([a], a.shape, path)
+
+
+def _write_rows(blocks, shape, path):
+    """Write the matrix of ``shape``, given as ``blocks``, to ``path``.
+
+    ``blocks`` is an iterable of the matrix's row blocks, top to bottom,
+    each a finite float64 matrix of ``shape[1]`` columns, read only until
+    the next block is asked for; the blocks cover ``shape[0]`` rows.  None
+    of that is checked.  The bytes written do not depend on where the
+    blocks split the rows.
+    """
     if _format_of(path) == "bin":
         with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, a.shape[0], a.shape[1]))
-            fh.write(np.ascontiguousarray(a, dtype="<f8").data)  # no copy on little-endian hosts
+            fh.write(_HEADER.pack(MAGIC, VERSION, *shape))
+            for block in blocks:  # no copy on little-endian hosts
+                fh.write(np.ascontiguousarray(block, dtype="<f8").data)
         return
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        np.savetxt(fh, a, fmt="%.17g", delimiter=",")
+        for block in blocks:
+            np.savetxt(fh, block, fmt="%.17g", delimiter=",")
 
 
 def read_matrix(path):

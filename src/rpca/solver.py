@@ -22,12 +22,16 @@ only on L_{k+1}, so the L-update itself is the structured truncation.  The
 baseline's pass stores W_{k+1} in the solve's one m x n array, which its
 truncated SVD reads.  L_0 is that baseline L-update at S_init, as in
 AltProj, and ``initialize``'s S_0 pass feeds the first step the same way.
-S itself is written once, after the loop, by one more pass with
-:func:`hard_threshold`, into a new array that is allocated once the last
-state, and with it the baseline's W_K, is dropped.  So an accelerated solve
-peaks at D plus the returned S, and the baseline at D plus its one array,
-each with row tiles and thin factors.  Every pass forms D - L tile by tile
-in one place, :func:`_residual_tiles`.
+The loop (:func:`_solve`) ends with L_K and zeta_K, which state the answer,
+since S_K = H_zeta_K(D - L_K).  S itself is built by one more pass with
+:func:`hard_threshold` (:func:`_sparse_tiles`), for a caller that reads it
+only, once the last state, and with it the baseline's W_K, is gone.  The
+entry points build it whole, as ``RpcaSolution.sparse``, so a solve through
+them peaks at D plus the returned S (accelerated) or at D plus its one array
+(baseline), each with row tiles and thin factors; ``rpca solve`` writes it
+tile by tile, and the experiment harnesses, which read L only, never build
+it.  Every pass forms D - L tile by tile in one place,
+:func:`_residual_tiles`.
 
 The schedule starts above every corrupted entry, so a solve usually opens
 with a run of idle iterations.  While every sparse iterate is zero, S_init
@@ -152,7 +156,7 @@ class IterationState:
     ``w`` is what the next L-update reads of W_k = D - S_k, as the sparse
     pass that built S_k handed it on: a ``_Gather`` of U^T W_k and W_k V at
     the basis trim(L_k) (AccAltProj), or W_k itself in the solve's one m x n
-    array (AltProj), freed with the last state before S is returned.
+    array (AltProj), freed with the last state when the loop returns.
     ``sigma_window`` holds the singular values (descending) of the matrix
     whose truncation produced ``low_rank``: the projected residual during
     the main loop, the thresholded data during initialization.  Where that
@@ -394,16 +398,32 @@ def _tiled_pass(d, low, zeta, w, track_max=False):
     return math.sqrt(total), (max_abs_dl if track_max and max_abs_dl <= zeta else None)
 
 
+def _sparse_tiles(d, low, zeta, out=None):
+    """The row tiles of S = H_zeta(D - L), L = ``low``, top to bottom.
+
+    The tiles are those of the sparse pass (:func:`_residual_tiles`), and
+    each is thresholded from D_t - L_t with :func:`hard_threshold` itself,
+    so S is the pass's S bit for bit, with +0.0 for each dropped entry.  A
+    tile is written into its rows of ``out``, an m x n array, or, when
+    ``out`` is None, into one reused tile buffer, which the receiver must be
+    done with before it asks for the next tile.
+    """
+    residuals = _residual_tiles(d, low)
+    buf = None if out is not None else np.empty((_row_tiles(d.shape)[0].stop, d.shape[1]))
+    for t, residual in residuals:
+        s = out[t] if out is not None else buf[: t.stop - t.start]
+        yield hard_threshold(residual, zeta, out=s)
+
+
 def _sparse_part(d, low, zeta):
     """S = H_zeta(D - L) with L = ``low``, as a new m x n array.
 
-    The tiles and the thresholding are those of the sparse pass, with
-    :func:`hard_threshold` itself, so S is the pass's S bit for bit, with
-    +0.0 for each dropped entry.  One tile buffer is allocated besides.
+    :func:`_sparse_tiles` writes it tile by tile; one tile buffer is
+    allocated besides.
     """
     sparse = np.empty(d.shape)
-    for t, residual in _residual_tiles(d, low):
-        hard_threshold(residual, zeta, out=sparse[t])
+    for _ in _sparse_tiles(d, low, zeta, out=sparse):
+        pass
     return sparse
 
 
@@ -524,7 +544,12 @@ def _checked_norm(d):
 
 
 def _solve(d, params, tangent):
-    d = ensure_matrix(d, "D")
+    """The loop of both solvers: ``(L_K, zeta_K, trace, converged)``, and no S.
+
+    S_K = H_zeta_K(D - L_K) is built by the caller that reads it, with
+    :func:`_sparse_tiles`.  ``d`` is a finite float64 row-major matrix, as
+    :func:`ensure_matrix` returns it, which is not checked here.
+    """
     d_norm = _checked_norm(d)
     t0 = perf_counter()
     state, residual_norm = initialize(d, params, tangent)
@@ -539,11 +564,15 @@ def _solve(d, params, tangent):
         state, residual_norm = _step(state, d, params)
         err = residual_norm / d_norm
         trace.append(_record(state, err, perf_counter() - t0))
-    # S_K, written once; the last state (``skipped`` too) holds AltProj's W_K: drop it first
-    low, zeta = state.low_rank, state.zeta
-    state = skipped = None
-    sparse = _sparse_part(d, low, zeta)
-    return RpcaSolution(low, sparse, trace, converged=bool(err < params.epsilon))
+    return state.low_rank, state.zeta, trace, bool(err < params.epsilon)
+
+
+def _solution(d, params, tangent):
+    """The entry points' :class:`RpcaSolution`; S_K is built once the loop,
+    and with it AltProj's W_K, is gone."""
+    d = ensure_matrix(d, "D")
+    low, zeta, trace, converged = _solve(d, params, tangent)
+    return RpcaSolution(low, _sparse_part(d, low, zeta), trace, converged)
 
 
 def accaltproj_solve(d, params):
@@ -553,7 +582,7 @@ def accaltproj_solve(d, params):
     below ``params.epsilon`` or ``params.max_iter`` iterations have run.
     Deterministic for fixed inputs.
     """
-    return _solve(d, params, tangent=True)
+    return _solution(d, params, tangent=True)
 
 
 def altproj_solve(d, params):
@@ -564,4 +593,4 @@ def altproj_solve(d, params):
     applies the same threshold schedule, driven by the singular values of
     D - S_k, with the same stopping rule as :func:`accaltproj_solve`.
     """
-    return _solve(d, params, tangent=False)
+    return _solution(d, params, tangent=False)

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from time import perf_counter
 
 import numpy as np
@@ -15,7 +15,8 @@ from rpca.experiments import (
     run_runtime_experiment,
     trial_seed,
 )
-from rpca.solver import _sparse_part, _step, accaltproj_solve, initialize
+from rpca.metrics import recovery_success
+from rpca.solver import _sparse_part, _step, accaltproj_solve, altproj_solve, initialize
 from rpca.synthetic import SyntheticSpec
 
 
@@ -204,14 +205,60 @@ class TestRuntimeExperiment:
         assert mean_l > float(np.mean([rec.l_update_seconds for rec in rows]))
 
     def test_trial_peak_memory(self, peak_buffers):
-        # Peak above what was live, in 400 x 400 float64 buffers: D and the
-        # ground-truth L beside a solve's 1 buffer, or beside the solution's
-        # S while the recovery check compares the factored L estimate tile
-        # by tile (measured 3.23).  Neither the problem's S nor the previous
-        # solution is held during a solve.
+        # Peak above what was live, in 400 x 400 float64 buffers, set by
+        # generate, which builds D, L and S of the problem (measured 3.23).
+        # A solve then runs beside D and the ground-truth L only: neither the
+        # problem's S nor the previous solution is held, and no trial forms
+        # the solution's S (test_one_trial_forms_no_s).
         report, peak = peak_buffers(lambda: run_runtime_experiment([400], rank=5), 400 * 400 * 8)
         assert len(report.records) == len(SOLVER_IDS)
         assert peak <= 3.4, f"peak {peak:.3f} buffers"
+
+    @staticmethod
+    def runtime_trial_inputs(n):
+        """The spec, D, ground-truth L and params of the runtime harness's first trial at ``n``."""
+        runtime = rpca.experiments._RUNTIME
+        spec = SyntheticSpec(
+            n, n, 5, runtime["alpha"], runtime["amplitude"], trial_seed(0, 0, 0)
+        )
+        problem, params = rpca.experiments._problem_and_params(
+            spec, runtime["gamma"], epsilon=runtime["tol"], max_iter=runtime["max_iter"]
+        )
+        return spec, problem.data, problem.low_rank, params
+
+    @pytest.mark.parametrize(
+        "solver_id, bound",
+        [pytest.param("accaltproj_trim", 0.35, id="accaltproj_trim"),
+         pytest.param("altproj", 1.3, id="altproj")],
+    )
+    def test_one_trial_forms_no_s(self, solver_id, bound, peak_buffers):
+        # Peak of one trial above D and the ground-truth L, in 400 x 400
+        # float64 buffers.  The record reads L, the trace and converged only,
+        # so the solve builds no S: an accelerated trial holds row tiles and
+        # thin factors (measured 0.262; 1.116 when the trial formed S), and
+        # AltProj its one buffer W besides (measured 1.228 either way, as W
+        # was freed before S).
+        spec, d, l_true, params = self.runtime_trial_inputs(400)
+        record, peak = peak_buffers(
+            lambda: rpca.experiments._run_trial(solver_id, spec, d, l_true, params), d.nbytes
+        )
+        assert record.success
+        assert peak <= bound, f"peak {peak:.3f} buffers"
+
+    @pytest.mark.parametrize("solver_id", SOLVER_IDS)
+    def test_trial_record_is_the_library_solve(self, solver_id):
+        # Everything but the wall time equals what the entry point returns.
+        spec, d, l_true, params = self.runtime_trial_inputs(120)
+        record = rpca.experiments._run_trial(solver_id, spec, d, l_true, params)
+        trim_enabled = solver_id == "accaltproj_trim"
+        solve = altproj_solve if solver_id == "altproj" else accaltproj_solve
+        solution = solve(d, replace(params, trim_enabled=trim_enabled))
+        assert record.iterations == solution.iterations
+        assert record.final_err == solution.final_err
+        assert record.converged == solution.converged
+        assert record.success == recovery_success(l_true, solution.low_rank)
+        assert record.err_history == [rec.err for rec in solution.trace]
+        assert record.zeta_history == [rec.zeta for rec in solution.trace]
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError, match="at least one size"):

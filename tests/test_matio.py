@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rpca.matio import (
     MAGIC,
     MatrixIOError,
+    _write_rows,
     read_matrix,
     write_matrix,
 )
@@ -202,6 +203,18 @@ def test_roundtrip_property(tmp_path_factory, suffix, a):
     # bytes, because np.array_equal does not see the sign of -0.0
     assert back.dtype == np.float64 and back.shape == a.shape
     assert back.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("suffix", ["bin", "csv"])
+def test_row_blocks_write_the_whole_matrix_bytes(tmp_path, suffix):
+    # uneven blocks, an empty one among them: the bytes of write_matrix
+    a = np.random.default_rng(6).standard_normal((23, 7))
+    a[0, 0], a[5, 3] = -0.0, 5e-324
+    whole, blocked = tmp_path / f"whole.{suffix}", tmp_path / f"blocks.{suffix}"
+    write_matrix(a, whole)
+    cuts = [0, 1, 9, 9, 16, 23]
+    _write_rows((a[start:stop] for start, stop in zip(cuts, cuts[1:])), a.shape, blocked)
+    assert blocked.read_bytes() == whole.read_bytes()
 
 
 class TestBinaryMemory:

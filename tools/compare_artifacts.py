@@ -17,6 +17,9 @@ files.  The pipeline is:
   with each solver and so writes ``L.csv`` and ``S.csv`` (the ``altproj``
   one starts each truncation's sketch from an ``n x r`` factor with
   ``m != n``);
+- a ``200 x 300`` ``synth`` written as ``.csv``, and a ``solve`` of it, so
+  that ``S.csv`` is written in more than one row tile (8; the ``40 x 48``
+  round above fits in one);
 - a ``synth`` whose corruption exceeds the first threshold, so that
   ``S_init`` is nonzero, and a ``solve`` of it with each solver;
 - a ``synth`` whose corruption stays below the first threshold by a margin
@@ -110,6 +113,10 @@ COMMANDS = [
      "--output-dir", "solve-csv"],
     ["solve", "--input", "synth-csv/D.csv", "--rank", "2", "--gamma", "0.7",
      "--solver", "altproj", "--output-dir", "solve-csv-altproj"],
+    ["synth", "--n", "300", "--m", "200", "--rank", "5", "--alpha", "0.1", "--c", "1",
+     "--seed", "41", "--format", "csv", "--output-dir", "synth-csv-tiled"],
+    ["solve", "--input", "synth-csv-tiled/D.csv", "--rank", "5", "--gamma", "0.7",
+     "--output-dir", "solve-csv-tiled"],
     # max|D| is 1.21 times beta_init * sigma_1(D), which Lanczos converges to
     ["synth", "--n", "64", "--rank", "2", "--alpha", "0.1", "--c", "20", "--seed", "17",
      "--output-dir", "synth-spiked"],
