@@ -94,7 +94,7 @@ def svd_small(a):
     return FactoredLowRank(u, s, vh.T)
 
 
-def svd_truncated(a, r, start=None):
+def svd_truncated(a, r, start=None, rtol=_CERTIFY_RTOL):
     """Top-r singular triplets of ``a``, certified to a relative residual.
 
     Seeded subspace iteration (Halko, Martinsson & Tropp) on a sketch of
@@ -106,17 +106,19 @@ def svd_truncated(a, r, start=None):
     Each sweep factors A^T Q = P R and takes the SVD of the k x k core R^T,
     which gives U = Q Ub and V = P Wb with A^T u_i = sigma_i v_i by
     construction.  The sweep stops once every returned triplet also
-    satisfies ||A v_i - sigma_i u_i|| <= 1e-10 sigma_1, which makes it an
-    exact singular triplet to that tolerance; the product A P this needs
-    starts the next sweep otherwise.  If the top r is not
-    certified within a fixed number of sweeps (a flat spectrum), the result
-    comes from the dense SVD instead.
+    satisfies ||A v_i - sigma_i u_i|| <= ``rtol`` sigma_1 (1e-10 by
+    default), which makes it an exact singular triplet to that tolerance;
+    the product A P this needs starts the next sweep otherwise; on the
+    solvers' inputs an ``rtol`` of 1e-6 takes one or two sweeps fewer than
+    1e-10.  If the top r is not certified within a fixed number of sweeps
+    (a flat spectrum), the result comes from the dense SVD instead.
 
     Returns ``(low_rank, window)``: the rank-r factorization, and sigma
     followed by the (r+1)-th value when r < min(m, n): the next Ritz value of
-    the sketch, a lower bound on sigma_{r+1}, or the exact value on the dense
-    fallback.  As in :func:`svd_small`, a pair (u_i, v_i) may flip sign
-    together, and no caller reads that sign.
+    the sketch, a lower bound on sigma_{r+1} whose accuracy depends on the
+    number of sweeps run, or the exact value on the dense fallback.  As in
+    :func:`svd_small`, a pair (u_i, v_i) may flip sign together, and no
+    caller reads that sign.
     """
     a = ensure_matrix(a, "A")
     m, n = a.shape
@@ -136,7 +138,7 @@ def svd_truncated(a, r, start=None):
         ap = a @ p
         residual = ap @ wb[:, :r]
         residual -= u * s[:r]
-        if (np.linalg.norm(residual, axis=0) <= _CERTIFY_RTOL * s[0]).all():
+        if (np.linalg.norm(residual, axis=0) <= rtol * s[0]).all():
             return FactoredLowRank(u, s[:r].copy(), p @ wb[:, :r]), s[: r + 1].copy()
         del p, u, residual  # not kept through the QR that starts the next sweep
         q = np.linalg.qr(ap)[0]

@@ -6,6 +6,7 @@ import pytest
 import rpca.kernel
 import rpca.solver
 from rpca.kernel import (
+    _CERTIFY_RTOL,
     FactoredLowRank,
     ensure_matrix,
     spectral_norm,
@@ -322,7 +323,8 @@ class TestSvdTruncatedStart:
 
     def test_altproj_solve_takes_fewer_sweeps(self, svd_small_shapes, monkeypatch):
         # Each sweep of svd_truncated is one svd_small call on the k x k core
-        # (k = 15).  The cold count is that of the L-update without a start.
+        # (k = 15).  The cold count is that of the L-update without a start;
+        # the shim passes on initialize's certificate tolerance.
         prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
         params = RpcaParams.defaults(
             prob.data.shape, 5, mu=max(1.0, 1.1 * prob.mu_true), gamma=0.7
@@ -337,7 +339,9 @@ class TestSvdTruncatedStart:
 
         warm = sweeps()
         monkeypatch.setattr(
-            rpca.solver, "svd_truncated", lambda a, r, start=None: svd_truncated(a, r)
+            rpca.solver,
+            "svd_truncated",
+            lambda a, r, start=None, rtol=_CERTIFY_RTOL: svd_truncated(a, r, rtol=rtol),
         )
         assert (warm, sweeps()) == (49, 70)
 

@@ -23,6 +23,7 @@ from rpca.solver import (
     trim,
 )
 from rpca.solver import (
+    _ROW0_RTOL,
     _Gather,
     _row_tiles,
     _sparse_part,
@@ -590,12 +591,13 @@ def two_product_bound(d):
 
 def dense_initialize(d, params):
     """Reference for ``initialize``: sigma_1(D) from the dense SVD, then the
-    idle test against beta_init * sigma_1(D).  Returns the state, the
+    idle test against beta_init * sigma_1(D), and AccAltProj's row-0
+    truncation at its certificate tolerance.  Returns the state, the
     residual norm and S_init."""
     zeta_init = params.beta_init * np.linalg.norm(d, 2)
     s_init = hard_threshold(d, zeta_init)
     idle = np.abs(d).max() <= zeta_init
-    low, window = svd_truncated(d if idle else d - s_init, params.rank)
+    low, window = svd_truncated(d if idle else d - s_init, params.rank, rtol=_ROW0_RTOL)
     zeta_0 = params.beta * float(low.sigma[0])
     w = _Gather(low, d.shape, params)
     norm, max_abs_dl = _tiled_pass(d, low, zeta_0, w, track_max=idle)
@@ -660,6 +662,22 @@ class TestInitializePaths:
         state, norm, s_init = dense_initialize(d, params)
         assert np.any(s_init)
         assert_same_start(got, (state, norm), d)
+
+    def test_spiked_start_certifies_without_the_dense_svd(self, monkeypatch, peak_buffers):
+        # Certified to 1e-10, the truncation of D - S_init runs 10 sweeps and
+        # then the dense SVD of D - S_init, which peaks at 3.04 buffers above
+        # D; to AccAltProj's row-0 tolerance it certifies in 7 sweeps
+        # (measured 1.08: the S_init array it is formed in, and thin arrays).
+        prob = generate(SyntheticSpec(1000, 1000, 5, 0.1, 20.0, 1))
+        d, params = prob.data, desk_params(prob)
+        shapes, original = [], rpca.kernel.svd_small
+        monkeypatch.setattr(
+            rpca.kernel, "svd_small", lambda a: shapes.append(np.shape(a)) or original(a)
+        )
+        (state, _), peak = peak_buffers(lambda: initialize(d, params), d.nbytes)
+        assert shapes and set(shapes) == {(15, 15)}  # every call a k x k sweep core
+        assert peak <= 1.15, f"peak {peak:.3f} buffers"
+        assert np.any(hard_threshold(d, params.beta_init * spectral_norm(d)))  # S_init != 0
 
     def test_zero_d_never_reaches_sigma_1(self, sigma_calls):
         # the first Lanczos product of a zero D is 0, so sigma_1 = 0 without
@@ -1097,7 +1115,8 @@ class TestIdleSkip:
         d, params = prob.data, desk_params(prob)
         assert not np.any(hard_threshold(d, params.beta_init * spectral_norm(d)))
         state, _ = initialize(d, params)
-        low, window = svd_truncated(d - 0.0, params.rank)  # W = D - S_init, formed
+        # W = D - S_init, formed, truncated at AccAltProj's row-0 tolerance
+        low, window = svd_truncated(d - 0.0, params.rank, rtol=_ROW0_RTOL)
         assert np.array_equal(state.low_rank.U, low.U)
         assert np.array_equal(state.low_rank.sigma, low.sigma)
         assert np.array_equal(state.low_rank.V, low.V)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rpca.synthetic
+from rpca.metrics import factor_incoherence
 from rpca.synthetic import SyntheticSpec, _sample_support, generate
 
 
@@ -55,6 +56,12 @@ class TestSpecValidation:
         good.update(kwargs)
         with pytest.raises(ValueError):
             SyntheticSpec(**good)
+
+    def test_rejects_2_to_the_32_entries(self):
+        # the support sampler's int64 keys hold entry * draws + position
+        SyntheticSpec(65535, 65537, 2, 0.1, 1.0, 0)  # 2^32 - 1 entries
+        with pytest.raises(ValueError, match="2\\^32 entries"):
+            SyntheticSpec(65536, 65536, 2, 0.1, 1.0, 0)
 
     def test_support_size_is_floor(self):
         assert SyntheticSpec(10, 10, 2, 0.1, 1.0, 0).support_size == 10
@@ -120,6 +127,27 @@ class TestGenerate:
             s = np.linalg.svd(prob.low_rank, compute_uv=False)
             assert s[3] > 1e-8 * s[0]
             assert s[4] <= 1e-10 * s[0]
+
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [
+            pytest.param((60, 60), 4, id="square"),
+            pytest.param((90, 40), 3, id="tall"),
+            pytest.param((40, 90), 3, id="wide"),
+            pytest.param((50, 20), 20, id="tall-full-rank"),
+            pytest.param((20, 50), 20, id="wide-full-rank"),
+            pytest.param((12, 12), 12, id="square-full-rank"),
+        ],
+    )
+    def test_diagnostics_match_the_dense_svd(self, shape, rank):
+        # Read off the factors, mu_true and kappa_true are those of the SVD
+        # of the dense L to rounding.  The dense SVD's own sigma_r is good to
+        # about eps * kappa relative; kappa stays below 1e4 here.
+        prob = generate(SyntheticSpec(*shape, rank, 0.1, 1.0, 6))
+        u, s, vt = np.linalg.svd(prob.low_rank, full_matrices=False)
+        mu = factor_incoherence(u[:, :rank], vt[:rank].T)
+        assert prob.mu_true == pytest.approx(mu, rel=1e-13, abs=0.0)
+        assert prob.kappa_true == pytest.approx(s[0] / s[rank - 1], rel=1e-13, abs=0.0)
 
     def test_diagnostics_are_sane(self):
         prob = generate(SyntheticSpec(50, 50, 5, 0.1, 1.0, 55))

@@ -53,8 +53,9 @@ compared too.  One line is printed per file, and the exit status is 1 if any
 file differs.  A differing line says how far the two differ: for a matrix
 file, the largest entrywise difference relative to the largest entry of
 REV's matrix, and whether the nonzero supports match; for a ``trace.json``,
-whether ``iterations`` and ``converged`` match, and the largest relative
-move of ``err``.
+whether ``iterations`` and ``converged`` match, the largest relative moves
+of ``err`` and ``zeta``, and the relative move of row 0's
+``sigma_window[r]``.
 
 Trim fires in every accelerated ``solve`` that measures ``mu`` on its input
 (no ``--mu``): ``solve``, ``solve-csv``, ``solve-spiked``, ``solve-fallback``,
@@ -235,13 +236,28 @@ def how_far(first, second):
     if first.name == "trace.json":
         a, b = (json.loads(path.read_text()) for path in (first, second))
         keys = ("iterations", "converged")
-        equal = ", ".join(f"{key} {'equal' if a[key] == b[key] else 'differ'}" for key in keys)
-        errs = [np.asarray(t["trace"]["err"], dtype=float) for t in (a, b)]
-        if errs[0].shape != errs[1].shape:
-            return equal
-        moved = np.abs(errs[0] - errs[1]) / np.maximum(np.abs(errs[0]), np.finfo(float).tiny)
-        return f"{equal}, err moves by at most {float(moved.max(initial=0.0)):.2g} relative"
+        notes = [", ".join(f"{key} {'equal' if a[key] == b[key] else 'differ'}" for key in keys)]
+        rows = [t["trace"] for t in (a, b)]
+        for key in ("err", "zeta"):
+            moved = relative_move(rows[0][key], rows[1][key])
+            if moved is not None:
+                notes.append(f"{key} moves by at most {moved:.2g} relative")
+        # the (r+1)-th value of row 0's window: the next Ritz value of the
+        # initial truncation, which moves with its number of sweeps
+        r = a["params"]["rank"]
+        moved = relative_move(*(t["sigma_window"][0][r : r + 1] for t in rows))
+        if moved is not None:
+            notes.append(f"row 0 sigma_window[r] by {moved:.2g}")
+        return ", ".join(notes)
     return ""
+
+
+def relative_move(first, second):
+    """Largest |first - second| / |first| over two equal-length sequences, or None."""
+    first, second = (np.asarray(x, dtype=float) for x in (first, second))
+    if first.shape != second.shape or first.size == 0:
+        return None
+    return float((np.abs(first - second) / np.maximum(np.abs(first), np.finfo(float).tiny)).max())
 
 
 def main(argv=None):
