@@ -109,9 +109,9 @@ def _output_dir(args):
 def _cmd_solve(args):
     """Solve the input file and write L, S and trace.json.
 
-    The solve returns L as factors and zeta.  S = H_zeta(D - L) goes to its
-    file tile by tile from D; then D is dropped, and only then is the dense
-    L formed for its file.
+    The solve returns L as factors and its trace, whose last zeta gives
+    S = H_zeta(D - L).  S goes to its file tile by tile from D; then D is
+    dropped, and only then is the dense L formed for its file.
     """
     d = read_matrix(args.input)
     m, n = d.shape
@@ -142,12 +142,12 @@ def _cmd_solve(args):
     params = RpcaParams.defaults((m, n), args.rank, mu, trim_enabled=trim_enabled, **overrides)
 
     t0 = perf_counter()
-    low, zeta, trace, converged = _solve(d, params, tangent=args.solver == "accaltproj")
+    low, trace, converged = _solve(d, params, tangent=args.solver == "accaltproj")
     total_seconds = perf_counter() - t0
     last = trace[-1]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_rows(_sparse_tiles(d, low, zeta), (m, n), outputs[1])
+    _write_rows(_sparse_tiles(d, low, last.zeta), (m, n), outputs[1])
     del d  # so that D is freed before the dense L is formed for writing
     write_matrix(low.matrix(), outputs[0])
     _write_json(

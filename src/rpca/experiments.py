@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from time import perf_counter
 
 import numpy as np
 
-from .kernel import svd_truncated
 from .metrics import recovery_success
-from .solver import RpcaParams, _Gather, _solve, _sparse_part, _step, initialize
+from .solver import RpcaParams, _Gather, _solve, _sparse_part, _step, _Stored, initialize
 from .synthetic import SyntheticSpec, generate
 
 __all__ = [
@@ -219,7 +217,7 @@ def _run_trial(solver_id, spec, d, l_true, params):
     again; it reads L, the trace and ``converged`` only, so no S is built."""
     tangent, trim_enabled = _SOLVERS[solver_id]
     t0 = perf_counter()
-    low, _, trace, converged = _solve(d, replace(params, trim_enabled=trim_enabled), tangent)
+    low, trace, converged = _solve(d, replace(params, trim_enabled=trim_enabled), tangent)
     wall_seconds = perf_counter() - t0
     mean_iter, mean_l = _timing_means(trace)
     return TrialRecord(
@@ -345,48 +343,41 @@ def _l_update_case(n, rank):
     return state.low_rank, d, _sparse_part(d, state.low_rank, state.zeta), params
 
 
-def _accelerated_l_update(low_rank, d, sparse, params):
-    """AccAltProj's L-update from (D, S): trim, U^T W and W V of W = D - S
-    over the row blocks that a solve's sparse pass gathers them in, and the
-    structured truncation.  ``sparse`` is only read."""
-    gather = _Gather(low_rank, d.shape, params)
-    buf = np.empty((gather.blocks[0].stop, d.shape[1]))
-    for t in gather.blocks:
-        gather.add(t, np.subtract(d[t], sparse[t], out=buf[: t.stop - t.start]))
-    return gather.truncate()
+def _l_update(w, low_rank, d, sparse, params):
+    """The L-update of ``w``'s solver at L_k = ``low_rank`` from (D, S_k).
 
-
-def _baseline_l_update(low_rank, d, sparse, params, w):
-    """AltProj's L-update from (D, S): W = D - S formed into ``w``, an
-    m x n buffer, and its truncated SVD, its sketch started from V_k.
-    ``sparse`` is only read."""
-    return svd_truncated(np.subtract(d, sparse, out=w), params.rank, low_rank.V)
+    The update that follows ``w`` gets W = D - S_k block by block in its
+    buffer, as from a sparse pass (AltProj's takes ``w``'s array over), and
+    truncates it.  ``sparse`` is only read."""
+    w = w.following(low_rank, d.shape, params)
+    buf = w.buffer()
+    for t in w.blocks:
+        w.add(t, np.subtract(d[t], sparse[t], out=buf[: t.stop - t.start]))
+    return w.truncate()
 
 
 def benchmark_l_updates(n, rank):
     """Mean and median wall seconds of a single L-update, accelerated vs baseline.
 
-    Both of the solvers' L-updates run whole on the same D, S_k and L_k of a
-    seeded synthetic problem (:func:`_l_update_case`): S_k is the first
-    nonzero sparse iterate of the accelerated solve, since at a zero S_k the
-    step would be idle and a solve skips it.  The accelerated update is
-    trim, the row-blocked products U^T (D - S_k) and (D - S_k) V and the
-    factored tangent-space truncation; a solve forms those products in the
-    sparse pass that builds S_k, and they are timed here all the same.  The
-    baseline forms D - S_k, into one m x n buffer allocated here once, and
-    takes its certified truncated SVD (:func:`rpca.kernel.svd_truncated`),
-    as a solve's sparse pass and L-update do.  S_k is only read.  The two
-    alternate, one call each per round, so that host drift slows both
-    alike.
+    Each round runs the solvers' own L-updates whole (:func:`_l_update`) on
+    the same D, S_k and L_k of a seeded synthetic problem
+    (:func:`_l_update_case`): S_k is the first nonzero sparse iterate of the
+    accelerated solve, since at a zero S_k the step would be idle and a
+    solve skips it.  The accelerated update is trim, the block products
+    U^T (D - S_k) and (D - S_k) V, which a solve forms in the sparse pass
+    that builds S_k, and the structured truncation.  The baseline forms
+    D - S_k into one m x n buffer, allocated here once, and takes its
+    certified truncated SVD.  S_k is only read.  The two alternate, one
+    call each per round, so that host drift slows both alike.
     """
     low_rank, d, s_k, params = _l_update_case(n, rank)
-    baseline = partial(_baseline_l_update, w=np.empty_like(d))
-    updates = {"accelerated": _accelerated_l_update, "baseline": baseline}
+    kinds = {"accelerated": _Gather, "baseline": _Stored}
+    updates = {name: kind(low_rank, d.shape, params) for name, kind in kinds.items()}
     seconds = {name: [] for name in updates}
     for _ in range(1 + _BENCH_ITERS):  # the first round is a warm-up, dropped below
-        for name, l_update in updates.items():
+        for name, w in updates.items():
             t0 = perf_counter()
-            l_update(low_rank, d, s_k, params)
+            _l_update(w, low_rank, d, s_k, params)
             seconds[name].append(perf_counter() - t0)
     out = {"n": n, "rank": rank, "iters": _BENCH_ITERS, "seed": _BENCH_SEED}
     for name, times in seconds.items():

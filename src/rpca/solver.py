@@ -12,19 +12,20 @@ iteration, its sketch started from the previous right factor) is provided
 for comparison.
 
 Each iteration makes one pass over D, and the accelerated loop keeps no
-m x n array.  The L-update reads W_k = D - S_k only through what the
-previous pass handed on, and the sparse pass that follows builds L_{k+1},
-D - L_{k+1}, S_{k+1} = H_zeta(D - L_{k+1}), W_{k+1} = D - S_{k+1} and the
-residual norm over row tiles, with each tile of S in a tile buffer.  For the
-accelerated solver it adds each block of W_{k+1}, whole tiles at least 4r
-rows high, into U'^T W and W V' at (U', V') = trim(L_{k+1}), which depends
-only on L_{k+1}, so the L-update itself is the structured truncation.  The
-baseline's pass stores W_{k+1} in the solve's one m x n array, which its
-truncated SVD reads.  L_0 is that baseline L-update at S_init, as in
-AltProj, and ``initialize``'s S_0 pass feeds the first step the same way.
-The loop (:func:`_solve`) ends with L_K and zeta_K, which state the answer,
-since S_K = H_zeta_K(D - L_K).  S itself is built by one more pass with
-:func:`hard_threshold` (:func:`_sparse_tiles`), for a caller that reads it
+m x n array.  The solvers differ only in the L-update, whose two classes
+share one interface.  The sparse pass builds L_{k+1}, D - L_{k+1},
+S_{k+1} = H_zeta(D - L_{k+1}), W_{k+1} = D - S_{k+1} and the residual norm
+over row tiles, each tile of S in a tile buffer, and writes W_{k+1} into
+the next update's ``buffer()``, handing it each of its ``blocks`` by
+``add``; the next step calls ``truncate()`` and builds the update that
+follows (``following``).  AccAltProj's (:class:`_Gather`) sums blocks of
+whole tiles, 4r rows or more, into U'^T W and W V' at
+(U', V') = trim(L_{k+1}) for the structured truncation; AltProj's
+(:class:`_Stored`) holds W_{k+1} as one block, the solve's one m x n array,
+for its truncated SVD.  L_0 is AltProj's update at S_init.  The loop
+(:func:`_solve`) ends with L_K and a trace whose last zeta_K gives the rest
+of the answer, S_K = H_zeta_K(D - L_K).  S itself is built by one more pass
+with :func:`hard_threshold` (:func:`_sparse_tiles`), for a caller that reads it
 only, once the last state, and with it the baseline's W_K, is gone.  The
 entry points build it whole, as ``RpcaSolution.sparse``, so a solve through
 them peaks at D plus the returned S (accelerated) or at D plus its one array
@@ -163,10 +164,9 @@ class IterationState:
     """Solver state after iteration ``k``.
 
     The state holds no S.  S_k is H_zeta(D - L_k) with zeta = ``zeta``, and
-    ``w`` is what the next L-update reads of W_k = D - S_k, as the sparse
-    pass that built S_k handed it on: a ``_Gather`` of U^T W_k and W_k V at
-    the basis trim(L_k) (AccAltProj), or W_k itself in the solve's one m x n
-    array (AltProj), freed with the last state when the loop returns.
+    ``w`` is the L-update that reads W_k = D - S_k, as the sparse pass that
+    built S_k handed it on: a :class:`_Gather` (AccAltProj) or a
+    :class:`_Stored` (AltProj), whose m x n array goes with the last state.
     ``sigma_window`` holds the singular values (descending) of the matrix
     whose truncation produced ``low_rank``: the projected residual during
     the main loop, the thresholded data during initialization.  Where that
@@ -174,11 +174,11 @@ class IterationState:
     next Ritz value, a lower bound on sigma_{r+1} that moves with the
     number of sweeps run.  AccAltProj's row 0 is certified to 1e-6 only
     (``_ROW0_RTOL``), so its value after the first r is up to 4.3% off the
-    1e-10 one on the benchmark's problems; no threshold reads it, since zeta_0 reads sigma_1 and
-    every later step has its own window.  ``l_update_seconds`` is
-    the wall time of the truncation (0 for a skipped step).  ``max_abs_dl``
-    is max|D - L_k| while S_init and every S_j up to S_k are zero, and None
-    once one of them is not; it decides which steps :func:`_solve` may skip.
+    1e-10 one on the benchmark's problems; no threshold reads it, since
+    zeta_0 reads sigma_1 and every later step has its own window.
+    ``l_update_seconds`` is the truncation's wall time (0 if skipped).
+    ``max_abs_dl`` is max|D - L_k| while S_init and every S_j up to S_k are
+    zero, else None; it decides which steps :func:`_solve` may skip.
     """
 
     low_rank: FactoredLowRank
@@ -324,23 +324,26 @@ def hard_threshold(z, zeta, out=None):
 
 
 class _Gather:
-    """U^T W and W V at the basis trim(L) of the iterate L, summed over row blocks of W.
+    """AccAltProj's L-update: U^T W and W V at the basis trim(L) of the iterate L.
 
-    This is all that AccAltProj's L-update reads of W = D - S.  The basis
-    is L itself when ``params.trim_enabled`` is False.  A block is a run of
-    whole tiles of :func:`_row_tiles`, 4r rows or more but the last: U_t^T
-    W_t has the block height as its inner dimension, which BLAS runs poorly
-    when small next to r.  The sums are complete once every block has been
-    added, in order.
-    """
+    These sums over row blocks of W = D - S are all the update reads of W.
+    The basis is L itself when ``params.trim_enabled`` is False.  A block is
+    a run of whole tiles of :func:`_row_tiles`, 4r rows or more but the last:
+    U_t^T W_t has the block height as its inner dimension, which BLAS runs
+    poorly when small next to r.  Blocks are added in order."""
 
     def __init__(self, low, shape, params):
-        basis = trim(low, params.mu) if params.trim_enabled else low
-        r, tile = basis.rank, _row_tiles(shape)[0].stop
-        self.basis = basis
+        self.basis = trim(low, params.mu) if params.trim_enabled else low
+        r, tile = self.basis.rank, _row_tiles(shape)[0].stop
         self.blocks = _row_tiles(shape, floor=-(-4 * r // tile) * tile)
-        self.utw = np.zeros((r, shape[1]))
-        self.wv = np.empty((shape[0], r))
+        self.utw, self.wv = np.zeros((r, shape[1])), np.empty((shape[0], r))
+
+    def following(self, low, shape, params):
+        return _Gather(low, shape, params)
+
+    def buffer(self):
+        """A new buffer for the rows of one block; the first block is the tallest."""
+        return np.empty((self.blocks[0].stop, self.utw.shape[1]))
 
     def add(self, block, w):
         """Add the rows ``block`` of W, given as ``w``."""
@@ -348,8 +351,31 @@ class _Gather:
         np.matmul(w, self.basis.V, out=self.wv[block])
 
     def truncate(self):
-        """The L-update: the structured truncation of the projection of W."""
+        """The structured truncation of the tangent-space projection of W."""
         return structured_truncate(self.basis, self.utw, self.wv)
+
+
+class _Stored:
+    """AltProj's L-update: the truncated SVD of W, its sketch started from V of the iterate L.
+
+    W is one block, the solve's one m x n array, which the pass writes in
+    place, so ``add`` does nothing; the next update takes the array over."""
+
+    def __init__(self, low, shape, params, array=None):
+        self.low, self.blocks = low, [slice(0, shape[0])]
+        self.array = np.empty(shape) if array is None else array
+
+    def following(self, low, shape, params):
+        return _Stored(low, shape, params, self.array)
+
+    def buffer(self):
+        return self.array
+
+    def add(self, block, w):
+        pass
+
+    def truncate(self):
+        return svd_truncated(self.array, self.low.rank, self.low.V)
 
 
 def _residual_tiles(d, low):
@@ -376,28 +402,24 @@ def _tiled_pass(d, low, zeta, w, track_max=False):
     """S = H_zeta(D - L) with L = ``low``, in one pass over row tiles of D.
 
     Each tile of D - L (:func:`_residual_tiles`) has its tile of S
-    thresholded from it into the rows of W that ``w`` takes, then turned in
-    place into W = D - S.  S is never stored whole.  ``w`` is the m x n W
-    itself (AltProj), or a :class:`_Gather` (AccAltProj), whose rows of W
-    collect in a block buffer until a tile ends one of its blocks, which it
-    then gets.  The tiles are the same either way, so S, W and the norm do
-    not depend on the blocks.  The part of D - L that S did not take gives
-    ||D - L - S||_F.  The tile of S skips :func:`hard_threshold`'s +0.0: no
-    output reads the sign of its zeros.
+    thresholded from it into its rows of ``w.buffer()``, then turned in
+    place into W = D - S, so S is never stored whole.  ``w``, the next
+    L-update, gets each of its ``blocks`` by ``w.add`` once the block's last
+    tile is done; S, W and the norm do not depend on the blocks.  The part
+    of D - L that S did not take gives ||D - L - S||_F.  The tile of S skips
+    :func:`hard_threshold`'s +0.0: no output reads the sign of its zeros.
 
     Returns ``(norm, max_abs_dl)``: with ``track_max``, max|D - L| while S is
     zero (max|D - L| <= zeta), else None.
     """
     residuals = _residual_tiles(d, low)
-    pending, first = [], 0  # the gather's blocks still to come; the first row in w
-    if isinstance(w, _Gather):
-        gather, pending = w, list(w.blocks)
-        w = np.empty((pending[0].stop, d.shape[1]))  # the first block is the tallest
+    buf, blocks = w.buffer(), iter(w.blocks)
+    block = next(blocks)
     total, max_abs_dl = 0.0, 0.0
     for t, residual in residuals:
         if track_max:
             max_abs_dl = max(max_abs_dl, float(residual.max()), -float(residual.min()))
-        s = w[t.start - first : t.stop - first]
+        s = buf[t.start - block.start : t.stop - block.start]
         np.abs(residual, out=s)
         np.greater(s, zeta, out=s)
         s *= residual
@@ -405,10 +427,9 @@ def _tiled_pass(d, low, zeta, w, track_max=False):
         np.subtract(d[t], s, out=s)  # W = D - S over its tile of S
         flat = residual.ravel()
         total += float(flat @ flat)
-        if pending and pending[0].stop == t.stop:
-            block = pending.pop(0)
-            gather.add(block, w[: block.stop - block.start])
-            first = block.stop
+        if t.stop == block.stop:
+            w.add(block, buf[: block.stop - block.start])
+            block = next(blocks, block)
     return math.sqrt(total), (max_abs_dl if track_max and max_abs_dl <= zeta else None)
 
 
@@ -460,11 +481,10 @@ def initialize(d, params, tangent=True):
     ||A v_i - sigma_i u_i|| <= 1e-6 sigma_1 (``_ROW0_RTOL``), not the
     kernel's 1e-10, which saves one or two sweeps and, on some spiked
     inputs, the dense SVD that follows ten uncertified ones; the loop
-    refines L_0 from there.  S_0 comes
-    from :func:`_tiled_pass`, the sparse pass of every loop step, which
-    hands W_0 = D - S_0 on to the first L-update: AccAltProj's
-    (``tangent``, the default) or AltProj's, whose W_0 is the solve's one
-    m x n array, allocated once D - S_init is freed.
+    refines L_0 from there.  S_0 comes from :func:`_tiled_pass`, the sparse
+    pass of every loop step, which hands W_0 = D - S_0 on to the first loop
+    L-update, of the class that ``tangent`` (the default) picks once:
+    :class:`_Gather`, or :class:`_Stored`, allocated once S_init is freed.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d``, a non-empty finite float64
@@ -484,42 +504,30 @@ def initialize(d, params, tangent=True):
     l_seconds = perf_counter() - t0
     del s_init  # D - S_init, read by the truncation only
     zeta_0 = params.beta * float(low.sigma[0])
-    w = _Gather(low, d.shape, params) if tangent else np.empty(d.shape)
-    residual_norm, max_abs_dl = _tiled_pass(d, low, zeta_0, w, track_max=idle)
-    state = IterationState(low, w, 0, zeta_0, window, l_seconds, max_abs_dl)
-    return state, residual_norm
+    w = (_Gather if tangent else _Stored)(low, d.shape, params)
+    norm, max_abs_dl = _tiled_pass(d, low, zeta_0, w, track_max=idle)
+    return IterationState(low, w, 0, zeta_0, window, l_seconds, max_abs_dl), norm
 
 
 def _step(state, d, params):
     """One iteration: L-update, next threshold, sparse pass.
 
-    The L-update reads what the previous sparse pass handed on of
-    W_k = D - S_k (``state.w``): AccAltProj truncates the tangent-space
-    projection at trim(L_k) from the gathered U^T W_k and W_k V, and
-    AltProj takes the truncated SVD of W_k, its sketch started from V_k.
-    The sparse pass :func:`_tiled_pass` then builds S_{k+1} tile by tile
-    and hands W_{k+1} on the same way, into a new gather at trim(L_{k+1})
-    or over W_k in the solve's buffer, so an AltProj input state's ``w`` is
-    spent.  ``d`` is only read.
+    ``state.w.truncate()`` is the L-update, from what the last sparse pass
+    handed on of W_k = D - S_k.  :func:`_tiled_pass` then builds S_{k+1}
+    and hands W_{k+1} to ``state.w.following`` at L_{k+1}, which for
+    AltProj takes the array over and so spends ``state.w``.  ``d`` is only read.
 
     Returns ``(state, residual_norm)`` with residual_norm =
     ||D - L_{k+1} - S_{k+1}||_F.  max|D - L_{k+1}| is tracked while the
     input state tracks it (see :class:`IterationState`).
     """
-    tangent = isinstance(state.w, _Gather)
     t0 = perf_counter()
-    if tangent:
-        low, window = state.w.truncate()
-    else:
-        low, window = svd_truncated(state.w, params.rank, state.low_rank.V)
+    low, window = state.w.truncate()
     l_seconds = perf_counter() - t0
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
-    w = _Gather(low, d.shape, params) if tangent else state.w
-    residual_norm, max_abs_dl = _tiled_pass(
-        d, low, zeta, w, track_max=state.max_abs_dl is not None
-    )
-    state = IterationState(low, w, state.k + 1, zeta, window, l_seconds, max_abs_dl)
-    return state, residual_norm
+    w = state.w.following(low, d.shape, params)
+    norm, max_abs_dl = _tiled_pass(d, low, zeta, w, track_max=state.max_abs_dl is not None)
+    return IterationState(low, w, state.k + 1, zeta, window, l_seconds, max_abs_dl), norm
 
 
 def _skipped_step(state, params):
@@ -575,11 +583,11 @@ def _checked_norm(d):
 
 
 def _solve(d, params, tangent):
-    """The loop of both solvers: ``(L_K, zeta_K, trace, converged)``, and no S.
+    """The loop of both solvers: ``(L_K, trace, converged)``, and no S.
 
-    S_K = H_zeta_K(D - L_K) is built by the caller that reads it, with
-    :func:`_sparse_tiles`.  ``d`` is a finite float64 row-major matrix, as
-    :func:`ensure_matrix` returns it, which is not checked here.
+    S_K = H_zeta_K(D - L_K), zeta_K the last row's, is built by its reader
+    with :func:`_sparse_tiles`.  ``d``, a finite float64 row-major matrix
+    as :func:`ensure_matrix` returns it, is not checked here.
     """
     d_norm = _checked_norm(d)
     t0 = perf_counter()
@@ -595,15 +603,15 @@ def _solve(d, params, tangent):
         state, residual_norm = _step(state, d, params)
         err = residual_norm / d_norm
         trace.append(_record(state, err, perf_counter() - t0))
-    return state.low_rank, state.zeta, trace, bool(err < params.epsilon)
+    return state.low_rank, trace, bool(err < params.epsilon)
 
 
 def _solution(d, params, tangent):
     """The entry points' :class:`RpcaSolution`; S_K is built once the loop,
     and with it AltProj's W_K, is gone."""
     d = ensure_matrix(d, "D")
-    low, zeta, trace, converged = _solve(d, params, tangent)
-    return RpcaSolution(low, _sparse_part(d, low, zeta), trace, converged)
+    low, trace, converged = _solve(d, params, tangent)
+    return RpcaSolution(low, _sparse_part(d, low, trace[-1].zeta), trace, converged)
 
 
 def accaltproj_solve(d, params):

@@ -16,7 +16,16 @@ from rpca.experiments import (
     trial_seed,
 )
 from rpca.metrics import recovery_success
-from rpca.solver import _sparse_part, _step, accaltproj_solve, altproj_solve, initialize
+from rpca.solver import (
+    _Gather,
+    _row_tiles,
+    _sparse_part,
+    _step,
+    _Stored,
+    accaltproj_solve,
+    altproj_solve,
+    initialize,
+)
 from rpca.synthetic import SyntheticSpec
 
 
@@ -33,11 +42,12 @@ def alternated_l_update_medians(shapes, calls=20):
     alike.
     """
     cases = [rpca.experiments._l_update_case(n, rank) for n, rank in shapes]
+    updates = [_Gather(low, d.shape, params) for low, d, _, params in cases]
     seconds = [[] for _ in cases]
     for round_index in range(calls + 1):
-        for case, times in zip(cases, seconds):
+        for w, case, times in zip(updates, cases, seconds):
             t0 = perf_counter()
-            rpca.experiments._accelerated_l_update(*case)
+            rpca.experiments._l_update(w, *case)
             if round_index:
                 times.append(perf_counter() - t0)
     return [float(np.median(times)) for times in seconds]
@@ -280,13 +290,37 @@ class TestBenchmark:
         assert out["accelerated_median_seconds"] > 0.0
         assert out["baseline_median_seconds"] > 0.0
 
+    @pytest.mark.parametrize("tangent", [True, False], ids=["accaltproj", "altproj"])
+    def test_timed_update_is_the_one_the_solve_hands_on(self, tangent):
+        # The benchmark's helper builds the solver's L-update from (D, S_k);
+        # the solve's own sparse pass handed on the update in state.w.  At
+        # the first nonzero S_k both truncations agree bit for bit.  At
+        # 300 x 300, r = 20, each 81-row gather block spans three 27-row
+        # pass tiles, so the pass hands a block on only every third tile.
+        spec = SyntheticSpec(300, 300, 20, 0.1, 1.0, 3)
+        problem, params = rpca.experiments._problem_and_params(spec)
+        d = problem.data
+        assert {t.stop - t.start for t in _row_tiles(d.shape)[:-1]} == {27}
+        state, _ = initialize(d, params, tangent)
+        while not np.any(sparse := _sparse_part(d, state.low_rank, state.zeta)):
+            assert state.k < params.max_iter
+            state, _ = _step(state, d, params)
+        assert state.k >= 1
+        heights = [b.stop - b.start for b in state.w.blocks]
+        assert heights == ([81, 81, 81, 57] if tangent else [300])
+        want = state.w.truncate()  # before the helper takes AltProj's array over
+        got = rpca.experiments._l_update(state.w, state.low_rank, d, sparse, params)
+        for name in ("U", "sigma", "V"):
+            assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
+        assert np.array_equal(got[1], want[1])
+
     def test_every_baseline_call_reads_the_first_nonzero_s_k(self, monkeypatch):
         # Both updates are timed at the first nonzero S_k of the accelerated
         # solve (S_0 is zero on the benchmark's problems, an idle step).  A
         # state holds no S, so each S_j is rebuilt from (L_j, zeta_j) as a
         # solve writes its final S.  The baseline forms D - S_k into a buffer
         # of its own, so S_k is only read.
-        iterates, seen, cases, received = [], [], [], set()
+        iterates, seen, cases, received, buffers = [], [], [], set(), set()
 
         def recording_case(n, rank):
             case = l_update_case(n, rank)
@@ -303,17 +337,19 @@ class TestBenchmark:
             iterates.append(_sparse_part(d, state.low_rank, state.zeta))
             return state, residual_norm
 
-        def recording_baseline(low_rank, d, sparse, params, w):
-            seen.append(sparse.copy())
-            received.add(id(sparse))
-            return baseline(low_rank, d, sparse, params, w)
+        def recording_l_update(w, low_rank, d, sparse, params):
+            if isinstance(w, _Stored):
+                seen.append(sparse.copy())
+                received.add(id(sparse))
+                buffers.add(id(w.array))
+            return l_update(w, low_rank, d, sparse, params)
 
-        baseline = rpca.experiments._baseline_l_update
+        l_update = rpca.experiments._l_update
         l_update_case = rpca.experiments._l_update_case
         monkeypatch.setattr(rpca.experiments, "_l_update_case", recording_case)
         monkeypatch.setattr(rpca.experiments, "initialize", recording_initialize)
         monkeypatch.setattr(rpca.experiments, "_step", recording_step)
-        monkeypatch.setattr(rpca.experiments, "_baseline_l_update", recording_baseline)
+        monkeypatch.setattr(rpca.experiments, "_l_update", recording_l_update)
         out = benchmark_l_updates(100, 3)
         assert len(iterates) >= 2  # S_0 is zero here, so at least one step ran
         assert not any(s.any() for s in iterates[:-1])
@@ -323,6 +359,7 @@ class TestBenchmark:
         [(s_k, before)] = cases
         # every call got the case's own S_k, and left it as it was
         assert received == {id(s_k)} and s_k.tobytes() == before
+        assert len(buffers) == 1  # the baseline's buffer is allocated once
 
     def test_quadratic_scaling_in_n(self):
         # Doubling n at fixed r should scale the accelerated update by about

@@ -28,6 +28,7 @@ from rpca.solver import (
     _row_tiles,
     _sparse_part,
     _step,
+    _Stored,
     _tiled_pass,
 )
 from rpca.synthetic import SyntheticSpec, generate
@@ -118,7 +119,7 @@ def state_at(low, d, sparse, params, tangent, **fields):
     """A state built by hand at (L_k, S_k), with W_k = D - S_k handed on as
     the sparse pass would: gathered at trim(L_k), or stored whole."""
     if not tangent:
-        return IterationState(low, d - sparse, **fields)
+        return IterationState(low, _Stored(low, d.shape, params, d - sparse), **fields)
     w = _Gather(low, d.shape, params)
     for t in w.blocks:
         w.add(t, d[t] - sparse[t])
@@ -127,8 +128,8 @@ def state_at(low, d, sparse, params, tangent, **fields):
 
 def stepped_copy(state, d, params):
     """``_step`` of a copy of ``state``, whose W buffer an AltProj step would spend."""
-    if not isinstance(state.w, _Gather):
-        state = replace(state, w=state.w.copy())
+    if isinstance(state.w, _Stored):
+        state = replace(state, w=_Stored(state.low_rank, d.shape, params, state.w.array.copy()))
     return _step(state, d, params)
 
 
@@ -860,7 +861,7 @@ class TestSolvers:
         params = desk_params(prob)
         state, _ = initialize(prob.data, params, tangent=False)
         w = prob.data - sparse_of(state, prob.data)
-        assert np.array_equal(state.w, w)  # W_0, as the S_0 pass stored it
+        assert np.array_equal(state.w.array, w)  # W_0, as the S_0 pass stored it
         out, _ = stepped_copy(state, prob.data, params)
         u, s, vt = np.linalg.svd(w)
         dense = (u[:, :3] * s[:3]) @ vt[:3]
@@ -1093,19 +1094,19 @@ class TestIdleSkip:
         low = random_factored(rng, 300, 300, 3)  # 12 row tiles
         d = low.matrix() + rng.standard_normal((300, 300))
         params = RpcaParams(rank=3, mu=100.0, beta=0.1, beta_init=0.2)
-        w = np.empty(d.shape)
+        w = _Stored(low, d.shape, params)
         _, top = _tiled_pass(d, low, math.inf, w, track_max=True)
         assert top == pytest.approx(np.abs(d - low.matrix()).max(), rel=1e-12)
         # no entry of D - L exceeds zeta: S = 0, W = D, and the maximum is returned
         norm, max_abs_dl = _tiled_pass(d, low, top, w, track_max=True)
-        assert np.array_equal(w, d) and max_abs_dl == top
+        assert np.array_equal(w.array, d) and max_abs_dl == top
         assert not np.any(_sparse_part(d, low, top))
         # a gather's blocks are the same 27-row tiles here, so its norm is the same
         assert norm == _tiled_pass(d, low, top, _Gather(low, d.shape, params))[0]
         # one entry does: S != 0, and the maximum no longer serves
         zeta = np.nextafter(top, 0.0)
         _, max_abs_dl = _tiled_pass(d, low, zeta, w, track_max=True)
-        assert np.count_nonzero(w != d) == 1 and max_abs_dl is None
+        assert np.count_nonzero(w.array != d) == 1 and max_abs_dl is None
         assert np.count_nonzero(_sparse_part(d, low, zeta)) == 1
         # untracked, nothing is returned even for S = 0
         assert _tiled_pass(d, low, top, w)[1] is None
@@ -1153,8 +1154,9 @@ class TestWorkspaceReuse:
             if tangent:
                 assert isinstance(out.w, _Gather) and out.w is not state.w
             else:
-                assert out.w is state.w and not np.shares_memory(out.w, d)
-                assert np.array_equal(out.w, d - sparse_of(out, d))
+                assert isinstance(out.w, _Stored) and out.w.array is state.w.array
+                assert not np.shares_memory(out.w.array, d)
+                assert np.array_equal(out.w.array, d - sparse_of(out, d))
             # the returned norm is that of D - L - S for the returned state
             dense = frob(d - out.low_rank.matrix() - sparse_of(out, d))
             assert abs(residual_norm - dense) <= 1e-12 * dense

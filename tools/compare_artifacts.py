@@ -55,7 +55,10 @@ file, the largest entrywise difference relative to the largest entry of
 REV's matrix, and whether the nonzero supports match; for a ``trace.json``,
 whether ``iterations`` and ``converged`` match, the largest relative moves
 of ``err`` and ``zeta``, and the relative move of row 0's
-``sigma_window[r]``.
+``sigma_window[r]``; for a ``report.json``, ``timings.json``,
+``metadata.json`` or ``report.csv``, the fields (columns) that differ,
+whether any record's ``success``, ``converged`` or ``iterations`` does, and
+the largest relative move of the differing float fields.
 
 Trim fires in every accelerated ``solve`` that measures ``mu`` on its input
 (no ``--mu``): ``solve``, ``solve-csv``, ``solve-spiked``, ``solve-fallback``,
@@ -249,7 +252,71 @@ def how_far(first, second):
         if moved is not None:
             notes.append(f"row 0 sigma_window[r] by {moved:.2g}")
         return ", ".join(notes)
+    if first.name in ("report.json", "timings.json", "metadata.json", "report.csv"):
+        return field_notes(first, second)
     return ""
+
+
+# Fields of a trial record whose change alters an outcome, not just a figure.
+OUTCOMES = ("success", "converged", "iterations")
+
+
+def leaves(obj, path=()):
+    """``{path: value}`` of every leaf of a parsed artifact; a path holds keys and indices."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return {path: obj}
+    found = {}
+    for key, value in items:
+        found.update(leaves(value, path + (key,)))
+    return found
+
+
+def parsed(path):
+    """A report, metadata or timings artifact without its timing fields, parsed.
+
+    ``report.csv`` becomes one dict per row, keyed by column, each cell read
+    as JSON where it parses (numbers) and kept as text where not.
+    """
+    data = comparable(path)
+    if path.suffix != ".csv":
+        return data
+    header, *rows = data
+    return [{column: cell(value) for column, value in zip(header, row)} for row in rows]
+
+
+def cell(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def field_notes(first, second):
+    """Which fields of two report-like artifacts differ, whether any outcome
+    (``OUTCOMES``) does, and how far their float fields move."""
+    a, b = (leaves(parsed(path)) for path in (first, second))
+    missing = object()
+    changed = [key for key in a.keys() | b.keys() if a.get(key, missing) != b.get(key, missing)]
+
+    def field(key):  # the innermost name on a path: "final_err", not an index
+        return next((part for part in reversed(key) if isinstance(part, str)), "(top level)")
+
+    names = sorted({field(key) for key in changed})
+    outcomes = [name for name in OUTCOMES if name in names]
+    notes = [f"differing fields: {', '.join(names)}"]
+    if outcomes:
+        notes.append(f"outcomes differ: {', '.join(outcomes)}")
+    else:
+        notes.append("success, converged and iterations equal")
+    floats = [key for key in changed if all(type(side.get(key)) is float for side in (a, b))]
+    if floats:
+        moved = relative_move([a[key] for key in floats], [b[key] for key in floats])
+        notes.append(f"floats move by at most {moved:.2g} relative")
+    return "; ".join(notes)
 
 
 def relative_move(first, second):
