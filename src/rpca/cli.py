@@ -30,6 +30,7 @@ from .kernel import SKETCH_SEED
 from .matio import MatrixIOError, _write_rows, read_matrix, write_matrix
 from .metrics import incoherence_of
 from .solver import IterationRecord, RpcaParams, _checked_norm, _solve, _sparse_tiles
+from .solver import _Gather, _Stored  # the L-updates of --solver accaltproj and altproj
 from .synthetic import RNG_ID, SyntheticSpec, generate
 
 __all__ = ["CliError", "build_parser", "main", "run"]
@@ -142,7 +143,7 @@ def _cmd_solve(args):
     params = RpcaParams.defaults((m, n), args.rank, mu, trim_enabled=trim_enabled, **overrides)
 
     t0 = perf_counter()
-    low, trace, converged = _solve(d, params, tangent=args.solver == "accaltproj")
+    low, trace, converged = _solve(d, params, _Gather if args.solver == "accaltproj" else _Stored)
     total_seconds = perf_counter() - t0
     last = trace[-1]
 

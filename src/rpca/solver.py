@@ -12,17 +12,18 @@ iteration, its sketch started from the previous right factor) is provided
 for comparison.
 
 Each iteration makes one pass over D, and the accelerated loop keeps no
-m x n array.  The solvers differ only in the L-update, whose two classes
-share one interface.  The sparse pass builds L_{k+1}, D - L_{k+1},
+m x n array.  The solvers differ only in the L-update, whose class is the
+solver: the entry points pass it down, and it states its row-0
+certificate ``row0_rtol``.  The sparse pass builds L_{k+1}, D - L_{k+1},
 S_{k+1} = H_zeta(D - L_{k+1}), W_{k+1} = D - S_{k+1} and the residual norm
 over row tiles, each tile of S in a tile buffer, and writes W_{k+1} into
-the next update's ``buffer()``, handing it each of its ``blocks`` by
-``add``; the next step calls ``truncate()`` and builds the update that
-follows (``following``).  AccAltProj's (:class:`_Gather`) sums blocks of
-whole tiles, 4r rows or more, into U'^T W and W V' at
-(U', V') = trim(L_{k+1}) for the structured truncation; AltProj's
-(:class:`_Stored`) holds W_{k+1} as one block, the solve's one m x n array,
-for its truncated SVD.  L_0 is AltProj's update at S_init.  The loop
+the ``buffer()`` of the next update, built by its class from the last,
+handing it each of its ``blocks`` by ``add``; the next step calls
+``truncate()``.  AccAltProj's (:class:`_Gather`) sums blocks of whole
+tiles, 4r rows or more, into U'^T W and W V' at (U', V') = trim(L_{k+1})
+for the structured truncation; AltProj's (:class:`_Stored`) holds W_{k+1}
+as one block, the solve's one m x n array, for its truncated SVD.  L_0 is
+the truncated SVD of D - S_init with no start, to ``row0_rtol``.  The loop
 (:func:`_solve`) ends with L_K and a trace whose last zeta_K gives the rest
 of the answer, S_K = H_zeta_K(D - L_K).  S itself is built by one more pass
 with :func:`hard_threshold` (:func:`_sparse_tiles`), for a caller that reads it
@@ -84,13 +85,6 @@ from .kernel import (
 # (above which the tiles a pass touches drop out of cache).
 _TILES = 16
 _TILE_BYTES = (64 * 1024, 256 * 1024)
-# The residual, relative to sigma_1, to which ``initialize`` certifies
-# AccAltProj's truncation of D - S_init: the loop refines L_0 at about rate
-# gamma, and no threshold reads more of that truncation than sigma_1 (see
-# _skipped_step).  AltProj's row 0 keeps the kernel's 1e-10: V_0 starts its
-# first loop truncation, whose (r+1)-th Ritz value, read by the schedule,
-# depends on where its sweeps start.
-_ROW0_RTOL = 1e-6
 
 __all__ = [
     "IterationRecord",
@@ -166,16 +160,15 @@ class IterationState:
     The state holds no S.  S_k is H_zeta(D - L_k) with zeta = ``zeta``, and
     ``w`` is the L-update that reads W_k = D - S_k, as the sparse pass that
     built S_k handed it on: a :class:`_Gather` (AccAltProj) or a
-    :class:`_Stored` (AltProj), whose m x n array goes with the last state.
+    :class:`_Stored` (AltProj), whose m x n array passes from state to state.
     ``sigma_window`` holds the singular values (descending) of the matrix
     whose truncation produced ``low_rank``: the projected residual during
     the main loop, the thresholded data during initialization.  Where that
     truncation is :func:`svd_truncated`, the value after the first r is its
     next Ritz value, a lower bound on sigma_{r+1} that moves with the
     number of sweeps run.  AccAltProj's row 0 is certified to 1e-6 only
-    (``_ROW0_RTOL``), so its value after the first r is up to 4.3% off the
-    1e-10 one on the benchmark's problems; no threshold reads it, since
-    zeta_0 reads sigma_1 and every later step has its own window.
+    (``_Gather.row0_rtol``), so that value is loose there; no threshold
+    reads it, since zeta_0 reads sigma_1 and later steps have their own.
     ``l_update_seconds`` is the truncation's wall time (0 if skipped).
     ``max_abs_dl`` is max|D - L_k| while S_init and every S_j up to S_k are
     zero, else None; it decides which steps :func:`_solve` may skip.
@@ -330,16 +323,20 @@ class _Gather:
     The basis is L itself when ``params.trim_enabled`` is False.  A block is
     a run of whole tiles of :func:`_row_tiles`, 4r rows or more but the last:
     U_t^T W_t has the block height as its inner dimension, which BLAS runs
-    poorly when small next to r.  Blocks are added in order."""
+    poorly when small next to r.  Blocks are added in order.  ``previous``,
+    the update this one follows, is not read: each gathers afresh."""
 
-    def __init__(self, low, shape, params):
+    # The residual, relative to sigma_1, to which ``initialize`` certifies
+    # the truncation of D - S_init: the loop refines L_0 at about rate gamma,
+    # and no threshold reads more of that truncation than sigma_1 (see
+    # _skipped_step).
+    row0_rtol = 1e-6
+
+    def __init__(self, low, shape, params, previous=None):
         self.basis = trim(low, params.mu) if params.trim_enabled else low
         r, tile = self.basis.rank, _row_tiles(shape)[0].stop
         self.blocks = _row_tiles(shape, floor=-(-4 * r // tile) * tile)
         self.utw, self.wv = np.zeros((r, shape[1])), np.empty((shape[0], r))
-
-    def following(self, low, shape, params):
-        return _Gather(low, shape, params)
 
     def buffer(self):
         """A new buffer for the rows of one block; the first block is the tallest."""
@@ -359,14 +356,16 @@ class _Stored:
     """AltProj's L-update: the truncated SVD of W, its sketch started from V of the iterate L.
 
     W is one block, the solve's one m x n array, which the pass writes in
-    place, so ``add`` does nothing; the next update takes the array over."""
+    place, so ``add`` does nothing; an update takes over the array of
+    ``previous``, the update it follows, or allocates one if that is None."""
 
-    def __init__(self, low, shape, params, array=None):
+    # Row 0 keeps 1e-10: V_0 starts the first loop truncation, whose (r+1)-th
+    # Ritz value, read by the schedule, depends on where its sweeps start.
+    row0_rtol = _CERTIFY_RTOL
+
+    def __init__(self, low, shape, params, previous=None):
         self.low, self.blocks = low, [slice(0, shape[0])]
-        self.array = np.empty(shape) if array is None else array
-
-    def following(self, low, shape, params):
-        return _Stored(low, shape, params, self.array)
+        self.array = np.empty(shape) if previous is None else previous.array
 
     def buffer(self):
         return self.array
@@ -398,7 +397,7 @@ def _residual_tiles(d, low):
     return map(residual, tiles)
 
 
-def _tiled_pass(d, low, zeta, w, track_max=False):
+def _tiled_pass(d, low, zeta, w, track_max):
     """S = H_zeta(D - L) with L = ``low``, in one pass over row tiles of D.
 
     Each tile of D - L (:func:`_residual_tiles`) has its tile of S
@@ -462,29 +461,26 @@ def _sparse_part(d, low, zeta):
     return sparse
 
 
-def initialize(d, params, tangent=True):
+def initialize(d, params, update):
     """Build (L_0, S_0) by two projection steps from scratch.
 
     First D is thresholded at beta_init * sigma_1(D) to strip the largest
-    outliers, which gives S_init.  L_0 is AltProj's L-update at S_init, the
-    best rank-r approximation of D - S_init, since there is no estimate yet
-    to project at.  S_0 then thresholds D - L_0 at beta * sigma_1(D - S_init),
-    a threshold that, unlike the later schedule, uses the top singular value
-    only.  When no entry of D exceeds the first threshold, S_init is zero
-    and D itself is truncated, with the same bits.  Lanczos
-    (:func:`spectral_norm`) stops as soon as its lower bound on sigma_1(D)
-    reaches max|D| / beta_init, which proves this; its first step, two
-    matrix-vector products, usually does.  Only a certified sigma_1(D)
-    says otherwise, and D is then thresholded at beta_init times it, into
-    an m x n array that the L-update forms D - S_init over.  For
-    AccAltProj (``tangent``) that truncation is certified to
-    ||A v_i - sigma_i u_i|| <= 1e-6 sigma_1 (``_ROW0_RTOL``), not the
-    kernel's 1e-10, which saves one or two sweeps and, on some spiked
-    inputs, the dense SVD that follows ten uncertified ones; the loop
-    refines L_0 from there.  S_0 comes from :func:`_tiled_pass`, the sparse
-    pass of every loop step, which hands W_0 = D - S_0 on to the first loop
-    L-update, of the class that ``tangent`` (the default) picks once:
-    :class:`_Gather`, or :class:`_Stored`, allocated once S_init is freed.
+    outliers, which gives S_init.  L_0 is the best rank-r approximation of
+    D - S_init, since there is no estimate yet to project at: its truncated
+    SVD with no start, certified to ||A v_i - sigma_i u_i|| <= rtol sigma_1
+    with rtol = ``update.row0_rtol``.  S_0 then thresholds D - L_0 at
+    beta * sigma_1(D - S_init), a threshold that, unlike the later schedule,
+    uses the top singular value only.  When no entry of D exceeds the first
+    threshold, S_init is zero and D itself is truncated, with the same bits.
+    Lanczos (:func:`spectral_norm`) stops as soon as its lower bound on
+    sigma_1(D) reaches max|D| / beta_init, which proves this; its first
+    step, two matrix-vector products, usually does.  Only a certified
+    sigma_1(D) says otherwise, and D is then thresholded at beta_init times
+    it, into an m x n array that the truncation forms D - S_init over.  S_0
+    comes from :func:`_tiled_pass`, the sparse pass of every loop step,
+    which hands W_0 = D - S_0 on to the first loop L-update, built at L_0 by
+    ``update``, the solver's class: :class:`_Gather`, or :class:`_Stored`,
+    whose array is allocated once S_init is freed.
 
     Returns ``(state, residual_norm)`` like a loop step: the iteration-0
     state and ||D - L_0 - S_0||_F.  ``d``, a non-empty finite float64
@@ -497,14 +493,13 @@ def initialize(d, params, tangent=True):
     idle = sigma_1 >= level
     s_init = None if idle else hard_threshold(d, params.beta_init * sigma_1)
     t0 = perf_counter()
-    rtol = _ROW0_RTOL if tangent else _CERTIFY_RTOL
     low, window = svd_truncated(
-        d if idle else np.subtract(d, s_init, out=s_init), params.rank, rtol=rtol
+        d if idle else np.subtract(d, s_init, out=s_init), params.rank, rtol=update.row0_rtol
     )
     l_seconds = perf_counter() - t0
     del s_init  # D - S_init, read by the truncation only
     zeta_0 = params.beta * float(low.sigma[0])
-    w = (_Gather if tangent else _Stored)(low, d.shape, params)
+    w = update(low, d.shape, params)
     norm, max_abs_dl = _tiled_pass(d, low, zeta_0, w, track_max=idle)
     return IterationState(low, w, 0, zeta_0, window, l_seconds, max_abs_dl), norm
 
@@ -514,8 +509,8 @@ def _step(state, d, params):
 
     ``state.w.truncate()`` is the L-update, from what the last sparse pass
     handed on of W_k = D - S_k.  :func:`_tiled_pass` then builds S_{k+1}
-    and hands W_{k+1} to ``state.w.following`` at L_{k+1}, which for
-    AltProj takes the array over and so spends ``state.w``.  ``d`` is only read.
+    and hands W_{k+1} to the update built from ``state.w`` at L_{k+1}, which
+    for AltProj takes the array over and so spends it.  ``d`` is only read.
 
     Returns ``(state, residual_norm)`` with residual_norm =
     ||D - L_{k+1} - S_{k+1}||_F.  max|D - L_{k+1}| is tracked while the
@@ -525,7 +520,7 @@ def _step(state, d, params):
     low, window = state.w.truncate()
     l_seconds = perf_counter() - t0
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
-    w = state.w.following(low, d.shape, params)
+    w = type(state.w)(low, d.shape, params, previous=state.w)
     norm, max_abs_dl = _tiled_pass(d, low, zeta, w, track_max=state.max_abs_dl is not None)
     return IterationState(low, w, state.k + 1, zeta, window, l_seconds, max_abs_dl), norm
 
@@ -541,18 +536,17 @@ def _skipped_step(state, params):
     starts from V_k, keeps them to rounding only: the skipped rows' zeta
     differ from computed ones by up to 1e-11 relative and the final L by up
     to 1e-13.  The accelerated solver's L_0 is certified to 1e-6 only
-    (``_ROW0_RTOL``), so its first loop step, which projects at L_0, leaves
-    L_1 near the truncation of D but not at it, and the skipped steps would
-    each have moved it a little further.  The loop contracts that
+    (``_Gather.row0_rtol``), so its first loop step, which projects at L_0,
+    leaves L_1 near the truncation of D but not at it, and the skipped steps
+    would each have moved it a little further.  The loop contracts that
     difference: on the benchmark's 27 accelerated problems (1000 x 1000 at
     r = 5, 1200 x 1200 at r = 50 and 2000 x 2000 at r = 5, mu 1.1 times the
     true incoherence) a solve's zeta agree with the fully computed loop's
-    to 3.6e-11 relative and its final L to 3.5e-15 (5.9e-13 and 4.6e-15
-    from an L_0 certified to 1e-10).  Where trim fires on L_k (mu at or
-    below the true incoherence), the accelerated update projects at the
-    trimmed basis and would move L a little: the skipped rows' zeta then
-    differ from computed ones by up to 1e-4 relative, while the final L
-    agrees to rounding.
+    to 3.6e-11 relative and its final L to 3.5e-15.  Where trim fires on
+    L_k (mu at or below the true incoherence), the accelerated update
+    projects at the trimmed basis and would move L a little: the skipped
+    rows' zeta then differ from computed ones by up to 1e-4 relative, while
+    the final L agrees to rounding.
     """
     if state.max_abs_dl is None or state.k < 1:
         return None
@@ -582,8 +576,8 @@ def _checked_norm(d):
     return d_norm
 
 
-def _solve(d, params, tangent):
-    """The loop of both solvers: ``(L_K, trace, converged)``, and no S.
+def _solve(d, params, update):
+    """The loop of ``update``'s solver: ``(L_K, trace, converged)``, and no S.
 
     S_K = H_zeta_K(D - L_K), zeta_K the last row's, is built by its reader
     with :func:`_sparse_tiles`.  ``d``, a finite float64 row-major matrix
@@ -591,7 +585,7 @@ def _solve(d, params, tangent):
     """
     d_norm = _checked_norm(d)
     t0 = perf_counter()
-    state, residual_norm = initialize(d, params, tangent)
+    state, residual_norm = initialize(d, params, update)
     err = residual_norm / d_norm
     trace = [_record(state, err, perf_counter() - t0)]
     while err >= params.epsilon and state.k < params.max_iter:
@@ -606,11 +600,11 @@ def _solve(d, params, tangent):
     return state.low_rank, trace, bool(err < params.epsilon)
 
 
-def _solution(d, params, tangent):
+def _solution(d, params, update):
     """The entry points' :class:`RpcaSolution`; S_K is built once the loop,
     and with it AltProj's W_K, is gone."""
     d = ensure_matrix(d, "D")
-    low, trace, converged = _solve(d, params, tangent)
+    low, trace, converged = _solve(d, params, update)
     return RpcaSolution(low, _sparse_part(d, low, trace[-1].zeta), trace, converged)
 
 
@@ -621,7 +615,7 @@ def accaltproj_solve(d, params):
     below ``params.epsilon`` or ``params.max_iter`` iterations have run.
     Deterministic for fixed inputs.
     """
-    return _solution(d, params, tangent=True)
+    return _solution(d, params, _Gather)
 
 
 def altproj_solve(d, params):
@@ -632,4 +626,4 @@ def altproj_solve(d, params):
     applies the same threshold schedule, driven by the singular values of
     D - S_k, with the same stopping rule as :func:`accaltproj_solve`.
     """
-    return _solution(d, params, tangent=False)
+    return _solution(d, params, _Stored)

@@ -25,6 +25,7 @@ from rpca.solver import (
     structured_truncate,
     threshold_value,
 )
+from rpca.solver import _Gather
 from rpca.synthetic import SyntheticSpec, generate
 from test_experiments import alternated_l_update_medians
 from test_solver import desk_params, random_factored, sparse_of, tangent_project
@@ -133,7 +134,7 @@ def test_criterion_4_initialization_on_exact_low_rank():
             )
             s_first = hard_threshold(d, params.beta_init * spectral_norm(d))
             assert np.count_nonzero(s_first) == 0
-            state, _ = initialize(d, params)
+            state, _ = initialize(d, params, _Gather)
             sparse = sparse_of(state, d)
             assert np.count_nonzero(sparse) == 0
             gap = np.linalg.norm(state.low_rank.matrix() - d) / np.linalg.norm(d)

@@ -290,8 +290,8 @@ class TestBenchmark:
         assert out["accelerated_median_seconds"] > 0.0
         assert out["baseline_median_seconds"] > 0.0
 
-    @pytest.mark.parametrize("tangent", [True, False], ids=["accaltproj", "altproj"])
-    def test_timed_update_is_the_one_the_solve_hands_on(self, tangent):
+    @pytest.mark.parametrize("update", [_Gather, _Stored], ids=["accaltproj", "altproj"])
+    def test_timed_update_is_the_one_the_solve_hands_on(self, update):
         # The benchmark's helper builds the solver's L-update from (D, S_k);
         # the solve's own sparse pass handed on the update in state.w.  At
         # the first nonzero S_k both truncations agree bit for bit.  At
@@ -301,13 +301,13 @@ class TestBenchmark:
         problem, params = rpca.experiments._problem_and_params(spec)
         d = problem.data
         assert {t.stop - t.start for t in _row_tiles(d.shape)[:-1]} == {27}
-        state, _ = initialize(d, params, tangent)
+        state, _ = initialize(d, params, update)
         while not np.any(sparse := _sparse_part(d, state.low_rank, state.zeta)):
             assert state.k < params.max_iter
             state, _ = _step(state, d, params)
         assert state.k >= 1
         heights = [b.stop - b.start for b in state.w.blocks]
-        assert heights == ([81, 81, 81, 57] if tangent else [300])
+        assert heights == ([81, 81, 81, 57] if update is _Gather else [300])
         want = state.w.truncate()  # before the helper takes AltProj's array over
         got = rpca.experiments._l_update(state.w, state.low_rank, d, sparse, params)
         for name in ("U", "sigma", "V"):
@@ -327,8 +327,9 @@ class TestBenchmark:
             cases.append((case[2], case[2].tobytes()))
             return case
 
-        def recording_initialize(d, params):
-            state, residual_norm = initialize(d, params)
+        def recording_initialize(d, params, update):
+            assert update is _Gather  # the accelerated solve leads to S_k
+            state, residual_norm = initialize(d, params, update)
             iterates.append(_sparse_part(d, state.low_rank, state.zeta))
             return state, residual_norm
 

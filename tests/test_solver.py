@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 from dataclasses import replace
@@ -23,7 +24,6 @@ from rpca.solver import (
     trim,
 )
 from rpca.solver import (
-    _ROW0_RTOL,
     _Gather,
     _row_tiles,
     _sparse_part,
@@ -100,11 +100,12 @@ def tangent_basis(low_rank, params):
     return low_rank._replace(U=qa, V=qb)
 
 
-def dense_step(state, d, params, tangent):
-    """Oracle: one iteration with W = D - S_k, L, D - L and S each formed as a
-    whole m x n matrix.  Returns (L, window, zeta, S, ||D - L - S||_F)."""
+def dense_step(state, d, params, update):
+    """Oracle: one iteration of the solver whose L-update class is ``update``,
+    with W = D - S_k, L, D - L and S each formed as a whole m x n matrix.
+    Returns (L, window, zeta, S, ||D - L - S||_F)."""
     w = d - sparse_of(state, d)
-    if tangent:
+    if update is _Gather:
         low, window = truncate_dense(tangent_basis(state.low_rank, params), w)
     else:
         low, window = svd_truncated(w, params.rank, start=state.low_rank.V)
@@ -115,21 +116,23 @@ def dense_step(state, d, params, tangent):
     return low, window, zeta, sparse, float(np.linalg.norm(residual))
 
 
-def state_at(low, d, sparse, params, tangent, **fields):
-    """A state built by hand at (L_k, S_k), with W_k = D - S_k handed on as
-    the sparse pass would: gathered at trim(L_k), or stored whole."""
-    if not tangent:
-        return IterationState(low, _Stored(low, d.shape, params, d - sparse), **fields)
-    w = _Gather(low, d.shape, params)
+def state_at(low, d, sparse, params, update, **fields):
+    """A state built by hand at (L_k, S_k), with W_k = D - S_k handed on to
+    an ``update`` block by block in its buffer, as the sparse pass would:
+    gathered at trim(L_k), or stored whole."""
+    w = update(low, d.shape, params)
+    buf = w.buffer()
     for t in w.blocks:
-        w.add(t, d[t] - sparse[t])
+        w.add(t, np.subtract(d[t], sparse[t], out=buf[: t.stop - t.start]))
     return IterationState(low, w, **fields)
 
 
 def stepped_copy(state, d, params):
     """``_step`` of a copy of ``state``, whose W buffer an AltProj step would spend."""
     if isinstance(state.w, _Stored):
-        state = replace(state, w=_Stored(state.low_rank, d.shape, params, state.w.array.copy()))
+        w = copy.copy(state.w)
+        w.array = w.array.copy()
+        state = replace(state, w=w)
     return _step(state, d, params)
 
 
@@ -279,7 +282,7 @@ class TestTrim:
             svd_calls.append(a.shape)
             return svd_small(a)
 
-        state, _, _ = desk_state(True)
+        state, _, _ = desk_state(_Gather)
         monkeypatch.setattr(rpca.solver, "svd_small", counting)
         out = trim(state.low_rank, 1.0)
         assert out is not state.low_rank  # mu = 1 is below the incoherence
@@ -598,7 +601,7 @@ def dense_initialize(d, params):
     zeta_init = params.beta_init * np.linalg.norm(d, 2)
     s_init = hard_threshold(d, zeta_init)
     idle = np.abs(d).max() <= zeta_init
-    low, window = svd_truncated(d if idle else d - s_init, params.rank, rtol=_ROW0_RTOL)
+    low, window = svd_truncated(d if idle else d - s_init, params.rank, rtol=_Gather.row0_rtol)
     zeta_0 = params.beta * float(low.sigma[0])
     w = _Gather(low, d.shape, params)
     norm, max_abs_dl = _tiled_pass(d, low, zeta_0, w, track_max=idle)
@@ -626,7 +629,7 @@ class TestInitializePaths:
     def test_bound_proves_the_first_threshold_idle(self, sigma_calls):
         prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
         d, params = prob.data, desk_params(prob)
-        got = initialize(d, params)
+        got = initialize(d, params, _Gather)
         [(level, value)] = sigma_calls
         # Lanczos stopped at its first step, well below sigma_1(D)
         assert value == pytest.approx(two_product_bound(d), rel=1e-15)
@@ -644,7 +647,7 @@ class TestInitializePaths:
         max_abs_d = np.abs(d).max()
         assert max_abs_d > params.beta_init * two_product_bound(d) * (1.0 + 1e-12)
         assert max_abs_d <= params.beta_init * np.linalg.norm(d, 2)
-        got = initialize(d, params)
+        got = initialize(d, params, _Gather)
         [(level, value)] = sigma_calls
         assert two_product_bound(d) < level <= value <= np.linalg.norm(d, 2) * (1.0 + 1e-14)
         state, norm, s_init = dense_initialize(d, params)
@@ -655,7 +658,7 @@ class TestInitializePaths:
         # the spiked input of acceptance criterion 7, with the CLI's parameters
         d = generate(SyntheticSpec(64, 64, 2, 0.1, 20.0, 17)).data
         params = RpcaParams.defaults(d.shape, 2, incoherence_of(d, 2), gamma=0.7)
-        got = initialize(d, params)
+        got = initialize(d, params, _Gather)
         [(level, value)] = sigma_calls
         # not idle: Lanczos ran until sigma_1(D) was certified
         assert value < level
@@ -675,10 +678,35 @@ class TestInitializePaths:
         monkeypatch.setattr(
             rpca.kernel, "svd_small", lambda a: shapes.append(np.shape(a)) or original(a)
         )
-        (state, _), peak = peak_buffers(lambda: initialize(d, params), d.nbytes)
+        (state, _), peak = peak_buffers(lambda: initialize(d, params, _Gather), d.nbytes)
         assert shapes and set(shapes) == {(15, 15)}  # every call a k x k sweep core
         assert peak <= 1.15, f"peak {peak:.3f} buffers"
         assert np.any(hard_threshold(d, params.beta_init * spectral_norm(d)))  # S_init != 0
+
+    @pytest.mark.parametrize(
+        "update, rtol",
+        [pytest.param(_Gather, 1e-6, id="accaltproj"), pytest.param(_Stored, 1e-10, id="altproj")],
+    )
+    @pytest.mark.parametrize("spiked", [False, True], ids=["idle", "spiked"])
+    def test_row_0_is_certified_to_the_class_tolerance(self, monkeypatch, update, rtol, spiked):
+        # The L-update class states its row-0 certificate: AccAltProj's loop
+        # refines a loose L_0, while AltProj's first truncation starts from
+        # V_0 and its window moves with the sweeps; idle or not alike.
+        if spiked:
+            d, params = spiked_start()
+        else:
+            prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
+            d, params = prob.data, desk_params(prob)
+        assert np.any(hard_threshold(d, params.beta_init * spectral_norm(d))) == spiked  # S_init
+        calls, original = [], rpca.solver.svd_truncated
+
+        def recording(a, rank, **kwargs):
+            calls.append(kwargs["rtol"])
+            return original(a, rank, **kwargs)
+
+        monkeypatch.setattr(rpca.solver, "svd_truncated", recording)
+        initialize(d, params, update)
+        assert calls == [rtol]
 
     def test_zero_d_never_reaches_sigma_1(self, sigma_calls):
         # the first Lanczos product of a zero D is 0, so sigma_1 = 0 without
@@ -686,7 +714,7 @@ class TestInitializePaths:
         params = RpcaParams(rank=2, mu=1.0, beta=0.1, beta_init=0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            state, norm = initialize(np.zeros((6, 5)), params)
+            state, norm = initialize(np.zeros((6, 5)), params, _Gather)
         assert sigma_calls == [(0.0, 0.0)]
         assert np.array_equal(sparse_of(state, np.zeros((6, 5))), np.zeros((6, 5)))
         assert norm == 0.0
@@ -695,7 +723,7 @@ class TestInitializePaths:
 class TestInitialize:
     def test_zero_matrix(self):
         params = RpcaParams(rank=1, mu=1.0, beta=0.1, beta_init=0.2)
-        state, _ = initialize(np.zeros((4, 4)), params)
+        state, _ = initialize(np.zeros((4, 4)), params, _Gather)
         assert frob(state.low_rank.matrix()) == 0.0
         assert np.array_equal(sparse_of(state, np.zeros((4, 4))), np.zeros((4, 4)))
         assert state.k == 0 and state.zeta == 0.0
@@ -711,7 +739,7 @@ class TestInitialize:
         )
         s_first = hard_threshold(d, params.beta_init * spectral_norm(d))
         assert np.count_nonzero(s_first) == 0
-        state, _ = initialize(d, params)
+        state, _ = initialize(d, params, _Gather)
         assert frob(state.low_rank.matrix() - d) <= 1e-12 * frob(d)
         assert np.count_nonzero(sparse_of(state, d)) == 0
 
@@ -733,7 +761,7 @@ class TestInitialize:
         guess = hard_threshold(d, zeta_guess)
         assert np.allclose(guess, s_first, atol=1e-12)
         assert zeta_guess == pytest.approx(zeta_first, rel=1e-12)
-        state, _ = initialize(d, params)
+        state, _ = initialize(d, params, _Gather)
         assert frob(state.low_rank.matrix() - l0) <= 1e-12 * frob(l0)
         assert frob(sparse_of(state, d) - s0) <= 1e-12
         assert state.zeta == pytest.approx(zeta0, rel=1e-12)
@@ -742,7 +770,7 @@ class TestInitialize:
     def test_rank_out_of_range(self):
         params = RpcaParams(rank=5, mu=1.0, beta=0.1, beta_init=0.2)
         with pytest.raises(ValueError, match="out of range"):
-            initialize(np.ones((3, 3)), params)
+            initialize(np.ones((3, 3)), params, _Gather)
 
     def test_thresholds_match_dense_oracle(self):
         prob = generate(SyntheticSpec(300, 300, 5, 0.1, 1.0, 808))
@@ -751,7 +779,7 @@ class TestInitialize:
         s_first = hard_threshold(d, zeta_first)
         sigma_d = np.linalg.svd(d, compute_uv=False)[0]
         assert zeta_first == pytest.approx(params.beta_init * sigma_d, rel=1e-12)
-        state, _ = initialize(d, params)
+        state, _ = initialize(d, params, _Gather)
         sigma_first = np.linalg.svd(d - s_first, compute_uv=False)[0]
         assert state.zeta == pytest.approx(params.beta * sigma_first, rel=1e-12)
 
@@ -765,7 +793,7 @@ class TestAccAltProjStep:
         sparse.ravel()[idx] = np.sign(rng.standard_normal(30)) * (1.0 + rng.random(30))
         d = low.matrix() + sparse
         params = RpcaParams(rank=3, mu=3.0, beta=0.01, beta_init=0.02, gamma=0.5)
-        state = state_at(low, d, sparse, params, True, k=2, zeta=0.5, sigma_window=low.sigma)
+        state = state_at(low, d, sparse, params, _Gather, k=2, zeta=0.5, sigma_window=low.sigma)
         out = accaltproj_step(state, d, params)
         assert frob(out.low_rank.matrix() - low.matrix()) <= 1e-10 * frob(low.matrix())
         assert frob(sparse_of(out, d) - sparse) <= 1e-10
@@ -774,7 +802,7 @@ class TestAccAltProjStep:
     def test_matches_dense_oracle_pipeline(self):
         inst = Hand6x6()
         d, params = inst.data, inst.params
-        state, _ = initialize(d, params)
+        state, _ = initialize(d, params, _Gather)
 
         basis = trim(state.low_rank, params.mu)
         projected = tangent_project(basis, d - sparse_of(state, d))
@@ -795,8 +823,8 @@ class TestAccAltProjStep:
         params = RpcaParams.defaults(prob.data.shape, 2, mu=max(1.0, 1.1 * prob.mu_true))
         # trim at L_0 runs in initialize's S_0 pass, so each side starts there
         no_trim = replace(params, trim_enabled=False)
-        with_trim = accaltproj_step(initialize(prob.data, params)[0], prob.data, params)
-        without = accaltproj_step(initialize(prob.data, no_trim)[0], prob.data, no_trim)
+        with_trim = accaltproj_step(initialize(prob.data, params, _Gather)[0], prob.data, params)
+        without = accaltproj_step(initialize(prob.data, no_trim, _Gather)[0], prob.data, no_trim)
         assert np.array_equal(with_trim.low_rank.matrix(), without.low_rank.matrix())
         assert np.array_equal(sparse_of(with_trim, prob.data), sparse_of(without, prob.data))
         assert with_trim.zeta == without.zeta
@@ -859,7 +887,7 @@ class TestSolvers:
     def test_baseline_l_update_is_plain_truncation(self):
         prob = generate(SyntheticSpec(40, 40, 3, 0.1, 1.0, 505))
         params = desk_params(prob)
-        state, _ = initialize(prob.data, params, tangent=False)
+        state, _ = initialize(prob.data, params, _Stored)
         w = prob.data - sparse_of(state, prob.data)
         assert np.array_equal(state.w.array, w)  # W_0, as the S_0 pass stored it
         out, _ = stepped_copy(state, prob.data, params)
@@ -950,12 +978,12 @@ class TestSolvers:
         assert rec <= 1e-4
 
 
-def unskipped_solve(d, params, tangent):
+def unskipped_solve(d, params, update):
     """Reference for the solvers: ``initialize``, then ``_step`` under the
     same stopping rule, with every step computed.  Returns the final state
     and the (k, err, zeta, sigma_window) of each iteration."""
     d_norm = float(np.linalg.norm(d))
-    state, norm = initialize(d, params, tangent)
+    state, norm = initialize(d, params, update)
     rows = [(state.k, norm / d_norm, state.zeta, state.sigma_window)]
     while rows[-1][1] >= params.epsilon and state.k < params.max_iter:
         state, norm = _step(state, d, params)
@@ -964,8 +992,8 @@ def unskipped_solve(d, params, tangent):
 
 
 SOLVERS = [
-    pytest.param(altproj_solve, False, id="altproj"),
-    pytest.param(accaltproj_solve, True, id="accaltproj"),
+    pytest.param(altproj_solve, _Stored, id="altproj"),
+    pytest.param(accaltproj_solve, _Gather, id="accaltproj"),
 ]
 
 
@@ -985,7 +1013,7 @@ def spiked_start():
     return d, params
 
 
-def assert_matches_unskipped(sol, ref, rows, d, tangent):
+def assert_matches_unskipped(sol, ref, rows, d, update):
     """The skip leaves the iterate sequence as the reference computes it, to
     rounding: a skipped step of either solver would return L again up to
     rounding.  For AltProj, whose skipped SVDs would read the same D from a
@@ -994,9 +1022,9 @@ def assert_matches_unskipped(sol, ref, rows, d, tangent):
     and 3.2e-15)."""
     records = sol.trace
     assert [rec.k for rec in records] == [row[0] for row in rows]
-    if not tangent:
+    if update is _Stored:
         assert np.array_equal(sol.sparse != 0.0, sparse_of(ref, d) != 0.0)
-    zeta_rtol, l_rtol = (1e-9, 1e-8) if tangent else (1e-11, 1e-13)
+    zeta_rtol, l_rtol = (1e-9, 1e-8) if update is _Gather else (1e-11, 1e-13)
     zetas = np.array([row[2] for row in rows])
     assert np.allclose([rec.zeta for rec in records], zetas, rtol=zeta_rtol, atol=0.0)
     l_ref = ref.low_rank.matrix()
@@ -1007,15 +1035,15 @@ class TestIdleSkip:
     """While S_init and every S_k are zero, the solvers skip the steps that
     would leave (L, S) unchanged, and log one ``skipped`` row for each."""
 
-    @pytest.mark.parametrize("solve, tangent", SOLVERS)
+    @pytest.mark.parametrize("solve, update", SOLVERS)
     @pytest.mark.parametrize("amplitude", [0.2, 1.0, 5.0])
-    def test_matches_the_unskipped_loop(self, solve, tangent, amplitude):
+    def test_matches_the_unskipped_loop(self, solve, update, amplitude):
         prob = generate(SyntheticSpec(200, 200, 5, 0.1, amplitude, 1))
         params = desk_params(prob)
         sol = solve(prob.data, params)
-        ref, rows = unskipped_solve(prob.data, params, tangent)
+        ref, rows = unskipped_solve(prob.data, params, update)
         assert sol.converged and sol.iterations == ref.k
-        assert_matches_unskipped(sol, ref, rows, prob.data, tangent)
+        assert_matches_unskipped(sol, ref, rows, prob.data, update)
         skipped = [rec for rec in sol.trace if rec.skipped]
         if amplitude < 5.0:  # the larger the corruption, the shorter the idle start
             assert skipped
@@ -1028,29 +1056,29 @@ class TestIdleSkip:
                 assert rec.err == before.err
                 assert np.array_equal(rec.sigma_window, before.sigma_window)
 
-    @pytest.mark.parametrize("solve, tangent", SOLVERS)
-    def test_max_iter_inside_the_idle_start(self, solve, tangent):
+    @pytest.mark.parametrize("solve, update", SOLVERS)
+    def test_max_iter_inside_the_idle_start(self, solve, update):
         prob = generate(SyntheticSpec(200, 200, 5, 0.1, 0.2, 1))
         params = desk_params(prob, max_iter=5)
         sol = solve(prob.data, params)
-        ref, rows = unskipped_solve(prob.data, params, tangent)
+        ref, rows = unskipped_solve(prob.data, params, update)
         assert sol.iterations == params.max_iter and not sol.converged
         assert sol.trace[-1].skipped
         assert not np.any(sol.sparse)
-        assert_matches_unskipped(sol, ref, rows, prob.data, tangent)
+        assert_matches_unskipped(sol, ref, rows, prob.data, update)
 
-    @pytest.mark.parametrize("solve, tangent", SOLVERS)
-    def test_no_skip_after_a_nonzero_s_init(self, solve, tangent):
+    @pytest.mark.parametrize("solve, update", SOLVERS)
+    def test_no_skip_after_a_nonzero_s_init(self, solve, update):
         # The idle steps are fixed points only if L_0 is the truncation of D
         # itself.  Skipping the zero-S steps of the spiked start would move
         # the accelerated solver's thresholds by about 4e-4.
         d, params = spiked_start()
         assert np.any(hard_threshold(d, params.beta_init * spectral_norm(d)))  # S_init != 0
-        assert not np.any(sparse_of(initialize(d, params)[0], d))  # S_0 = 0
+        assert not np.any(sparse_of(initialize(d, params, _Gather)[0], d))  # S_0 = 0
         sol = solve(d, params)
-        ref, rows = unskipped_solve(d, params, tangent)
+        ref, rows = unskipped_solve(d, params, update)
         assert not any(rec.skipped for rec in sol.trace)
-        assert_matches_unskipped(sol, ref, rows, d, tangent)
+        assert_matches_unskipped(sol, ref, rows, d, update)
 
     @pytest.mark.parametrize("amplitude", [0.2, 1.0])
     @pytest.mark.parametrize("seed", [3, 5, 6, 8, 9])
@@ -1063,10 +1091,10 @@ class TestIdleSkip:
         params = RpcaParams.defaults(
             prob.data.shape, 5, mu=max(1.0, prob.mu_true), gamma=0.7
         )
-        start, _ = initialize(prob.data, params)
+        start, _ = initialize(prob.data, params, _Gather)
         assert trim(start.low_rank, params.mu) is not start.low_rank
         sol = accaltproj_solve(prob.data, params)
-        ref, rows = unskipped_solve(prob.data, params, True)
+        ref, rows = unskipped_solve(prob.data, params, _Gather)
         assert any(rec.skipped for rec in sol.trace)
         assert sol.iterations == ref.k
         zetas = np.array([row[2] for row in rows])
@@ -1077,7 +1105,7 @@ class TestIdleSkip:
     def test_max_abs_dl_is_tracked_while_every_s_is_zero(self):
         prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
         d, params = prob.data, desk_params(prob)
-        state, _ = initialize(d, params)
+        state, _ = initialize(d, params, _Gather)
         idle = []
         while state.k < 12:
             idle.append(not np.any(sparse_of(state, d)) and (not idle or idle[-1]))
@@ -1102,22 +1130,22 @@ class TestIdleSkip:
         assert np.array_equal(w.array, d) and max_abs_dl == top
         assert not np.any(_sparse_part(d, low, top))
         # a gather's blocks are the same 27-row tiles here, so its norm is the same
-        assert norm == _tiled_pass(d, low, top, _Gather(low, d.shape, params))[0]
+        assert norm == _tiled_pass(d, low, top, _Gather(low, d.shape, params), track_max=False)[0]
         # one entry does: S != 0, and the maximum no longer serves
         zeta = np.nextafter(top, 0.0)
         _, max_abs_dl = _tiled_pass(d, low, zeta, w, track_max=True)
         assert np.count_nonzero(w.array != d) == 1 and max_abs_dl is None
         assert np.count_nonzero(_sparse_part(d, low, zeta)) == 1
         # untracked, nothing is returned even for S = 0
-        assert _tiled_pass(d, low, top, w)[1] is None
+        assert _tiled_pass(d, low, top, w, track_max=False)[1] is None
 
     def test_initialize_truncates_d_when_nothing_exceeds_the_first_threshold(self):
         prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
         d, params = prob.data, desk_params(prob)
         assert not np.any(hard_threshold(d, params.beta_init * spectral_norm(d)))
-        state, _ = initialize(d, params)
+        state, _ = initialize(d, params, _Gather)
         # W = D - S_init, formed, truncated at AccAltProj's row-0 tolerance
-        low, window = svd_truncated(d - 0.0, params.rank, rtol=_ROW0_RTOL)
+        low, window = svd_truncated(d - 0.0, params.rank, rtol=_Gather.row0_rtol)
         assert np.array_equal(state.low_rank.U, low.U)
         assert np.array_equal(state.low_rank.sigma, low.sigma)
         assert np.array_equal(state.low_rank.V, low.V)
@@ -1148,10 +1176,10 @@ class TestWorkspaceReuse:
         # AltProj's step writes W_{k+1} over W_k in the solve's one buffer;
         # AccAltProj's hands on a new gather and keeps no m x n array.
         d = self.prob.data
-        for tangent in (True, False):
-            state, residual_norm = initialize(d, self.params, tangent)
+        for update in (_Gather, _Stored):
+            state, residual_norm = initialize(d, self.params, update)
             out, residual_norm = _step(state, d, self.params)
-            if tangent:
+            if update is _Gather:
                 assert isinstance(out.w, _Gather) and out.w is not state.w
             else:
                 assert isinstance(out.w, _Stored) and out.w.array is state.w.array
@@ -1173,15 +1201,15 @@ class TestWorkspaceReuse:
             assert [rec.err for rec in first.trace] == [rec.err for rec in second.trace]
             assert not np.shares_memory(first.sparse, second.sparse)
 
-    @pytest.mark.parametrize("solve, tangent", SOLVERS)
-    def test_in_place_solve_matches_the_pure_step_loop(self, solve, tangent):
+    @pytest.mark.parametrize("solve, update", SOLVERS)
+    def test_in_place_solve_matches_the_pure_step_loop(self, solve, update):
         # The spiked start computes every step from a nonzero S_init, so
         # the solve and the reference loop of bare ``_step`` calls run the
         # same iterations, and the final pass writes the S that the
         # reference's (L, zeta) give.
         d, params = spiked_start()
         sol = solve(d, params)
-        ref, rows = unskipped_solve(d, params, tangent)
+        ref, rows = unskipped_solve(d, params, update)
         assert np.any(sparse_of(ref, d))
         assert not any(rec.skipped for rec in sol.trace)
         assert np.array_equal(sol.low_rank.U, ref.low_rank.U)
@@ -1306,32 +1334,32 @@ class TestTiledStep:
         monkeypatch.setattr(_Gather, "add", recording)
         prob = generate(SyntheticSpec(215, 1200, 10, 0.1, 1.0, 1))
         params = desk_params(prob)
-        state, _ = initialize(prob.data, params)
+        state, _ = initialize(prob.data, params, _Gather)
         heights.clear()
         _step(state, prob.data, params)
         assert heights == [42] * 5 + [5]  # 3 tiles of 14 rows, a sixteenth, cover 4r
         assert all(h >= 4 * 10 for h in heights[:-1])
 
     @pytest.mark.parametrize(
-        "tangent, overrides",
+        "update, overrides",
         [
-            pytest.param(True, {}, id="_tangent_l_update"),
-            pytest.param(False, {}, id="_svd_l_update"),
-            pytest.param(True, {"mu": 1.0}, id="_tangent_l_update-trim-fires"),
+            pytest.param(_Gather, {}, id="_tangent_l_update"),
+            pytest.param(_Stored, {}, id="_svd_l_update"),
+            pytest.param(_Gather, {"mu": 1.0}, id="_tangent_l_update-trim-fires"),
         ],
     )
     @pytest.mark.parametrize("m, n, r", TILED_CASES)
-    def test_step_matches_dense_oracle(self, m, n, r, tangent, overrides):
+    def test_step_matches_dense_oracle(self, m, n, r, update, overrides):
         prob = generate(SyntheticSpec(m, n, r, 0.1, 1.0, 1000 + m + n + r))
         d = prob.data
         params = replace(desk_params(prob), **overrides)
-        state, _ = initialize(d, params, tangent)
+        state, _ = initialize(d, params, update)
         if overrides:  # mu = 1 is below the incoherence, so trim fires
             assert trim(state.low_rank, params.mu) is not state.low_rank
         while state.k < 10:  # past the start of the schedule, where S_k stays empty
             state, _ = _step(state, d, params)
         tiled, tiled_norm = stepped_copy(state, d, params)
-        low, window, zeta, sparse, dense_norm = dense_step(state, d, params, tangent)
+        low, window, zeta, sparse, dense_norm = dense_step(state, d, params, update)
 
         tiled_sparse = sparse_of(tiled, d)
         assert np.array_equal(tiled_sparse != 0.0, sparse != 0.0)
@@ -1358,7 +1386,7 @@ class TestTiledStep:
         prob = generate(SyntheticSpec(m, n, r, 0.1, 1.0, 1000 + m + n + r))
         d = prob.data
         params = replace(desk_params(prob), mu=1.0)
-        state, _ = initialize(d, params)
+        state, _ = initialize(d, params, _Gather)
         while state.k < 10:
             state, _ = _step(state, d, params)
         gather, trimmed = state.w, trim(state.low_rank, params.mu)
@@ -1381,11 +1409,11 @@ def flip_factor_signs(low_rank, seed):
     return low_rank._replace(U=low_rank.U * signs, V=low_rank.V * signs)
 
 
-def desk_state(tangent, **overrides):
+def desk_state(update, **overrides):
     """A 200 x 200, r = 5 problem stepped to k = 10, where S_k is nonzero."""
     prob = generate(SyntheticSpec(200, 200, 5, 0.1, 1.0, 1))
     d, params = prob.data, replace(desk_params(prob), **overrides)
-    state, _ = initialize(d, params, tangent)
+    state, _ = initialize(d, params, update)
     while state.k < 10:
         state, _ = _step(state, d, params)
     assert np.count_nonzero(sparse_of(state, d)) > 0
@@ -1397,21 +1425,21 @@ class TestFactorSigns:
     U and of V together leaves the next L, zeta and support of S as they are."""
 
     @pytest.mark.parametrize(
-        "tangent, overrides",
+        "update, overrides",
         [
-            pytest.param(True, {}, id="accaltproj"),
-            pytest.param(True, {"mu": 1.0}, id="accaltproj-trim-fires"),
-            pytest.param(False, {}, id="altproj"),
+            pytest.param(_Gather, {}, id="accaltproj"),
+            pytest.param(_Gather, {"mu": 1.0}, id="accaltproj-trim-fires"),
+            pytest.param(_Stored, {}, id="altproj"),
         ],
     )
-    def test_step_depends_on_l_only(self, tangent, overrides):
-        state, d, params = desk_state(tangent, **overrides)
+    def test_step_depends_on_l_only(self, update, overrides):
+        state, d, params = desk_state(update, **overrides)
         if overrides:  # mu = 1 is below the incoherence, so trim fires
             assert trim(state.low_rank, params.mu) is not state.low_rank
         # the flipped state hands on W_k = D - S_k as a pass at the flipped L_k would
         fields = dict(k=state.k, zeta=state.zeta, sigma_window=state.sigma_window)
         sparse = sparse_of(state, d)
-        flipped = state_at(flip_factor_signs(state.low_rank, 89), d, sparse, params, tangent, **fields)
+        flipped = state_at(flip_factor_signs(state.low_rank, 89), d, sparse, params, update, **fields)
         l_k = state.low_rank.matrix()
         assert frob(flipped.low_rank.matrix() - l_k) <= 1e-15 * frob(l_k)
         want, _ = stepped_copy(state, d, params)
@@ -1423,7 +1451,7 @@ class TestFactorSigns:
         assert np.array_equal(sparse_of(got, d) != 0.0, sparse_of(want, d) != 0.0)
 
     def test_trim_depends_on_l_only(self):
-        state, _, _ = desk_state(True)
+        state, _, _ = desk_state(_Gather)
         flipped = flip_factor_signs(state.low_rank, 97)
         want = trim(state.low_rank, 1.0)
         got = trim(flipped, 1.0)

@@ -1,4 +1,5 @@
-"""The notes that ``tools/compare_artifacts.py`` prints for differing report files."""
+"""The tools under ``tools/``: the notes that ``compare_artifacts.py`` prints
+for differing report files, and the count of ``code_lines.py``."""
 
 import csv
 import importlib.util
@@ -7,15 +8,19 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def compare():
-    spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("compare_artifacts")
 
 
 def record(**changes):
@@ -66,3 +71,24 @@ def test_a_float_move_is_measured_and_outcomes_stay_equal(tmp_path, compare):
             "differing fields: final_err; success, converged and iterations equal; "
             "floats move by at most 0.25 relative"
         )
+
+
+def test_code_lines_count_the_lines_that_statements_span():
+    source = "\n".join(
+        [
+            '"""A module docstring."""',
+            "",
+            "# a comment-only line",
+            "total = sum(",
+            "    [1, 2],  # a trailing comment leaves its line a code line",
+            ")",
+            "",
+            "",
+            "def f():",
+            '    """A function docstring',
+            '    over two lines."""',
+            "    return total",
+        ]
+    )
+    # the three-line call, the def line and the return
+    assert load("code_lines").code_lines(source) == 5
