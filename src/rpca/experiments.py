@@ -257,26 +257,30 @@ def _problem_and_params(spec, gamma=None, **overrides):
     return problem, params
 
 
-def _run_trials(report, specs, solvers, gamma, tol, max_iter):
-    """Solve the problem of each spec with every solver id, one record per run.
+def _run_trials(report, specs):
+    """``report`` with a record of each spec's problem solved by each solver.
 
-    ``specs`` is a list that the caller builds in full, so that a bad cell
-    fails before the first solve.  A solve runs beside D and the dense L of
-    its problem only: neither the problem's S nor an earlier solution is kept.
+    ``report.config`` gives the solvers, gamma, tol and max_iter, so the config
+    a report writes is the protocol its trials ran.  The caller builds ``specs``
+    in full, so that a bad cell fails before the first solve.  A solve runs
+    beside D and the dense L of its problem only: not its S, nor an earlier solution.
     """
+    config = report.config
+    protocol = dict(gamma=config["gamma"], epsilon=config["tol"], max_iter=config["max_iter"])
     for spec in specs:
-        problem, params = _problem_and_params(spec, gamma, epsilon=tol, max_iter=max_iter)
+        problem, params = _problem_and_params(spec, **protocol)
         d, l_true = problem.data, problem.low_rank
         del problem
-        for solver_id in solvers:
+        for solver_id in config["solvers"]:
             report.records.append(_run_trial(solver_id, spec, d, l_true, params))
+    return report
 
 
 def run_phase_experiment(config):
     """Run all solver variants over the (alpha, amplitude) grid of ``config``.
 
-    Each trial generates a fresh seeded problem; the solvers receive 1.1x the
-    measured ground-truth incoherence, and gamma follows the declared alpha.
+    Each trial solves a fresh seeded problem of :func:`_problem_and_params`;
+    ``config.gamma``, unless None, overrides that builder's declared-alpha rule.
     """
     report = ExperimentReport(kind="phase", config=asdict(config))
     cells = list(itertools.product(config.alphas, config.amplitudes))
@@ -292,8 +296,7 @@ def run_phase_experiment(config):
         for cell_index, (alpha, amplitude) in enumerate(cells)
         for trial in range(config.trials)
     ]
-    _run_trials(report, specs, config.solvers, config.gamma, config.tol, config.max_iter)
-    return report
+    return _run_trials(report, specs)
 
 
 def run_runtime_experiment(sizes, rank=5, master_seed=0):
@@ -320,10 +323,7 @@ def run_runtime_experiment(sizes, rank=5, master_seed=0):
         )
         for index, n in enumerate(sizes)
     ]
-    _run_trials(
-        report, specs, _RUNTIME["solvers"], _RUNTIME["gamma"], _RUNTIME["tol"], _RUNTIME["max_iter"]
-    )
-    return report
+    return _run_trials(report, specs)
 
 
 def _l_update_case(n, rank):

@@ -27,6 +27,7 @@ from rpca.solver import (
 )
 from rpca.solver import _Gather
 from rpca.synthetic import SyntheticSpec, generate
+from conftest import load
 from test_experiments import alternated_l_update_medians
 from test_solver import desk_params, random_factored, sparse_of, tangent_project
 
@@ -35,6 +36,9 @@ from test_solver import desk_params, random_factored, sparse_of, tangent_project
 # decay rates undercut the contraction of the low-rank error.
 DESK = dict(n=200, rank=5, amplitude=1.0, master_seed=0, gamma=0.7)
 DESK_ALPHAS = (0.1, 0.2, 0.3)
+
+# Criterion 7 replays the CLI pipeline of tools/compare_artifacts.py.
+compare = load("compare_artifacts")
 
 
 @contextmanager
@@ -179,78 +183,46 @@ def test_criterion_6_per_iteration_cost_direction():
         assert ratio <= 3.0, f"r=10 vs r=5 L-update time ratio {ratio:.2f}"
 
 
-def _strip_timing(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_timing(v) for k, v in obj.items() if "seconds" not in k}
-    if isinstance(obj, list):
-        return [_strip_timing(item) for item in obj]
-    return obj
-
-
-def _run_cli_pipeline(base):
-    synth_dir = base / "synth"
-    args = ["synth", "--n", "64", "--rank", "2", "--alpha", "0.1", "--c", "1",
-            "--seed", "17", "--output-dir", str(synth_dir)]
-    assert main(args) == 0
-    solve_dir = base / "solve"
-    assert main(
-        ["solve", "--input", str(synth_dir / "D.bin"), "--rank", "2",
-         "--gamma", "0.7", "--output-dir", str(solve_dir)]
-    ) == 0
-    grid = base / "grid.json"
-    grid.write_text(json.dumps({
-        "n": 40, "rank": 2, "alphas": [0.0, 0.1], "cs": [1.0],
-        "trials": 2, "seed": 11, "gamma": 0.7,
-    }))
-    phase_dir = base / "phase"
-    assert main(["phase", "--grid", str(grid), "--output-dir", str(phase_dir)]) == 0
-    bench_dir = base / "bench"
-    assert main(["bench", "--sizes", "48", "--rank", "2", "--output-dir", str(bench_dir)]) == 0
-    return {
-        "metadata": synth_dir / "metadata.json",
-        "trace": solve_dir / "trace.json",
-        "report": phase_dir / "report.json",
-        "timings": bench_dir / "timings.json",
-        "solve_dir": solve_dir,
-        "synth_dir": synth_dir,
-    }
-
-
-def test_criterion_7_determinism_and_artifact_completeness(tmp_path):
+def test_criterion_7_determinism_and_artifact_completeness(tmp_path, monkeypatch):
     with criterion(7, "CLI reruns reproduce identical reports; traces audit cleanly"):
-        first = _run_cli_pipeline(tmp_path)
-        snapshot = {
-            key: json.loads(first[key].read_text())
-            for key in ("metadata", "trace", "report", "timings")
-        }
-        data_bytes = (first["synth_dir"] / "D.bin").read_bytes()
+        runs, codes = [], []
+        for name in ("first", "second"):
+            runs.append(compare.prepare(tmp_path / name))
+            monkeypatch.chdir(runs[-1])
+            codes.append([main(argv) for argv in compare.COMMANDS])
+        first, second = runs
+        # every command exits 0 but the three that stop at the iteration cap
+        capped = {"solve-trim", "solve-capped", "solve-capped-altproj"}
+        outputs = [argv[argv.index("--output-dir") + 1] for argv in compare.COMMANDS]
+        assert codes[0] == codes[1] == [2 if out in capped else 0 for out in outputs]
 
-        second = _run_cli_pipeline(tmp_path)  # same directories, overwritten
-        for key, before in snapshot.items():
-            after = json.loads(second[key].read_text())
-            assert _strip_timing(before) == _strip_timing(after), f"{key} differs between reruns"
+        # every file of the rerun equals the first run's, timing fields aside
+        files = [{p.relative_to(out) for p in out.rglob("*") if p.is_file()} for out in runs]
+        assert files[0] == files[1]
+        for name in sorted(files[0]):
+            assert compare.comparable(first / name) == compare.comparable(second / name), name
 
-        # binary artifacts are bitwise identical
-        assert (second["synth_dir"] / "D.bin").read_bytes() == data_bytes
+        traces = sorted(first.glob("*/trace.json"))
+        assert len(traces) == [argv[0] for argv in compare.COMMANDS].count("solve")
+        for path in traces:
+            trace = json.loads(path.read_text())
+            # the trace alone re-derives the threshold schedule ...
+            params = trace["params"]
+            zetas = trace["trace"]["zeta"]
+            windows = trace["trace"]["sigma_window"]
+            assert len(zetas) == len(windows) == len(trace["trace"]["err"])
+            for k, zeta in enumerate(zetas):
+                if k == 0:
+                    expected = params["beta"] * windows[0][0]
+                else:
+                    expected = threshold_value(
+                        windows[k], params["rank"], params["beta"], params["gamma"], k - 1
+                    )
+                assert zeta == pytest.approx(expected, rel=1e-12, abs=1e-300), (path, k)
 
-        # the trace alone re-derives the threshold schedule ...
-        trace = json.loads(first["trace"].read_text())
-        params = trace["params"]
-        zetas = trace["trace"]["zeta"]
-        windows = trace["trace"]["sigma_window"]
-        assert len(zetas) == len(windows) == len(trace["trace"]["err"])
-        for k, zeta in enumerate(zetas):
-            if k == 0:
-                expected = params["beta"] * windows[0][0]
-            else:
-                expected = threshold_value(
-                    windows[k], params["rank"], params["beta"], params["gamma"], k - 1
-                )
-            assert zeta == pytest.approx(expected, rel=1e-12, abs=1e-300)
-
-        # ... and the final error is recomputable from the written matrices.
-        d = read_matrix(first["synth_dir"] / "D.bin")
-        l = read_matrix(first["solve_dir"] / "L.bin")
-        s = read_matrix(first["solve_dir"] / "S.bin")
-        recomputed = relative_error(d, l, s)
-        assert recomputed == pytest.approx(trace["trace"]["err"][-1], rel=1e-9)
+            # ... and the final error is recomputable from the written matrices.
+            d_path = first / trace["input"]["path"]
+            d = read_matrix(d_path)
+            l, s = (read_matrix(path.with_name(key + d_path.suffix)) for key in ("L", "S"))
+            recomputed = relative_error(d, l, s)
+            assert recomputed == pytest.approx(trace["trace"]["err"][-1], rel=1e-9), path

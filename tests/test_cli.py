@@ -20,6 +20,9 @@ from rpca.solver import (
     threshold_value,
 )
 from rpca.synthetic import SyntheticSpec, generate
+from conftest import load
+
+compare = load("compare_artifacts")
 
 
 def run_synth(tmp_path, n=60, rank=2, alpha=0.1, c=1.0, seed=5, fmt="bin"):
@@ -164,9 +167,7 @@ class TestSolveCommand:
         assert payload["params"] == asdict(params)
         solution = accaltproj_solve(read_matrix(tmp_path / "D.bin"), params)
         assert any(rec.skipped for rec in solution.trace)  # both kinds of row are compared
-        for name, column in payload["trace"].items():
-            if "seconds" in name:
-                continue
+        for name, column in compare.strip_timing(payload["trace"]).items():
             want = [getattr(rec, name) for rec in solution.trace]
             if name == "sigma_window":
                 want = [window.tolist() for window in want]
@@ -344,18 +345,9 @@ class TestSolveCommand:
 
 
 def write_grid(tmp_path, **overrides):
-    grid = {
-        "n": 40,
-        "rank": 2,
-        "alphas": [0.0, 0.1],
-        "cs": [1.0],
-        "trials": 2,
-        "seed": 11,
-        "gamma": 0.7,
-    }
-    grid.update(overrides)
+    """The basic grid of ``tools/compare_artifacts.py``, with ``overrides``."""
     path = tmp_path / "grid.json"
-    path.write_text(json.dumps(grid))
+    path.write_text(json.dumps(dict(compare.GRIDS["grid.json"], **overrides)))
     return path
 
 
@@ -495,15 +487,6 @@ class TestBenchCommand:
         assert "--sizes" in capsys.readouterr().err
 
 
-def without_seconds(obj):
-    """``obj`` read back from JSON, without the fields whose names contain "seconds"."""
-    if isinstance(obj, dict):
-        return {key: without_seconds(value) for key, value in obj.items() if "seconds" not in key}
-    if isinstance(obj, list):
-        return [without_seconds(value) for value in obj]
-    return obj
-
-
 class TestReportsAreTheLibraryReports:
     def test_phase_and_bench_write_as_dict(self, tmp_path):
         grid = write_grid(tmp_path)
@@ -520,7 +503,7 @@ class TestReportsAreTheLibraryReports:
         ):
             written = json.loads((tmp_path / name).read_text())
             expected = json.loads(json.dumps(report.as_dict()))
-            assert without_seconds(written) == without_seconds(expected)
+            assert compare.strip_timing(written) == compare.strip_timing(expected)
         assert written["seed"] == 3
 
 

@@ -5,10 +5,10 @@ Usage: python3 tools/compare_artifacts.py REV
 Exports REV with ``git archive`` into a temporary directory.  Then it runs one
 pipeline of ``rpca`` commands on that tree and on the working tree, each in a
 subprocess with ``PYTHONPATH=<tree>/src``, one BLAS thread and no bytecode
-files.  The pipeline is:
+files.  The pipeline, ``COMMANDS`` run in a directory next to the
+``GRIDS`` files, is:
 
-- the ``synth``, ``solve``, ``phase`` and ``bench`` commands of acceptance
-  criterion 7;
+- a ``synth``, a ``solve`` of its ``D``, a ``phase`` grid and a ``bench``;
 - a ``solve`` of the same input with ``--solver altproj``;
 - a ``phase`` grid with an alpha >= 0.55 cell and no ``gamma``, so that the
   declared-alpha rule for gamma runs;
@@ -68,6 +68,12 @@ on every step.  A change to trim's arithmetic shows in those eight rounds.
 
 The bits depend on the BLAS build, so both sides run on the same machine.  A
 change that alters the bits on purpose makes this check fail by design.
+
+Tier-1 acceptance criterion 7 (``tests/test_acceptance.py``) replays the
+same list in-process, twice, on the working tree.  It compares the two runs
+file by file with :func:`comparable`, checks the exit codes, and audits
+every ``trace.json`` against the matrices it describes.  ``tests/test_cli.py``
+builds its grid files from ``GRIDS["grid.json"]``.
 """
 
 from __future__ import annotations
@@ -89,7 +95,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from rpca.matio import read_matrix  # noqa: E402  (the working tree's reader)
 
 GRIDS = {
-    # acceptance criterion 7
+    # the basic grid
     "grid.json": {"n": 40, "rank": 2, "alphas": [0.0, 0.1], "cs": [1.0],
                   "trials": 2, "seed": 11, "gamma": 0.7},
     # no gamma: the 0.6 cell takes gamma = 0.65 from the declared alpha
@@ -181,13 +187,20 @@ def export(rev, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
-def run_pipeline(tree, work):
-    """Run the pipeline on ``tree``'s sources in a new ``work``/out; return that dir."""
+def prepare(work):
+    """Make ``work`` with the ``GRIDS`` files in it and an empty ``work``/out,
+    the directory that ``COMMANDS`` run in; return out."""
     work.mkdir()
     for name, grid in GRIDS.items():
         (work / name).write_text(json.dumps(grid))
     out = work / "out"
     out.mkdir()
+    return out
+
+
+def run_pipeline(tree, work):
+    """Run the pipeline on ``tree``'s sources in a new ``work``/out; return that dir."""
+    out = prepare(work)
     src = (tree / "src").resolve()
     env = dict(
         os.environ,
@@ -209,20 +222,29 @@ def run_pipeline(tree, work):
     return out
 
 
+def is_timing(name):
+    """Whether a JSON key or ``report.csv`` column is a timing field: its name
+    contains ``seconds``.  Timing fields are the only ones a rerun may change."""
+    return "seconds" in name
+
+
 def strip_timing(obj):
+    """Parsed JSON ``obj`` without its timing fields, at any depth."""
     if isinstance(obj, dict):
-        return {k: strip_timing(v) for k, v in obj.items() if "seconds" not in k}
+        return {k: strip_timing(v) for k, v in obj.items() if not is_timing(k)}
     if isinstance(obj, list):
         return [strip_timing(item) for item in obj]
     return obj
 
 
 def comparable(path):
+    """What of an artifact must match: a matrix file's bytes, or a JSON file
+    or ``report.csv`` without its timing fields."""
     if path.suffix == ".json":
         return strip_timing(json.loads(path.read_text()))
     if path.name == "report.csv":
         rows = list(csv.reader(io.StringIO(path.read_text())))
-        keep = [i for i, column in enumerate(rows[0]) if "seconds" not in column]
+        keep = [i for i, column in enumerate(rows[0]) if not is_timing(column)]
         return [[row[i] for i in keep] for row in rows]
     return path.read_bytes()
 
