@@ -14,7 +14,7 @@ from rpca.kernel import (
     svd_truncated,
     thin_qr,
 )
-from rpca.solver import RpcaParams, altproj_solve
+from rpca.solver import RpcaParams, _Gather, altproj_solve
 from rpca.synthetic import SyntheticSpec, generate
 
 
@@ -344,6 +344,27 @@ class TestSvdTruncatedStart:
             lambda a, r, start=None, rtol=_CERTIFY_RTOL: svd_truncated(a, r, rtol=rtol),
         )
         assert (warm, sweeps()) == (49, 70)
+
+
+class TestSvdTruncatedReadsOnly:
+    """``svd_truncated`` reads ``a`` through views such as ``a.T``, which
+    alias the caller's matrix (``D`` in a solve): it must never write them."""
+
+    @pytest.mark.parametrize("rtol", [_CERTIFY_RTOL, _Gather.row0_rtol], ids=["1e-10", "row0"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "start"])
+    @pytest.mark.parametrize("shape", [(300, 300), (400, 120), (120, 400)],
+                             ids=["square", "tall", "wide"])
+    def test_read_only_inputs_give_the_writable_result(self, shape, warm, rtol):
+        r = 5
+        a = low_rank_plus_sparse(np.random.default_rng(89), *shape, r)
+        start = nearby_right_factor(a, r) if warm else None
+        expected = svd_truncated(a.copy(), r, None if start is None else start.copy(), rtol)
+        for x in (a, start):
+            if x is not None:
+                x.flags.writeable = False  # any write through any view raises
+        got = svd_truncated(a, r, start, rtol)
+        for x, y in zip((*expected[0], expected[1]), (*got[0], got[1])):
+            assert np.array_equal(x, y)
 
 
 class TestSpectralNorm:
