@@ -20,6 +20,7 @@ from time import perf_counter
 import numpy as np
 
 from .experiments import (
+    _SOLVERS,
     PAPER_RUNTIME_SIZES,
     PhaseConfig,
     paper_phase_config,
@@ -30,55 +31,25 @@ from .kernel import SKETCH_SEED
 from .matio import MatrixIOError, _write_rows, read_matrix, write_matrix
 from .metrics import incoherence_of
 from .solver import IterationRecord, RpcaParams, _checked_norm, _solve, _sparse_tiles
-from .solver import _Gather, _Stored  # the L-updates of --solver accaltproj and altproj
 from .synthetic import RNG_ID, SyntheticSpec, generate
 
 __all__ = ["CliError", "build_parser", "main", "run"]
 
 
-def _is_json_integer(value):
-    return isinstance(value, int) and not isinstance(value, bool)  # true and false are ints
-
-
-def _is_json_number(value):
-    # NaN fails the comparison; Infinity and integers past the float range exceed it
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
-# Kind of grid value -> (check of the parsed JSON value, conversion to the
-# PhaseConfig field's type).
-_GRID_KINDS = {
-    "JSON integers": (_is_json_integer, int),
-    "JSON numbers": (_is_json_number, float),
-    "JSON numbers or null": (
-        lambda v: v is None or _is_json_number(v),
-        lambda v: None if v is None else float(v),
-    ),
-    "JSON arrays of numbers": (
-        lambda v: isinstance(v, list) and all(map(_is_json_number, v)),
-        lambda v: tuple(map(float, v)),
-    ),
-    "JSON arrays": (lambda v: isinstance(v, list), tuple),
-}
-
-# Grid-file key -> (PhaseConfig field, kind of value).  Keys left out of a
-# grid file take the PhaseConfig defaults.
+# Grid-file key -> PhaseConfig field, whose annotation is the value's type
+# rule.  Keys left out of a grid file take the PhaseConfig defaults.
 _GRID_KEYS = {
-    "n": ("n", "JSON integers"),
-    "m": ("m", "JSON integers"),
-    "rank": ("rank", "JSON integers"),
-    "alphas": ("alphas", "JSON arrays of numbers"),
-    "cs": ("amplitudes", "JSON arrays of numbers"),
-    "trials": ("trials", "JSON integers"),
-    "seed": ("master_seed", "JSON integers"),
-    "tol": ("tol", "JSON numbers"),
-    "max_iter": ("max_iter", "JSON integers"),
-    "gamma": ("gamma", "JSON numbers or null"),
-    "solvers": ("solvers", "JSON arrays"),
+    "n": "n",
+    "m": "m",
+    "rank": "rank",
+    "alphas": "alphas",
+    "cs": "amplitudes",
+    "trials": "trials",
+    "seed": "master_seed",
+    "tol": "tol",
+    "max_iter": "max_iter",
+    "gamma": "gamma",
+    "solvers": "solvers",
 }
 _REQUIRED_GRID_KEYS = {"n", "rank", "alphas", "cs", "trials"}
 
@@ -139,11 +110,12 @@ def _cmd_solve(args):
     overrides = {
         name: getattr(args, name) for name in _SOLVE_OVERRIDES if getattr(args, name) is not None
     }
-    trim_enabled = args.solver == "accaltproj" and not args.no_trim  # altproj has no trim step
+    trim = "" if args.solver == "altproj" else "_notrim" if args.no_trim else "_trim"
+    update, trim_enabled = _SOLVERS[args.solver + trim]  # altproj has no trim step
     params = RpcaParams.defaults((m, n), args.rank, mu, trim_enabled=trim_enabled, **overrides)
 
     t0 = perf_counter()
-    low, trace, converged = _solve(d, params, _Gather if args.solver == "accaltproj" else _Stored)
+    low, trace, converged = _solve(d, params, update)
     total_seconds = perf_counter() - t0
     last = trace[-1]
 
@@ -227,20 +199,9 @@ def _load_phase_config(path):
     missing = sorted(_REQUIRED_GRID_KEYS - set(raw))
     if missing:
         raise CliError(f"{path}: missing keys {missing}")
-    wrong = {}
-    for key, (_, kind) in sorted(_GRID_KEYS.items()):
-        if key in raw and not _GRID_KINDS[kind][0](raw[key]):
-            wrong.setdefault(kind, []).append(key)
-    if wrong:
-        problems = "; ".join(f"keys {keys} must be {kind}" for kind, keys in wrong.items())
-        raise CliError(f"{path}: {problems}")
-    config = {}
-    for key, (field, kind) in _GRID_KEYS.items():
-        if key in raw:
-            config[field] = _GRID_KINDS[kind][1](raw[key])
     try:
-        return PhaseConfig(**config)
-    except (TypeError, ValueError) as exc:
+        return PhaseConfig(**{field: raw[key] for key, field in _GRID_KEYS.items() if key in raw})
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 
 

@@ -13,6 +13,7 @@ from time import perf_counter
 
 import numpy as np
 
+from .kernel import ensure_fields
 from .metrics import recovery_success
 from .solver import RpcaParams, _Gather, _solve, _sparse_part, _step, _Stored, initialize
 from .synthetic import SyntheticSpec, generate
@@ -153,8 +154,8 @@ class PhaseConfig:
     :data:`SOLVER_IDS`) hold distinct values: a repeat would run twice.
     """
 
-    alphas: tuple
-    amplitudes: tuple
+    alphas: tuple[float, ...]
+    amplitudes: tuple[float, ...]
     trials: int
     n: int
     m: int | None = None
@@ -166,6 +167,7 @@ class PhaseConfig:
     solvers: tuple = SOLVER_IDS
 
     def __post_init__(self):
+        ensure_fields(self)
         if not self.alphas or not self.amplitudes:
             raise ValueError("phase grid must contain at least one alpha and one amplitude")
         if self.trials < 1:

@@ -1,8 +1,11 @@
 """Dense linear-algebra kernels: thin QR, small SVD, truncated SVD, spectral norm.
 
 The SVDs return a :class:`FactoredLowRank`, the one container of a thin
-factorization.  Every routine is a pure function of its inputs and
-deterministic on a given platform.  ``SKETCH_SEED`` is the module's only
+factorization.  Every linear-algebra routine is a pure function of its
+inputs and deterministic on a given platform.  The package's two input
+checks live here too: :func:`ensure_matrix` for arrays, and
+:func:`ensure_fields` for the fields of its frozen parameter dataclasses,
+which it converts in place.  ``SKETCH_SEED`` is the module's only
 seed, and the caller does not choose it: the truncated SVD draws its sketch
 (whose first columns a caller's start vectors may replace), and the spectral
 norm its Lanczos start vector, from a generator seeded with it.
@@ -10,6 +13,7 @@ norm its Lanczos start vector, from a generator seeded with it.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +21,7 @@ import numpy as np
 __all__ = [
     "SKETCH_SEED",
     "FactoredLowRank",
+    "ensure_fields",
     "ensure_matrix",
     "spectral_norm",
     "svd_small",
@@ -68,6 +73,56 @@ def ensure_matrix(a, name="matrix"):
     if not _all_finite(out):
         raise ValueError(f"{name} contains non-finite entries")
     return out
+
+
+def _floats(values):
+    return tuple(_as_kind(value, "float") for value in values)
+
+
+# Field annotation, as written -> (the kind that a message names, the exact
+# types that hold it, the conversion to it).  bool is a subclass of int, not
+# int itself, so a bool counts as a number only where the annotation is bool.
+_FIELD_KINDS = {
+    "int": ("an integer", (int,), int),
+    "float": ("a finite number", (int, float), float),
+    "bool": ("a bool", (bool,), bool),
+    "tuple": ("a tuple or list", (tuple, list), tuple),
+    "tuple[float, ...]": ("a tuple or list of finite numbers", (tuple, list), _floats),
+}
+
+
+def _as_kind(value, kind):
+    """``value`` converted to the kind annotated ``kind``; ValueError if it is not one."""
+    _, types, convert = _FIELD_KINDS[kind]
+    value = value.item() if isinstance(value, np.generic) else value  # numpy scalars as Python ones
+    # float() raises OverflowError for an integer past the float range
+    if type(value) not in types or kind == "float" and not np.isfinite(float(value)):
+        raise ValueError
+    return convert(value)
+
+
+def ensure_fields(config):
+    """Convert each field of the frozen dataclass ``config`` to the kind its annotation names.
+
+    An annotation is one of ``int``, ``float``, ``bool``, ``tuple`` and
+    ``tuple[float, ...]``, each optionally ``| None``, read as written (the
+    defining module postpones its annotations).  A bool counts as a number
+    only where the annotation is ``bool``, an ``int`` field takes no float,
+    and reals must be finite, so an integer past the float range fails.
+    Numpy scalars are stored as Python ``int``, ``float`` or ``bool``, and
+    lists as tuples.  Raises one ``ValueError`` that names every failing
+    field as ``<field> must be <kind>``, joined by ``; ``.
+    """
+    failed = []
+    for f in fields(config):
+        kind, value = f.type.removesuffix(" | None"), getattr(config, f.name)
+        try:
+            if value is not None or kind == f.type:
+                object.__setattr__(config, f.name, _as_kind(value, kind))
+        except (ValueError, OverflowError):
+            failed.append(f"{f.name} must be {_FIELD_KINDS[kind][0]}" + " or None" * (kind != f.type))
+    if failed:
+        raise ValueError("; ".join(failed))
 
 
 def thin_qr(a):

@@ -72,6 +72,7 @@ import numpy as np
 from .kernel import (
     _CERTIFY_RTOL,
     FactoredLowRank,
+    ensure_fields,
     ensure_matrix,
     spectral_norm,
     svd_small,
@@ -122,9 +123,7 @@ class RpcaParams:
     trim_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("mu", "beta", "beta_init", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        ensure_fields(self)
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.mu < 1.0:
@@ -416,10 +415,10 @@ def _tiled_pass(d, low, zeta, w, track_max):
     block = next(blocks)
     total, max_abs_dl = 0.0, 0.0
     for t, residual in residuals:
-        if track_max:
-            max_abs_dl = max(max_abs_dl, float(residual.max()), -float(residual.min()))
         s = buf[t.start - block.start : t.stop - block.start]
         np.abs(residual, out=s)
+        if track_max:
+            max_abs_dl = max(max_abs_dl, float(s.max()))
         np.greater(s, zeta, out=s)
         s *= residual
         residual -= s

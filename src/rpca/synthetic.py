@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import svd_small, thin_qr
+from .kernel import ensure_fields, svd_small, thin_qr
 from .metrics import factor_incoherence
 
 __all__ = ["RNG_ID", "SyntheticProblem", "SyntheticSpec", "generate"]
@@ -46,14 +46,15 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
+        ensure_fields(self)
         if self.m < 1 or self.n < 1:
             raise ValueError(f"dimensions must be positive, got {self.m} x {self.n}")
         if not 1 <= self.rank <= min(self.m, self.n):
             raise ValueError(f"rank {self.rank} out of range for a {self.m} x {self.n} matrix")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if not 0.0 < self.amplitude < math.inf:  # NaN fails both comparisons
-            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
+        if self.amplitude <= 0.0:
+            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.m * self.n >= _MAX_ENTRIES:

@@ -389,37 +389,39 @@ class TestPhaseCommand:
         assert "missing keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("cs", "15"), ("alphas", "0"), ("solvers", "altproj"), ("alphas", 0.1)]
+        "key, value, field",
+        [("cs", "15", "amplitudes"), ("alphas", "0", "alphas"), ("solvers", "altproj", "solvers"),
+         ("alphas", 0.1, "alphas")],
+        ids=["cs-15", "alphas-0", "solvers-altproj", "alphas-0.1"],
     )
-    def test_non_array_values_exit_one(self, tmp_path, capsys, key, value):
+    def test_non_array_values_exit_one(self, tmp_path, capsys, key, value, field):
+        # the message names the PhaseConfig field that the key sets
         grid = write_grid(tmp_path, **{key: value})
         assert main(["phase", "--grid", str(grid), "--output-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert f"['{key}'] must be JSON arrays" in err
+        assert f"{field} must be a tuple or list" in err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
         "overrides, message",
         [
             # each of these once ran, as n = 30, 1 trial, seed 1
-            (dict(n=30.9), "['n'] must be JSON integers"),
-            (dict(trials=1.7), "['trials'] must be JSON integers"),
-            (dict(seed=True), "['seed'] must be JSON integers"),
+            (dict(n=30.9), "n must be an integer"),
+            (dict(trials=1.7), "trials must be an integer"),
+            (dict(seed=True), "master_seed must be an integer"),
             (
                 dict(m=40.0, rank=False, max_iter="50"),
-                "['m', 'max_iter', 'rank'] must be JSON integers",
+                "m must be an integer or None; rank must be an integer; "
+                "max_iter must be an integer",
             ),
             # ... and these as 0.1, 1.0 and 0.001
-            (dict(alphas=["0.1"]), "['alphas'] must be JSON arrays of numbers"),
-            (dict(cs=[True]), "['cs'] must be JSON arrays of numbers"),
-            (dict(tol="1e-3"), "['tol'] must be JSON numbers"),
-            (dict(gamma=False), "['gamma'] must be JSON numbers or null"),
-            (dict(alphas=[0.1, float("nan")]), "['alphas'] must be JSON arrays of numbers"),
-            (dict(tol=10**400), "['tol'] must be JSON numbers"),
-            (
-                dict(n="40", tol=True),
-                "keys ['n'] must be JSON integers; keys ['tol'] must be JSON numbers",
-            ),
+            (dict(alphas=["0.1"]), "alphas must be a tuple or list of finite numbers"),
+            (dict(cs=[True]), "amplitudes must be a tuple or list of finite numbers"),
+            (dict(tol="1e-3"), "tol must be a finite number"),
+            (dict(gamma=False), "gamma must be a finite number or None"),
+            (dict(alphas=[0.1, float("nan")]), "alphas must be a tuple or list of finite numbers"),
+            (dict(tol=10**400), "tol must be a finite number"),
+            (dict(n="40", tol=True), "n must be an integer; tol must be a finite number"),
         ],
         ids=["float-n", "float-trials", "bool-seed", "three-ints", "string-alpha", "bool-c",
              "string-tol", "bool-gamma", "nan-alpha", "huge-tol", "two-kinds"],

@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import asdict, replace
 from time import perf_counter
 
@@ -112,6 +113,28 @@ class TestPhaseConfig:
         with pytest.raises(ValueError, match=message):
             small_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(gamma=False), "gamma"),
+            (dict(tol=True), "tol"),
+            (dict(trials=1.5), "trials"),
+            (dict(n=40.0), "n"),
+            (dict(alphas=(True,)), "alphas"),
+            (dict(max_iter=2.5), "max_iter"),
+        ],
+    )
+    def test_wrong_kinds_rejected_before_any_problem(self, monkeypatch, overrides, field):
+        monkeypatch.setattr(rpca.experiments, "generate", never_generate)
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            run_phase_experiment(small_config(**overrides))
+
+    def test_numpy_and_list_values_stored_as_python_types(self):
+        config = small_config(n=np.int64(40), alphas=[0, 0.1], trials=1)
+        assert type(config.n) is int
+        assert config.alphas == (0.0, 0.1) and all(type(a) is float for a in config.alphas)
+        json.dumps(run_phase_experiment(config).as_dict(), allow_nan=False)
+
     def test_paper_config_shape(self):
         config = paper_phase_config()
         assert config.n == 2500 and config.rank == 5 and config.trials == 10
@@ -176,8 +199,6 @@ class TestPhaseExperiment:
             assert flag == all(y <= x for x, y in zip(wins, wins[1:]))
 
     def test_as_dict_is_json_ready(self):
-        import json
-
         report = run_phase_experiment(small_config(trials=1))
         payload = report.as_dict()
         assert payload["schema_version"] == 1

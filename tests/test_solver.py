@@ -209,6 +209,13 @@ class TestParams:
             dict(gamma=-0.1),
             dict(epsilon=0.0),
             dict(max_iter=0),
+            # a bool counts as a number only where the field is a bool
+            dict(epsilon=True),
+            dict(gamma=False),
+            dict(rank=True),
+            dict(trim_enabled=1),
+            dict(max_iter=2.5),
+            dict(rank=2.0),
         ],
     )
     def test_validation(self, bad):
@@ -217,8 +224,13 @@ class TestParams:
         with pytest.raises(ValueError):
             RpcaParams(**good)
 
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        p = RpcaParams(rank=np.int64(2), mu=np.float64(1.5), beta=0.1, beta_init=0.2)
+        assert type(p.rank) is int and p.rank == 2
+        assert type(p.mu) is float and p.mu == 1.5
+
     @pytest.mark.parametrize("name", ["mu", "beta", "beta_init", "gamma", "epsilon"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
     def test_non_finite_floats_rejected(self, name, value):
         # NaN fails every comparison, so a range check alone lets it through
         good = dict(rank=2, mu=1.5, beta=0.1, beta_init=0.2)

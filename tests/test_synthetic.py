@@ -49,6 +49,12 @@ class TestSpecValidation:
             dict(seed=-1),
             dict(amplitude=float("nan")),
             dict(amplitude=float("inf")),
+            # wrong kinds, rejected by the spec rather than inside generate
+            dict(amplitude=True),
+            dict(alpha=False),
+            dict(seed=True),
+            dict(m=40.0),
+            dict(seed=1.5),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -98,8 +98,9 @@ GRIDS = {
     # the basic grid
     "grid.json": {"n": 40, "rank": 2, "alphas": [0.0, 0.1], "cs": [1.0],
                   "trials": 2, "seed": 11, "gamma": 0.7},
-    # no gamma: the 0.6 cell takes gamma = 0.65 from the declared alpha
-    "grid-alpha.json": {"n": 40, "rank": 2, "alphas": [0.1, 0.6], "cs": [1.0],
+    # no gamma: the 0.6 cell takes gamma = 0.65 from the declared alpha; the
+    # integer c is stored as the float its PhaseConfig field declares
+    "grid-alpha.json": {"n": 40, "rank": 2, "alphas": [0.1, 0.6], "cs": [1],
                         "trials": 1, "seed": 5},
     # non-square cells: 30 x 40
     "grid-rect.json": {"n": 40, "m": 30, "rank": 2, "alphas": [0.05, 0.1], "cs": [1.0],
