@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (solve: converged), 1 on usage or configuration
 errors (message on stderr), 2 when solve stops at the iteration cap without
-reaching the tolerance.  JSON outputs carry ``schema_version`` 1 (2 for
+reaching the tolerance.  JSON outputs carry ``schema_version`` 1 (3 for
 ``trace.json``), the solver id, the full parameter set, the seed, and
 per-iteration error and threshold arrays, so any number can be re-derived.
 """
@@ -23,6 +23,7 @@ from .experiments import (
     _SOLVERS,
     PAPER_RUNTIME_SIZES,
     PhaseConfig,
+    TrialRecord,
     paper_phase_config,
     run_phase_experiment,
     run_runtime_experiment,
@@ -37,24 +38,13 @@ __all__ = ["CliError", "build_parser", "main", "run"]
 
 
 # Grid-file key -> PhaseConfig field, whose annotation is the value's type
-# rule.  Keys left out of a grid file take the PhaseConfig defaults.
+# rule: the field's own name but for two.  Keys left out of a grid file take
+# the PhaseConfig defaults.
 _GRID_KEYS = {
-    "n": "n",
-    "m": "m",
-    "rank": "rank",
-    "alphas": "alphas",
-    "cs": "amplitudes",
-    "trials": "trials",
-    "seed": "master_seed",
-    "tol": "tol",
-    "max_iter": "max_iter",
-    "gamma": "gamma",
-    "solvers": "solvers",
+    {"amplitudes": "cs", "master_seed": "seed"}.get(f.name, f.name): f.name
+    for f in fields(PhaseConfig)
 }
 _REQUIRED_GRID_KEYS = {"n", "rank", "alphas", "cs", "trials"}
-
-# The RpcaParams fields that `rpca solve` sets from a flag of the same name.
-_SOLVE_OVERRIDES = ("beta", "beta_init", "gamma", "epsilon", "max_iter")
 
 
 class CliError(Exception):
@@ -85,6 +75,10 @@ def _cmd_solve(args):
     S = H_zeta(D - L).  S goes to its file tile by tile from D; then D is
     dropped, and only then is the dense L formed for its file.
     """
+    if args.no_trim and args.solver == "altproj":
+        raise CliError("--no-trim applies to --solver accaltproj only")
+    trim = "" if args.solver == "altproj" else "_notrim" if args.no_trim else "_trim"
+    solver_id = args.solver + trim  # an id of the experiments' solver table
     d = read_matrix(args.input)
     m, n = d.shape
     if not 1 <= args.rank <= min(m, n):
@@ -107,15 +101,13 @@ def _cmd_solve(args):
         )
     else:
         mu = args.mu
-    overrides = {
-        name: getattr(args, name) for name in _SOLVE_OVERRIDES if getattr(args, name) is not None
-    }
-    trim = "" if args.solver == "altproj" else "_notrim" if args.no_trim else "_trim"
-    update, trim_enabled = _SOLVERS[args.solver + trim]  # altproj has no trim step
-    params = RpcaParams.defaults((m, n), args.rank, mu, trim_enabled=trim_enabled, **overrides)
+    # every RpcaParams field but rank and mu has a flag of its name; unset ones take the defaults
+    flags = {f.name: getattr(args, f.name) for f in fields(RpcaParams) if f.name not in ("rank", "mu")}
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    params = RpcaParams.defaults((m, n), args.rank, mu, **overrides)
 
     t0 = perf_counter()
-    low, trace, converged = _solve(d, params, update)
+    low, trace, converged = _solve(d, params, _SOLVERS[solver_id])
     total_seconds = perf_counter() - t0
     last = trace[-1]
 
@@ -126,9 +118,9 @@ def _cmd_solve(args):
     _write_json(
         out_dir / "trace.json",
         {
-            "schema_version": 2,
+            "schema_version": 3,
             "kind": "solve",
-            "solver": args.solver,
+            "solver": solver_id,
             "seed": SKETCH_SEED,  # the kernel's only seed; solve is otherwise deterministic
             "params": asdict(params),
             "input": {"path": str(args.input), "rows": m, "cols": n},
@@ -206,20 +198,8 @@ def _load_phase_config(path):
 
 
 def _write_report_csv(path, report):
-    columns = [
-        "alpha",
-        "amplitude",
-        "solver",
-        "seed",
-        "m",
-        "n",
-        "rank",
-        "iterations",
-        "final_err",
-        "converged",
-        "success",
-        "wall_seconds",
-    ]
+    """One row per record, one column per non-list TrialRecord field, in field order."""
+    columns = [f.name for f in fields(TrialRecord) if not f.type.startswith("list")]
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

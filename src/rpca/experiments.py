@@ -8,14 +8,14 @@ fixed (cell, trial, solver) order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 import numpy as np
 
 from .kernel import ensure_fields
 from .metrics import recovery_success
-from .solver import RpcaParams, _Gather, _solve, _sparse_part, _step, _Stored, initialize
+from .solver import RpcaParams, _Gather, _solve, _sparse_part, _step, _Stored, _Untrimmed, initialize
 from .synthetic import SyntheticSpec, generate
 
 __all__ = [
@@ -31,12 +31,8 @@ __all__ = [
     "trial_seed",
 ]
 
-# Solver id -> (L-update class, trim on); AltProj has no trim step.
-_SOLVERS = {
-    "accaltproj_trim": (_Gather, True),
-    "accaltproj_notrim": (_Gather, False),
-    "altproj": (_Stored, False),
-}
+# Solver id -> its L-update class, which is the solver.
+_SOLVERS = {"accaltproj_trim": _Gather, "accaltproj_notrim": _Untrimmed, "altproj": _Stored}
 SOLVER_IDS = tuple(_SOLVERS)
 
 # Per-iteration timing summaries skip the initialization row and the first
@@ -69,13 +65,13 @@ def trial_seed(master_seed, cell_index, trial_index):
 class TrialRecord:
     """One (problem, solver) run of an experiment."""
 
+    alpha: float
+    amplitude: float
     solver: str
     seed: int
     m: int
     n: int
     rank: int
-    alpha: float
-    amplitude: float
     iterations: int
     final_err: float
     converged: bool
@@ -217,9 +213,8 @@ def _timing_means(trace):
 def _run_trial(solver_id, spec, d, l_true, params):
     """The record of one solve of ``d``, a generated D that is not checked
     again; it reads L, the trace and ``converged`` only, so no S is built."""
-    update, trim_enabled = _SOLVERS[solver_id]
     t0 = perf_counter()
-    low, trace, converged = _solve(d, replace(params, trim_enabled=trim_enabled), update)
+    low, trace, converged = _solve(d, params, _SOLVERS[solver_id])
     wall_seconds = perf_counter() - t0
     mean_iter, mean_l = _timing_means(trace)
     return TrialRecord(

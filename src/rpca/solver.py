@@ -21,9 +21,10 @@ the ``buffer()`` of the next update, built by its class from the last,
 handing it each of its ``blocks`` by ``add``; the next step calls
 ``truncate()``.  AccAltProj's (:class:`_Gather`) sums blocks of whole
 tiles, 4r rows or more, into U'^T W and W V' at (U', V') = trim(L_{k+1})
-for the structured truncation; AltProj's (:class:`_Stored`) holds W_{k+1}
-as one block, the solve's one m x n array, for its truncated SVD.  L_0 is
-the truncated SVD of D - S_init with no start, to ``row0_rtol``.  The loop
+for the structured truncation, and its subclass :class:`_Untrimmed`, the
+no-trim ablation, at L_{k+1} itself; AltProj's (:class:`_Stored`) holds
+W_{k+1} as one block, the solve's one m x n array, for its truncated SVD.
+L_0 is the truncated SVD of D - S_init with no start, to ``row0_rtol``.  The loop
 (:func:`_solve`) ends with L_K and a trace whose last zeta_K gives the rest
 of the answer, S_K = H_zeta_K(D - L_K).  S itself is built by one more pass
 with :func:`hard_threshold` (:func:`_sparse_tiles`), for a caller that reads it
@@ -120,7 +121,6 @@ class RpcaParams:
     gamma: float = 0.5
     epsilon: float = 1e-6
     max_iter: int = 100
-    trim_enabled: bool = True
 
     def __post_init__(self):
         ensure_fields(self)
@@ -318,12 +318,12 @@ def hard_threshold(z, zeta, out=None):
 class _Gather:
     """AccAltProj's L-update: U^T W and W V at the basis trim(L) of the iterate L.
 
-    These sums over row blocks of W = D - S are all the update reads of W.
-    The basis is L itself when ``params.trim_enabled`` is False.  A block is
-    a run of whole tiles of :func:`_row_tiles`, 4r rows or more but the last:
-    U_t^T W_t has the block height as its inner dimension, which BLAS runs
-    poorly when small next to r.  Blocks are added in order.  ``previous``,
-    the update this one follows, is not read: each gathers afresh."""
+    These sums over row blocks of W = D - S are all the update reads of W,
+    and :meth:`basis_of` gives the basis.  A block is a run of whole tiles
+    of :func:`_row_tiles`, 4r rows or more but the last: U_t^T W_t has the
+    block height as its inner dimension, which BLAS runs poorly when small
+    next to r.  Blocks are added in order.  ``previous``, the update this
+    one follows, is not read: each gathers afresh."""
 
     # The residual, relative to sigma_1, to which ``initialize`` certifies
     # the truncation of D - S_init: the loop refines L_0 at about rate gamma,
@@ -332,10 +332,15 @@ class _Gather:
     row0_rtol = 1e-6
 
     def __init__(self, low, shape, params, previous=None):
-        self.basis = trim(low, params.mu) if params.trim_enabled else low
+        self.basis = self.basis_of(low, params.mu)
         r, tile = self.basis.rank, _row_tiles(shape)[0].stop
         self.blocks = _row_tiles(shape, floor=-(-4 * r // tile) * tile)
         self.utw, self.wv = np.zeros((r, shape[1])), np.empty((shape[0], r))
+
+    @staticmethod
+    def basis_of(low, mu):
+        """trim(L), with ``trim`` looked up in this module at each call."""
+        return trim(low, mu)
 
     def buffer(self):
         """A new buffer for the rows of one block; the first block is the tallest."""
@@ -349,6 +354,14 @@ class _Gather:
     def truncate(self):
         """The structured truncation of the tangent-space projection of W."""
         return structured_truncate(self.basis, self.utw, self.wv)
+
+
+class _Untrimmed(_Gather):
+    """AccAltProj's L-update without trim, the ablation: it projects at L itself."""
+
+    @staticmethod
+    def basis_of(low, mu):
+        return low
 
 
 class _Stored:
@@ -612,7 +625,9 @@ def accaltproj_solve(d, params):
 
     Iterates until the relative residual ||D - L_k - S_k||_F / ||D||_F drops
     below ``params.epsilon`` or ``params.max_iter`` iterations have run.
-    Deterministic for fixed inputs.
+    Every L-update projects at the trimmed iterate, as in the paper's
+    algorithm; the no-trim ablation is the harnesses' ``accaltproj_notrim``
+    and ``rpca solve --no-trim``.  Deterministic for fixed inputs.
     """
     return _solution(d, params, _Gather)
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rpca.cli import main
+import rpca.experiments
+from rpca.cli import _GRID_KEYS, main
 from rpca.experiments import PhaseConfig, run_phase_experiment, run_runtime_experiment
 from rpca.matio import read_matrix, write_matrix
 from rpca.solver import (
@@ -95,7 +96,7 @@ class TestSolveCommand:
         trace = json.loads((out / "trace.json").read_text())
         assert trace["converged"] is True
         assert trace["trace"]["err"][-1] < 1e-6
-        assert trace["schema_version"] == 2
+        assert trace["schema_version"] == 3
         l = read_matrix(out / "L.bin")
         s = read_matrix(out / "S.bin")
         d = read_matrix(out / "D.bin")
@@ -121,16 +122,43 @@ class TestSolveCommand:
         assert "--mu not given" in capsys.readouterr().err
 
     def test_altproj_and_no_trim(self, tmp_path):
-        out = run_synth(tmp_path, n=60, rank=2, seed=4)
-        # altproj has no trim step, so its trace must not claim one
-        for extra, trimmed in (([], True), (["--solver", "altproj"], False), (["--no-trim"], False)):
+        # The flags pick one solver id, and trace.json names the variant by
+        # it alone: the id that a phase trial of the variant on the same
+        # problem and parameters carries, with the same solve.
+        spec = SyntheticSpec(60, 60, 2, 0.1, 1.0, 4)
+        prob = generate(spec)
+        write_matrix(prob.data, tmp_path / "D.bin")
+        mu = 1.1 * prob.mu_true
+        params = RpcaParams.defaults(prob.data.shape, 2, mu, gamma=0.7)
+        for extra, solver_id in (
+            ([], "accaltproj_trim"),
+            (["--no-trim"], "accaltproj_notrim"),
+            (["--solver", "altproj"], "altproj"),
+        ):
             code = main(
-                ["solve", "--input", str(out / "D.bin"), "--rank", "2",
-                 "--gamma", "0.7", "--output-dir", str(out)] + extra
+                ["solve", "--input", str(tmp_path / "D.bin"), "--rank", "2", "--mu", repr(mu),
+                 "--gamma", "0.7", "--output-dir", str(tmp_path)] + extra
             )
             assert code == 0
-            trace = json.loads((out / "trace.json").read_text())
-            assert trace["params"]["trim_enabled"] is trimmed
+            trace = json.loads((tmp_path / "trace.json").read_text())
+            assert trace["params"] == asdict(params) and "trim_enabled" not in trace["params"]
+            record = rpca.experiments._run_trial(solver_id, spec, prob.data, prob.low_rank, params)
+            assert trace["solver"] == record.solver == solver_id
+            assert trace["trace"]["err"] == record.err_history
+            assert trace["trace"]["zeta"] == record.zeta_history
+
+    def test_no_trim_with_altproj_exits_one(self, tmp_path, capsys, monkeypatch):
+        # altproj has no trim step to skip; the run stops before the solve
+        monkeypatch.setattr("rpca.cli._solve", never_run)
+        out = run_synth(tmp_path, n=40, rank=2, seed=3)
+        solved = tmp_path / "solved"
+        code = main(
+            ["solve", "--input", str(out / "D.bin"), "--rank", "2", "--solver", "altproj",
+             "--no-trim", "--output-dir", str(solved)]
+        )
+        assert code == 1
+        assert "error: --no-trim applies to --solver accaltproj only" in capsys.readouterr().err
+        assert not solved.exists()
 
     def test_trace_columns_are_the_record_fields(self, tmp_path):
         out = run_synth(tmp_path, n=60, rank=2, seed=4)
@@ -147,7 +175,7 @@ class TestSolveCommand:
                 "k", "err", "zeta", "sigma_window", "iter_seconds", "l_update_seconds",
                 "skipped",
             }
-            assert trace["schema_version"] == 2
+            assert trace["schema_version"] == 3
             assert columns["k"] == list(range(trace["iterations"] + 1))
             assert all(isinstance(flag, bool) for flag in columns["skipped"])
             for values in columns.values():
@@ -252,9 +280,7 @@ class TestSolveCommand:
             ["solve", "--input", str(path), "--rank", str(rank), "--mu", repr(mu),
              "--gamma", "0.7", "--solver", solver, "--output-dir", str(out)]
         )
-        params = RpcaParams.defaults(
-            (m, n), rank, mu, gamma=0.7, trim_enabled=solver == "accaltproj"
-        )
+        params = RpcaParams.defaults((m, n), rank, mu, gamma=0.7)
         solve = accaltproj_solve if solver == "accaltproj" else altproj_solve
         solution = solve(read_matrix(path), params)
         assert code == (0 if solution.converged else 2)
@@ -361,7 +387,29 @@ class TestPhaseCommand:
         assert len(report["records"]) == 12
         csv_lines = (tmp_path / "report.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 13  # header + rows
-        assert csv_lines[0].startswith("alpha,")
+        # TrialRecord's non-list fields in field order: the twelve columns
+        # the CSV has always had, then the three timing columns
+        assert csv_lines[0].split(",") == [
+            "alpha", "amplitude", "solver", "seed", "m", "n", "rank", "iterations",
+            "final_err", "converged", "success", "wall_seconds",
+            "init_seconds", "mean_iter_seconds", "mean_l_update_seconds",
+        ]
+
+    def test_grid_keys_are_the_config_fields(self):
+        # each key names its PhaseConfig field, but for cs and seed
+        assert _GRID_KEYS == {
+            "n": "n",
+            "m": "m",
+            "rank": "rank",
+            "alphas": "alphas",
+            "cs": "amplitudes",
+            "trials": "trials",
+            "seed": "master_seed",
+            "tol": "tol",
+            "max_iter": "max_iter",
+            "gamma": "gamma",
+            "solvers": "solvers",
+        }
 
     def test_empty_grid_exits_one(self, tmp_path, capsys):
         grid = write_grid(tmp_path, alphas=[])

@@ -1,6 +1,6 @@
 import itertools
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from time import perf_counter
 
 import numpy as np
@@ -20,9 +20,11 @@ from rpca.metrics import recovery_success
 from rpca.solver import (
     _Gather,
     _row_tiles,
+    _solution,
     _sparse_part,
     _step,
     _Stored,
+    _Untrimmed,
     accaltproj_solve,
     altproj_solve,
     initialize,
@@ -278,12 +280,17 @@ class TestRuntimeExperiment:
 
     @pytest.mark.parametrize("solver_id", SOLVER_IDS)
     def test_trial_record_is_the_library_solve(self, solver_id):
-        # Everything but the wall time equals what the entry point returns.
+        # Everything but the wall time equals what the entry point returns;
+        # the no-trim ablation has none, and is the entry points' solve with
+        # its class.
         spec, d, l_true, params = self.runtime_trial_inputs(120)
         record = rpca.experiments._run_trial(solver_id, spec, d, l_true, params)
-        trim_enabled = solver_id == "accaltproj_trim"
-        solve = altproj_solve if solver_id == "altproj" else accaltproj_solve
-        solution = solve(d, replace(params, trim_enabled=trim_enabled))
+        solve = {
+            "accaltproj_trim": accaltproj_solve,
+            "accaltproj_notrim": lambda d, params: _solution(d, params, _Untrimmed),
+            "altproj": altproj_solve,
+        }[solver_id]
+        solution = solve(d, params)
         assert record.iterations == solution.iterations
         assert record.final_err == solution.final_err
         assert record.converged == solution.converged

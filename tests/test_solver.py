@@ -1,13 +1,14 @@
 import copy
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpca.experiments
 import rpca.solver
 from rpca.kernel import SKETCH_SEED, spectral_norm, svd_small, svd_truncated, thin_qr
 from rpca.metrics import factor_incoherence, incoherence_of, relative_error
@@ -26,10 +27,12 @@ from rpca.solver import (
 from rpca.solver import (
     _Gather,
     _row_tiles,
+    _solve,
     _sparse_part,
     _step,
     _Stored,
     _tiled_pass,
+    _Untrimmed,
 )
 from rpca.synthetic import SyntheticSpec, generate
 
@@ -90,11 +93,12 @@ def sparse_of(state, d):
     return _sparse_part(d, state.low_rank, state.zeta)
 
 
-def tangent_basis(low_rank, params):
-    """Oracle for the basis AccAltProj projects at: the QR bases of trim's
-    rescaled factors, as a dense computation (the tangent space reads only
-    the spans of the factors)."""
-    if not params.trim_enabled:
+def tangent_basis(low_rank, params, update):
+    """Oracle for the basis the tangent-space update ``update`` projects at:
+    L itself for :class:`_Untrimmed`, else the QR bases of trim's rescaled
+    factors, as a dense computation (the tangent space reads only the spans
+    of the factors)."""
+    if update is _Untrimmed:
         return low_rank
     qa, qb = (np.linalg.qr(f)[0] for f in rescaled_factors(low_rank, params.mu))
     return low_rank._replace(U=qa, V=qb)
@@ -105,8 +109,8 @@ def dense_step(state, d, params, update):
     with W = D - S_k, L, D - L and S each formed as a whole m x n matrix.
     Returns (L, window, zeta, S, ||D - L - S||_F)."""
     w = d - sparse_of(state, d)
-    if update is _Gather:
-        low, window = truncate_dense(tangent_basis(state.low_rank, params), w)
+    if issubclass(update, _Gather):
+        low, window = truncate_dense(tangent_basis(state.low_rank, params, update), w)
     else:
         low, window = svd_truncated(w, params.rank, start=state.low_rank.V)
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
@@ -196,7 +200,11 @@ class TestParams:
         assert p.beta == pytest.approx(scale / 2.0)
         assert p.beta_init == pytest.approx(scale)
         assert p.gamma == 0.5
-        assert p.epsilon == 1e-6 and p.max_iter == 100 and p.trim_enabled
+        assert p.epsilon == 1e-6 and p.max_iter == 100
+        # the solver variant is the L-update class, not a parameter
+        assert [f.name for f in fields(RpcaParams)] == [
+            "rank", "mu", "beta", "beta_init", "gamma", "epsilon", "max_iter"
+        ]
 
     @pytest.mark.parametrize(
         "bad",
@@ -209,11 +217,11 @@ class TestParams:
             dict(gamma=-0.1),
             dict(epsilon=0.0),
             dict(max_iter=0),
-            # a bool counts as a number only where the field is a bool
+            # no bool counts as a number, nor does a string
             dict(epsilon=True),
             dict(gamma=False),
             dict(rank=True),
-            dict(trim_enabled=1),
+            dict(beta="0.1"),
             dict(max_iter=2.5),
             dict(rank=2.0),
         ],
@@ -834,9 +842,8 @@ class TestAccAltProjStep:
         prob = generate(SyntheticSpec(30, 30, 2, 0.05, 1.0, 77))
         params = RpcaParams.defaults(prob.data.shape, 2, mu=max(1.0, 1.1 * prob.mu_true))
         # trim at L_0 runs in initialize's S_0 pass, so each side starts there
-        no_trim = replace(params, trim_enabled=False)
         with_trim = accaltproj_step(initialize(prob.data, params, _Gather)[0], prob.data, params)
-        without = accaltproj_step(initialize(prob.data, no_trim, _Gather)[0], prob.data, no_trim)
+        without = accaltproj_step(initialize(prob.data, params, _Untrimmed)[0], prob.data, params)
         assert np.array_equal(with_trim.low_rank.matrix(), without.low_rank.matrix())
         assert np.array_equal(sparse_of(with_trim, prob.data), sparse_of(without, prob.data))
         assert with_trim.zeta == without.zeta
@@ -858,6 +865,53 @@ def with_entry(value):
     d = np.ones((4, 4))
     d[2, 2] = value
     return d
+
+
+def solve_counting_trim(monkeypatch, d, params, solver_id):
+    """``(L, trace, converged)`` of the variant ``solver_id`` and, per call
+    of ``rpca.solver.trim`` in the solve, whether it fired."""
+    fired = []
+
+    def counted(low, mu):
+        out = trim(low, mu)  # the module's own, as imported here
+        fired.append(out is not low)
+        return out
+
+    monkeypatch.setattr(rpca.solver, "trim", counted)
+    return _solve(d, params, rpca.experiments._SOLVERS[solver_id]), fired
+
+
+class TestTrimVariants:
+    """``accaltproj_trim`` and ``accaltproj_notrim`` differ in the L-update
+    class alone, so their solves differ where trim fires and nowhere else:
+    the whole-solve counterpart of
+    ``TestAccAltProjStep.test_trim_toggle_identical_on_incoherent_state``."""
+
+    def test_identical_where_trim_never_fires(self, monkeypatch):
+        prob = generate(SyntheticSpec(30, 30, 2, 0.05, 1.0, 77))
+        params = RpcaParams.defaults(prob.data.shape, 2, mu=max(1.0, 1.1 * prob.mu_true))
+        trimmed, fired = solve_counting_trim(monkeypatch, prob.data, params, "accaltproj_trim")
+        untrimmed, calls = solve_counting_trim(monkeypatch, prob.data, params, "accaltproj_notrim")
+        assert len(fired) == 16 and not any(fired) and calls == []
+        assert trimmed[2] and untrimmed[2]
+        assert trimmed[0].matrix().tobytes() == untrimmed[0].matrix().tobytes()
+        bits = [
+            [(r.k, r.err, r.zeta, r.sigma_window.tobytes(), r.skipped) for r in sol[1]]
+            for sol in (trimmed, untrimmed)
+        ]
+        assert bits[0] == bits[1]
+
+    def test_trim_decides_the_mu_1_solve(self, monkeypatch):
+        # the first input of tools/compare_artifacts.py at --mu 1, where trim
+        # fires on every step: its solve-trim round stops at the cap (exit 2)
+        # and its solve-no-trim round converges
+        prob = generate(SyntheticSpec(64, 64, 2, 0.1, 1.0, 17))
+        params = RpcaParams.defaults(prob.data.shape, 2, mu=1.0, gamma=0.7)
+        trimmed, fired = solve_counting_trim(monkeypatch, prob.data, params, "accaltproj_trim")
+        untrimmed, calls = solve_counting_trim(monkeypatch, prob.data, params, "accaltproj_notrim")
+        assert len(fired) == 101 and all(fired) and calls == []
+        assert trimmed[1][-1].k == 100 and not trimmed[2]
+        assert untrimmed[1][-1].k < 100 and untrimmed[2]
 
 
 class TestSolvers:
@@ -1326,7 +1380,7 @@ class TestTiledStep:
         # the sparse pass hands a block on when a tile ends it
         m, n = shape
         low = random_factored(np.random.default_rng(r), m, n, r)
-        params = RpcaParams(rank=r, mu=1.0, beta=1.0, beta_init=1.0, trim_enabled=False)
+        params = RpcaParams(rank=r, mu=1.0, beta=1.0, beta_init=1.0)
         blocks, tiles = _Gather(low, shape, params).blocks, _row_tiles(shape)
         assert [b.stop - b.start for b in blocks] == heights
         assert all(b.stop - b.start >= 4 * r for b in blocks[:-1])
@@ -1358,6 +1412,7 @@ class TestTiledStep:
             pytest.param(_Gather, {}, id="_tangent_l_update"),
             pytest.param(_Stored, {}, id="_svd_l_update"),
             pytest.param(_Gather, {"mu": 1.0}, id="_tangent_l_update-trim-fires"),
+            pytest.param(_Untrimmed, {"mu": 1.0}, id="_Untrimmed"),
         ],
     )
     @pytest.mark.parametrize("m, n, r", TILED_CASES)
@@ -1366,7 +1421,7 @@ class TestTiledStep:
         d = prob.data
         params = replace(desk_params(prob), **overrides)
         state, _ = initialize(d, params, update)
-        if overrides:  # mu = 1 is below the incoherence, so trim fires
+        if overrides:  # mu = 1 is below the incoherence, so trim fires (or would)
             assert trim(state.low_rank, params.mu) is not state.low_rank
         while state.k < 10:  # past the start of the schedule, where S_k stays empty
             state, _ = _step(state, d, params)

@@ -65,6 +65,36 @@ def test_a_float_move_is_measured_and_outcomes_stay_equal(tmp_path):
         )
 
 
+def trace(**changes):
+    """A two-row ``trace.json`` payload of rank 1, with ``changes`` at the top level."""
+    payload = {
+        "schema_version": 3,
+        "solver": "accaltproj_trim",
+        "params": {"rank": 1, "gamma": 0.7},
+        "iterations": 1,
+        "converged": True,
+        "trace": {"err": [0.5, 1e-7], "zeta": [2.0, 1.0], "sigma_window": [[3.0, 1.0], [3.0, 0.5]]},
+        "total_seconds": 0.25,
+    }
+    payload.update(changes)
+    return payload
+
+
+def test_a_differing_trace_names_its_fields(tmp_path):
+    # the shape of a trace.json that names its solver variant by the old pair
+    first, second = tmp_path / "rev" / "trace.json", tmp_path / "work" / "trace.json"
+    old = trace(schema_version=2, solver="accaltproj", total_seconds=0.5)
+    old["params"] = dict(old["params"], trim_enabled=True)
+    for path, payload in ((first, old), (second, trace())):
+        path.parent.mkdir()
+        path.write_text(json.dumps(payload))
+    assert compare.how_far(first, second) == (
+        "differing fields: schema_version, solver, trim_enabled; "
+        "iterations equal, converged equal, err moves by at most 0 relative, "
+        "zeta moves by at most 0 relative, row 0 sigma_window[r] by 0"
+    )
+
+
 def test_code_lines_count_the_lines_that_statements_span():
     source = "\n".join(
         [

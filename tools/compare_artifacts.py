@@ -53,9 +53,9 @@ compared too.  One line is printed per file, and the exit status is 1 if any
 file differs.  A differing line says how far the two differ: for a matrix
 file, the largest entrywise difference relative to the largest entry of
 REV's matrix, and whether the nonzero supports match; for a ``trace.json``,
-whether ``iterations`` and ``converged`` match, the largest relative moves
-of ``err`` and ``zeta``, and the relative move of row 0's
-``sigma_window[r]``; for a ``report.json``, ``timings.json``,
+the fields that differ, whether ``iterations`` and ``converged`` match, the
+largest relative moves of ``err`` and ``zeta``, and the relative move of row
+0's ``sigma_window[r]``; for a ``report.json``, ``timings.json``,
 ``metadata.json`` or ``report.csv``, the fields (columns) that differ,
 whether any record's ``success``, ``converged`` or ``iterations`` does, and
 the largest relative move of the differing float fields.
@@ -261,6 +261,7 @@ def how_far(first, second):
         return f"max rel diff {rel:.2g}, support {support}"
     if first.name == "trace.json":
         a, b = (json.loads(path.read_text()) for path in (first, second))
+        names = field_names(changed_leaves(*(leaves(strip_timing(t)) for t in (a, b))))
         keys = ("iterations", "converged")
         notes = [", ".join(f"{key} {'equal' if a[key] == b[key] else 'differ'}" for key in keys)]
         rows = [t["trace"] for t in (a, b)]
@@ -274,7 +275,7 @@ def how_far(first, second):
         moved = relative_move(*(t["sigma_window"][0][r : r + 1] for t in rows))
         if moved is not None:
             notes.append(f"row 0 sigma_window[r] by {moved:.2g}")
-        return ", ".join(notes)
+        return f"differing fields: {', '.join(names)}; " + ", ".join(notes)
     if first.name in ("report.json", "timings.json", "metadata.json", "report.csv"):
         return field_notes(first, second)
     return ""
@@ -296,6 +297,19 @@ def leaves(obj, path=()):
     for key, value in items:
         found.update(leaves(value, path + (key,)))
     return found
+
+
+def changed_leaves(a, b):
+    """The paths on which two ``leaves`` maps differ, a path on one side only included."""
+    missing = object()
+    return [key for key in a.keys() | b.keys() if a.get(key, missing) != b.get(key, missing)]
+
+
+def field_names(paths):
+    """The innermost name on each path, sorted and once each: "final_err", not an index."""
+    return sorted(
+        {next((part for part in reversed(key) if isinstance(part, str)), "(top level)") for key in paths}
+    )
 
 
 def parsed(path):
@@ -322,13 +336,8 @@ def field_notes(first, second):
     """Which fields of two report-like artifacts differ, whether any outcome
     (``OUTCOMES``) does, and how far their float fields move."""
     a, b = (leaves(parsed(path)) for path in (first, second))
-    missing = object()
-    changed = [key for key in a.keys() | b.keys() if a.get(key, missing) != b.get(key, missing)]
-
-    def field(key):  # the innermost name on a path: "final_err", not an index
-        return next((part for part in reversed(key) if isinstance(part, str)), "(top level)")
-
-    names = sorted({field(key) for key in changed})
+    changed = changed_leaves(a, b)
+    names = field_names(changed)
     outcomes = [name for name in OUTCOMES if name in names]
     notes = [f"differing fields: {', '.join(names)}"]
     if outcomes:
