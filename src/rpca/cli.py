@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success (solve: converged), 1 on usage or configuration
 errors (message on stderr), 2 when solve stops at the iteration cap without
-reaching the tolerance.  JSON outputs carry ``schema_version`` 1 (3 for
-``trace.json``), the solver id, the full parameter set, the seed, and
+reaching the tolerance.  JSON outputs carry a ``schema_version`` (4 for
+``trace.json``, 2 for ``report.json`` and ``timings.json``, 1 for
+``metadata.json``), the solver id, the full parameter set, the seed, and
 per-iteration error and threshold arrays, so any number can be re-derived.
 """
 
@@ -13,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -22,6 +23,7 @@ import numpy as np
 from .experiments import (
     _SOLVERS,
     PAPER_RUNTIME_SIZES,
+    SOLVER_IDS,
     PhaseConfig,
     TrialRecord,
     paper_phase_config,
@@ -29,7 +31,7 @@ from .experiments import (
     run_runtime_experiment,
 )
 from .kernel import SKETCH_SEED
-from .matio import MatrixIOError, _write_rows, read_matrix, write_matrix
+from .matio import _write_rows, read_matrix, write_matrix
 from .metrics import incoherence_of
 from .solver import IterationRecord, RpcaParams, _checked_norm, _solve, _sparse_tiles
 from .synthetic import RNG_ID, SyntheticSpec, generate
@@ -75,10 +77,6 @@ def _cmd_solve(args):
     S = H_zeta(D - L).  S goes to its file tile by tile from D; then D is
     dropped, and only then is the dense L formed for its file.
     """
-    if args.no_trim and args.solver == "altproj":
-        raise CliError("--no-trim applies to --solver accaltproj only")
-    trim = "" if args.solver == "altproj" else "_notrim" if args.no_trim else "_trim"
-    solver_id = args.solver + trim  # an id of the experiments' solver table
     d = read_matrix(args.input)
     m, n = d.shape
     if not 1 <= args.rank <= min(m, n):
@@ -107,7 +105,7 @@ def _cmd_solve(args):
     params = RpcaParams.defaults((m, n), args.rank, mu, **overrides)
 
     t0 = perf_counter()
-    low, trace, converged = _solve(d, params, _SOLVERS[solver_id])
+    low, trace, converged = _solve(d, params, _SOLVERS[args.solver])
     total_seconds = perf_counter() - t0
     last = trace[-1]
 
@@ -118,9 +116,9 @@ def _cmd_solve(args):
     _write_json(
         out_dir / "trace.json",
         {
-            "schema_version": 3,
+            "schema_version": 4,
             "kind": "solve",
-            "solver": solver_id,
+            "solver": args.solver,
             "seed": SKETCH_SEED,  # the kernel's only seed; solve is otherwise deterministic
             "params": asdict(params),
             "input": {"path": str(args.input), "rows": m, "cols": n},
@@ -208,12 +206,9 @@ def _write_report_csv(path, report):
 
 
 def _cmd_phase(args):
-    if args.paper:
-        config = paper_phase_config() if args.seed is None else paper_phase_config(args.seed)
-    elif args.seed is not None:
-        raise CliError("--seed applies to --paper only; a grid file sets its own seed")
-    else:
-        config = _load_phase_config(args.grid)
+    config = paper_phase_config() if args.paper else _load_phase_config(args.grid)
+    if args.seed is not None:
+        config = replace(config, master_seed=args.seed)  # validated again by PhaseConfig
     report = run_phase_experiment(config)
     out_dir = _output_dir(args)
     _write_json(out_dir / "report.json", report.as_dict())
@@ -253,8 +248,7 @@ def build_parser():
     eps_help = f"relative-residual stopping tolerance (default {RpcaParams.epsilon:g})"
     solve.add_argument("--eps", dest="epsilon", metavar="EPS", type=float, help=eps_help)
     solve.add_argument("--max-iter", type=int, help=f"iteration cap (default {RpcaParams.max_iter})")
-    solve.add_argument("--no-trim", action="store_true", help="skip the trim step (accaltproj only)")
-    solve.add_argument("--solver", choices=("accaltproj", "altproj"), default="accaltproj")
+    solve.add_argument("--solver", choices=SOLVER_IDS, default="accaltproj")
     solve.add_argument("--output-dir", help="where to write L, S and trace.json (default: input directory)")
     solve.set_defaults(func=_cmd_solve)
 
@@ -271,9 +265,9 @@ def build_parser():
 
     phase = sub.add_parser("phase", help="success-rate grid over (alpha, c)")
     source = phase.add_mutually_exclusive_group(required=True)
-    source.add_argument("--grid", help="JSON grid file (it sets its own seed)")
+    source.add_argument("--grid", help="JSON grid file")
     source.add_argument("--paper", action="store_true", help="run the full-scale published grid (slow)")
-    phase.add_argument("--seed", type=int, help="master seed for --paper (default 0)")
+    phase.add_argument("--seed", type=int, help="master seed (default: the grid's, or 0 for --paper)")
     phase.add_argument("--output-dir", help="default: current directory")
     phase.set_defaults(func=_cmd_phase)
 
@@ -295,7 +289,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, MatrixIOError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 # Solver id -> its L-update class, which is the solver.
-_SOLVERS = {"accaltproj_trim": _Gather, "accaltproj_notrim": _Untrimmed, "altproj": _Stored}
+_SOLVERS = {"accaltproj": _Gather, "accaltproj_notrim": _Untrimmed, "altproj": _Stored}
 SOLVER_IDS = tuple(_SOLVERS)
 
 # Per-iteration timing summaries skip the initialization row and the first
@@ -114,7 +114,7 @@ class ExperimentReport:
     def as_dict(self):
         counts = self.success_counts()
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "kind": self.kind,
             "seed": self.config["master_seed"],
             "config": self.config,
@@ -183,10 +183,12 @@ class PhaseConfig:
         return self.m if self.m is not None else self.n
 
 
-def paper_phase_config(master_seed=0):
+def paper_phase_config():
     """The published full-scale grid: n = 2500, alpha from 0.3 to 0.75.
 
-    Hours of compute; desk-scale runs should shrink n and the grid instead.
+    Its master seed is 0; ``dataclasses.replace`` sets another, as
+    ``rpca phase --paper --seed`` does.  Hours of compute; desk-scale runs
+    should shrink n and the grid instead.
     """
     return PhaseConfig(
         alphas=tuple(round(0.3 + 0.05 * i, 2) for i in range(10)),
@@ -194,7 +196,6 @@ def paper_phase_config(master_seed=0):
         trials=10,
         n=2500,
         rank=5,
-        master_seed=master_seed,
     )
 
 

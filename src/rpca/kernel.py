@@ -81,11 +81,10 @@ def _floats(values):
 
 # Field annotation, as written -> (the kind that a message names, the exact
 # types that hold it, the conversion to it).  bool is a subclass of int, not
-# int itself, so a bool counts as a number only where the annotation is bool.
+# int itself, so a bool never counts as a number.
 _FIELD_KINDS = {
     "int": ("an integer", (int,), int),
     "float": ("a finite number", (int, float), float),
-    "bool": ("a bool", (bool,), bool),
     "tuple": ("a tuple or list", (tuple, list), tuple),
     "tuple[float, ...]": ("a tuple or list of finite numbers", (tuple, list), _floats),
 }
@@ -104,14 +103,14 @@ def _as_kind(value, kind):
 def ensure_fields(config):
     """Convert each field of the frozen dataclass ``config`` to the kind its annotation names.
 
-    An annotation is one of ``int``, ``float``, ``bool``, ``tuple`` and
+    An annotation is one of ``int``, ``float``, ``tuple`` and
     ``tuple[float, ...]``, each optionally ``| None``, read as written (the
-    defining module postpones its annotations).  A bool counts as a number
-    only where the annotation is ``bool``, an ``int`` field takes no float,
-    and reals must be finite, so an integer past the float range fails.
-    Numpy scalars are stored as Python ``int``, ``float`` or ``bool``, and
-    lists as tuples.  Raises one ``ValueError`` that names every failing
-    field as ``<field> must be <kind>``, joined by ``; ``.
+    defining module postpones its annotations).  A bool never counts as a
+    number, an ``int`` field takes no float, and reals must be finite, so an
+    integer past the float range fails.  Numpy scalars are stored as Python
+    ``int`` or ``float``, and lists as tuples.  Raises one ``ValueError``
+    that names every failing field as ``<field> must be <kind>``, joined by
+    ``; ``.
     """
     failed = []
     for f in fields(config):

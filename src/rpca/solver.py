@@ -626,8 +626,9 @@ def accaltproj_solve(d, params):
     Iterates until the relative residual ||D - L_k - S_k||_F / ||D||_F drops
     below ``params.epsilon`` or ``params.max_iter`` iterations have run.
     Every L-update projects at the trimmed iterate, as in the paper's
-    algorithm; the no-trim ablation is the harnesses' ``accaltproj_notrim``
-    and ``rpca solve --no-trim``.  Deterministic for fixed inputs.
+    algorithm; the no-trim ablation is the solver id ``accaltproj_notrim``
+    of the harnesses and of ``rpca solve --solver``.  Deterministic for
+    fixed inputs.
     """
     return _solution(d, params, _Gather)
 

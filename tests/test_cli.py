@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,12 @@ import pytest
 
 import rpca.experiments
 from rpca.cli import _GRID_KEYS, main
-from rpca.experiments import PhaseConfig, run_phase_experiment, run_runtime_experiment
+from rpca.experiments import (
+    PhaseConfig,
+    paper_phase_config,
+    run_phase_experiment,
+    run_runtime_experiment,
+)
 from rpca.matio import read_matrix, write_matrix
 from rpca.solver import (
     IterationRecord,
@@ -96,7 +101,7 @@ class TestSolveCommand:
         trace = json.loads((out / "trace.json").read_text())
         assert trace["converged"] is True
         assert trace["trace"]["err"][-1] < 1e-6
-        assert trace["schema_version"] == 3
+        assert trace["schema_version"] == 4
         l = read_matrix(out / "L.bin")
         s = read_matrix(out / "S.bin")
         d = read_matrix(out / "D.bin")
@@ -122,22 +127,19 @@ class TestSolveCommand:
         assert "--mu not given" in capsys.readouterr().err
 
     def test_altproj_and_no_trim(self, tmp_path):
-        # The flags pick one solver id, and trace.json names the variant by
-        # it alone: the id that a phase trial of the variant on the same
-        # problem and parameters carries, with the same solve.
+        # --solver takes each solver id, and trace.json names the variant by
+        # it: the id that a phase trial of the variant on the same problem
+        # and parameters carries, with the same solve.
         spec = SyntheticSpec(60, 60, 2, 0.1, 1.0, 4)
         prob = generate(spec)
         write_matrix(prob.data, tmp_path / "D.bin")
         mu = 1.1 * prob.mu_true
         params = RpcaParams.defaults(prob.data.shape, 2, mu, gamma=0.7)
-        for extra, solver_id in (
-            ([], "accaltproj_trim"),
-            (["--no-trim"], "accaltproj_notrim"),
-            (["--solver", "altproj"], "altproj"),
-        ):
+        assert rpca.experiments.SOLVER_IDS == ("accaltproj", "accaltproj_notrim", "altproj")
+        for solver_id in rpca.experiments.SOLVER_IDS:
             code = main(
                 ["solve", "--input", str(tmp_path / "D.bin"), "--rank", "2", "--mu", repr(mu),
-                 "--gamma", "0.7", "--output-dir", str(tmp_path)] + extra
+                 "--gamma", "0.7", "--solver", solver_id, "--output-dir", str(tmp_path)]
             )
             assert code == 0
             trace = json.loads((tmp_path / "trace.json").read_text())
@@ -148,7 +150,8 @@ class TestSolveCommand:
             assert trace["trace"]["zeta"] == record.zeta_history
 
     def test_no_trim_with_altproj_exits_one(self, tmp_path, capsys, monkeypatch):
-        # altproj has no trim step to skip; the run stops before the solve
+        # the variant is one --solver id, so there is no --no-trim flag to
+        # combine with another; the run stops before the solve
         monkeypatch.setattr("rpca.cli._solve", never_run)
         out = run_synth(tmp_path, n=40, rank=2, seed=3)
         solved = tmp_path / "solved"
@@ -157,7 +160,7 @@ class TestSolveCommand:
              "--no-trim", "--output-dir", str(solved)]
         )
         assert code == 1
-        assert "error: --no-trim applies to --solver accaltproj only" in capsys.readouterr().err
+        assert "error: unrecognized arguments: --no-trim" in capsys.readouterr().err
         assert not solved.exists()
 
     def test_trace_columns_are_the_record_fields(self, tmp_path):
@@ -175,7 +178,7 @@ class TestSolveCommand:
                 "k", "err", "zeta", "sigma_window", "iter_seconds", "l_update_seconds",
                 "skipped",
             }
-            assert trace["schema_version"] == 3
+            assert trace["schema_version"] == 4
             assert columns["k"] == list(range(trace["iterations"] + 1))
             assert all(isinstance(flag, bool) for flag in columns["skipped"])
             for values in columns.values():
@@ -383,7 +386,7 @@ class TestPhaseCommand:
         code = main(["phase", "--grid", str(grid), "--output-dir", str(tmp_path)])
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert len(report["records"]) == 12
         csv_lines = (tmp_path / "report.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 13  # header + rows
@@ -394,6 +397,30 @@ class TestPhaseCommand:
             "final_err", "converged", "success", "wall_seconds",
             "init_seconds", "mean_iter_seconds", "mean_l_update_seconds",
         ]
+
+    def test_seed_replaces_the_grid_seed(self, tmp_path):
+        # --seed sets the master seed of a grid file as its "seed" key does
+        grid = write_grid(tmp_path)
+        flag, key = tmp_path / "flag", tmp_path / "key"
+        assert main(["phase", "--grid", str(grid), "--seed", "99", "--output-dir", str(flag)]) == 0
+        grid = write_grid(tmp_path, seed=99)
+        assert main(["phase", "--grid", str(grid), "--output-dir", str(key)]) == 0
+        for name in ("report.json", "report.csv"):
+            assert compare.comparable(flag / name) == compare.comparable(key / name), name
+        assert json.loads((flag / "report.json").read_text())["seed"] == 99
+
+    @pytest.mark.parametrize("argv, seed", [([], 0), (["--seed", "7"], 7)], ids=["default", "seed-7"])
+    def test_paper_runs_the_published_grid_with_its_seed(self, tmp_path, monkeypatch, argv, seed):
+        # the grid itself takes hours, so the run stops once it has its config
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            raise ValueError("stopped before the grid runs")
+
+        monkeypatch.setattr("rpca.cli.run_phase_experiment", record)
+        assert main(["phase", "--paper", "--output-dir", str(tmp_path / "out")] + argv) == 1
+        assert configs == [replace(paper_phase_config(), master_seed=seed)]
 
     def test_grid_keys_are_the_config_fields(self):
         # each key names its PhaseConfig field, but for cs and seed
@@ -570,13 +597,12 @@ class TestUsageErrors:
         "argv",
         [
             ["phase", "--grid", "{grid}", "--paper"],
-            ["phase", "--grid", "{grid}", "--seed", "99"],
             ["bench", "--sizes", "64", "--paper"],
         ],
-        ids=["phase-grid-paper", "phase-grid-seed", "bench-sizes-paper"],
+        ids=["phase-grid-paper", "bench-sizes-paper"],
     )
     def test_conflicting_flags_exit_one(self, tmp_path, capsys, monkeypatch, argv):
-        # A grid file carries its own seed, and --paper its own grid or sizes.
+        # --paper carries its own grid or sizes
         monkeypatch.setattr("rpca.cli.run_phase_experiment", never_run)
         monkeypatch.setattr("rpca.cli.run_runtime_experiment", never_run)
         grid = write_grid(tmp_path)

@@ -96,7 +96,7 @@ class TestPhaseConfig:
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="unknown solver"):
-            small_config(solvers=("accaltproj_trim", "gradient_descent"))
+            small_config(solvers=("accaltproj", "gradient_descent"))
         with pytest.raises(ValueError, match="at least one solver"):
             small_config(solvers=())
 
@@ -203,7 +203,7 @@ class TestPhaseExperiment:
     def test_as_dict_is_json_ready(self):
         report = run_phase_experiment(small_config(trials=1))
         payload = report.as_dict()
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         encoded = json.dumps(payload, allow_nan=False)
         assert "success_counts" in encoded
 
@@ -261,7 +261,7 @@ class TestRuntimeExperiment:
 
     @pytest.mark.parametrize(
         "solver_id, bound",
-        [pytest.param("accaltproj_trim", 0.35, id="accaltproj_trim"),
+        [pytest.param("accaltproj", 0.35, id="accaltproj"),
          pytest.param("altproj", 1.3, id="altproj")],
     )
     def test_one_trial_forms_no_s(self, solver_id, bound, peak_buffers):
@@ -286,7 +286,7 @@ class TestRuntimeExperiment:
         spec, d, l_true, params = self.runtime_trial_inputs(120)
         record = rpca.experiments._run_trial(solver_id, spec, d, l_true, params)
         solve = {
-            "accaltproj_trim": accaltproj_solve,
+            "accaltproj": accaltproj_solve,
             "accaltproj_notrim": lambda d, params: _solution(d, params, _Untrimmed),
             "altproj": altproj_solve,
         }[solver_id]

@@ -1,12 +1,15 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import rpca.kernel
 import rpca.solver
+from rpca.experiments import PhaseConfig
 from rpca.kernel import (
     _CERTIFY_RTOL,
+    _FIELD_KINDS,
     FactoredLowRank,
     ensure_matrix,
     spectral_norm,
@@ -64,6 +67,14 @@ class TestEnsureMatrix:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             ensure_matrix([[1.0, bad]])
+
+
+class TestEnsureFields:
+    def test_every_kind_is_the_annotation_of_a_config_field(self):
+        # the kinds are exactly what the config types annotate: none is dead
+        configs = (RpcaParams, SyntheticSpec, PhaseConfig)
+        annotations = {f.type.removesuffix(" | None") for config in configs for f in fields(config)}
+        assert annotations == set(_FIELD_KINDS)
 
 
 class TestThinQR:

@@ -238,7 +238,9 @@ class TestParams:
         assert type(p.mu) is float and p.mu == 1.5
 
     @pytest.mark.parametrize("name", ["mu", "beta", "beta_init", "gamma", "epsilon"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="huge")]
+    )
     def test_non_finite_floats_rejected(self, name, value):
         # NaN fails every comparison, so a range check alone lets it through
         good = dict(rank=2, mu=1.5, beta=0.1, beta_init=0.2)
@@ -882,7 +884,7 @@ def solve_counting_trim(monkeypatch, d, params, solver_id):
 
 
 class TestTrimVariants:
-    """``accaltproj_trim`` and ``accaltproj_notrim`` differ in the L-update
+    """``accaltproj`` and ``accaltproj_notrim`` differ in the L-update
     class alone, so their solves differ where trim fires and nowhere else:
     the whole-solve counterpart of
     ``TestAccAltProjStep.test_trim_toggle_identical_on_incoherent_state``."""
@@ -890,7 +892,7 @@ class TestTrimVariants:
     def test_identical_where_trim_never_fires(self, monkeypatch):
         prob = generate(SyntheticSpec(30, 30, 2, 0.05, 1.0, 77))
         params = RpcaParams.defaults(prob.data.shape, 2, mu=max(1.0, 1.1 * prob.mu_true))
-        trimmed, fired = solve_counting_trim(monkeypatch, prob.data, params, "accaltproj_trim")
+        trimmed, fired = solve_counting_trim(monkeypatch, prob.data, params, "accaltproj")
         untrimmed, calls = solve_counting_trim(monkeypatch, prob.data, params, "accaltproj_notrim")
         assert len(fired) == 16 and not any(fired) and calls == []
         assert trimmed[2] and untrimmed[2]
@@ -907,7 +909,7 @@ class TestTrimVariants:
         # and its solve-no-trim round converges
         prob = generate(SyntheticSpec(64, 64, 2, 0.1, 1.0, 17))
         params = RpcaParams.defaults(prob.data.shape, 2, mu=1.0, gamma=0.7)
-        trimmed, fired = solve_counting_trim(monkeypatch, prob.data, params, "accaltproj_trim")
+        trimmed, fired = solve_counting_trim(monkeypatch, prob.data, params, "accaltproj")
         untrimmed, calls = solve_counting_trim(monkeypatch, prob.data, params, "accaltproj_notrim")
         assert len(fired) == 101 and all(fired) and calls == []
         assert trimmed[1][-1].k == 100 and not trimmed[2]
@@ -1409,9 +1411,9 @@ class TestTiledStep:
     @pytest.mark.parametrize(
         "update, overrides",
         [
-            pytest.param(_Gather, {}, id="_tangent_l_update"),
-            pytest.param(_Stored, {}, id="_svd_l_update"),
-            pytest.param(_Gather, {"mu": 1.0}, id="_tangent_l_update-trim-fires"),
+            pytest.param(_Gather, {}, id="_Gather"),
+            pytest.param(_Stored, {}, id="_Stored"),
+            pytest.param(_Gather, {"mu": 1.0}, id="_Gather-trim-fires"),
             pytest.param(_Untrimmed, {"mu": 1.0}, id="_Untrimmed"),
         ],
     )

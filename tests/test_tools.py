@@ -1,6 +1,6 @@
 """The tools under ``tools/``: what ``compare_artifacts.py`` compares and the
-notes it prints for differing report files, the count of ``code_lines.py``,
-and the statements that ``line_trace.py`` reports."""
+notes it prints for differing report files and exit codes, the count of
+``code_lines.py``, and the statements that ``line_trace.py`` reports."""
 
 import csv
 import importlib.util
@@ -47,8 +47,8 @@ def notes(first, second):
 
 
 def test_a_flipped_success_is_named(tmp_path):
-    base = write_pair(tmp_path / "rev", [record(), record(solver="accaltproj_trim")])
-    flipped = record(solver="accaltproj_trim", success=False)
+    base = write_pair(tmp_path / "rev", [record(), record(solver="accaltproj")])
+    flipped = record(solver="accaltproj", success=False)
     flipped = write_pair(tmp_path / "work", [record(), flipped])
     for note in notes(base, flipped).values():
         assert note == "differing fields: success; outcomes differ: success"
@@ -68,8 +68,8 @@ def test_a_float_move_is_measured_and_outcomes_stay_equal(tmp_path):
 def trace(**changes):
     """A two-row ``trace.json`` payload of rank 1, with ``changes`` at the top level."""
     payload = {
-        "schema_version": 3,
-        "solver": "accaltproj_trim",
+        "schema_version": 4,
+        "solver": "accaltproj",
         "params": {"rank": 1, "gamma": 0.7},
         "iterations": 1,
         "converged": True,
@@ -81,18 +81,36 @@ def trace(**changes):
 
 
 def test_a_differing_trace_names_its_fields(tmp_path):
-    # the shape of a trace.json that names its solver variant by the old pair
-    first, second = tmp_path / "rev" / "trace.json", tmp_path / "work" / "trace.json"
-    old = trace(schema_version=2, solver="accaltproj", total_seconds=0.5)
-    old["params"] = dict(old["params"], trim_enabled=True)
-    for path, payload in ((first, old), (second, trace())):
-        path.parent.mkdir()
-        path.write_text(json.dumps(payload))
-    assert compare.how_far(first, second) == (
-        "differing fields: schema_version, solver, trim_enabled; "
-        "iterations equal, converged equal, err moves by at most 0 relative, "
-        "zeta moves by at most 0 relative, row 0 sigma_window[r] by 0"
-    )
+    # the shapes of a trace.json that named its solver variant by the old
+    # pair (schema 2), and by the old id of the paper's algorithm (schema 3)
+    schema_2 = trace(schema_version=2, solver="accaltproj", total_seconds=0.5)
+    schema_2["params"] = dict(schema_2["params"], trim_enabled=True)
+    schema_3 = trace(schema_version=3, solver="accaltproj_trim")
+    second = tmp_path / "work" / "trace.json"
+    second.parent.mkdir()
+    second.write_text(json.dumps(trace()))
+    for old, names in ((schema_2, "schema_version, trim_enabled"), (schema_3, "schema_version, solver")):
+        first = tmp_path / f"rev-{old['schema_version']}" / "trace.json"
+        first.parent.mkdir()
+        first.write_text(json.dumps(old))
+        assert compare.how_far(first, second) == (
+            f"differing fields: {names}; "
+            "iterations equal, converged equal, err moves by at most 0 relative, "
+            "zeta moves by at most 0 relative, row 0 sigma_window[r] by 0"
+        )
+
+
+def test_differing_exit_codes_name_their_commands(tmp_path):
+    # a command that uses a flag or value the revision does not know exits 1 there
+    outputs = [argv[argv.index("--output-dir") + 1] for argv in compare.COMMANDS]
+    codes = [2 if out == "solve-trim" else 0 for out in outputs]
+    old = [1 if out in ("solve-no-trim", "phase-seed") else code for out, code in zip(outputs, codes)]
+    paths = []
+    for name, payload in (("rev", old), ("work", codes)):
+        paths.append(tmp_path / name / "exit_codes.json")
+        paths[-1].parent.mkdir()
+        paths[-1].write_text(json.dumps(payload))
+    assert compare.how_far(*paths) == "solve-no-trim 1 vs 0, phase-seed 1 vs 0"
 
 
 def test_code_lines_count_the_lines_that_statements_span():

@@ -32,8 +32,8 @@ files.  The pipeline, ``COMMANDS`` run in a directory next to the
   permutation);
 - three ``solve`` runs of the first input with an explicit ``--mu``: at
   ``--mu 1`` trim fires on every step and the run stops at the iteration
-  cap (exit 2); with ``--no-trim`` as well it converges; and ``--eps`` with
-  ``--max-iter`` stops a run early (exit 2);
+  cap (exit 2); with ``--solver accaltproj_notrim`` as well it converges;
+  and ``--eps`` with ``--max-iter`` stops a run early (exit 2);
 - a ``solve`` of the first input with ``--solver altproj`` and
   ``--max-iter 4``, which skips steps 2-6, so that it stops at the cap on a
   skipped step (exit 2) and writes ``S.bin`` from the state that step left;
@@ -42,7 +42,9 @@ files.  The pipeline, ``COMMANDS`` run in a directory next to the
 - a ``synth`` at rank 30 and a ``solve`` of it with each solver, so that the
   ``2r x 2r`` core SVD (60 x 60) is large enough for LAPACK's
   divide-and-conquer SVD to divide (above 25); every other round has
-  ``r <= 3``.
+  ``r <= 3``;
+- the basic ``phase`` grid again with ``--seed 12``, which replaces the
+  grid file's master seed.
 
 Each side must import ``rpca`` from its own tree.  Every ``.bin`` and
 ``.csv`` matrix file must match byte for byte.  Every JSON file and
@@ -50,7 +52,10 @@ Each side must import ``rpca`` from its own tree.  Every ``.bin`` and
 ``seconds``) are removed; commands name their files relative to the output
 directory, so input paths match.  The exit codes of the commands are
 compared too.  One line is printed per file, and the exit status is 1 if any
-file differs.  A differing line says how far the two differ: for a matrix
+file differs.  ``COMMANDS`` come from the working tree and run on both trees,
+so a command that uses a flag or value REV does not know exits 1 on REV and
+writes nothing there: its files are "only in the working tree", and
+``exit_codes.json`` differs.  A differing line says how far the two differ: for a matrix
 file, the largest entrywise difference relative to the largest entry of
 REV's matrix, and whether the nonzero supports match; for a ``trace.json``,
 the fields that differ, whether ``iterations`` and ``converged`` match, the
@@ -58,7 +63,9 @@ largest relative moves of ``err`` and ``zeta``, and the relative move of row
 0's ``sigma_window[r]``; for a ``report.json``, ``timings.json``,
 ``metadata.json`` or ``report.csv``, the fields (columns) that differ,
 whether any record's ``success``, ``converged`` or ``iterations`` does, and
-the largest relative move of the differing float fields.
+the largest relative move of the differing float fields; for
+``exit_codes.json``, each command whose code differs, named by its
+``--output-dir``, as ``solve-no-trim 1 vs 0``.
 
 Trim fires in every accelerated ``solve`` that measures ``mu`` on its input
 (no ``--mu``): ``solve``, ``solve-csv``, ``solve-spiked``, ``solve-fallback``,
@@ -151,7 +158,7 @@ COMMANDS = [
     ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7", "--mu", "1",
      "--output-dir", "solve-trim"],
     ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7", "--mu", "1",
-     "--no-trim", "--output-dir", "solve-no-trim"],
+     "--solver", "accaltproj_notrim", "--output-dir", "solve-no-trim"],
     ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7", "--mu", "1.5",
      "--eps", "1e-9", "--max-iter", "8", "--output-dir", "solve-capped"],
     ["solve", "--input", "synth/D.bin", "--rank", "2", "--gamma", "0.7", "--solver", "altproj",
@@ -164,6 +171,7 @@ COMMANDS = [
      "--output-dir", "solve-r30"],
     ["solve", "--input", "synth-r30/D.bin", "--rank", "30", "--gamma", "0.7",
      "--solver", "altproj", "--output-dir", "solve-r30-altproj"],
+    ["phase", "--grid", "../grid.json", "--seed", "12", "--output-dir", "phase-seed"],
 ]
 
 # Runs in the subprocess, in the output directory: prints where rpca came
@@ -278,6 +286,13 @@ def how_far(first, second):
         return f"differing fields: {', '.join(names)}; " + ", ".join(notes)
     if first.name in ("report.json", "timings.json", "metadata.json", "report.csv"):
         return field_notes(first, second)
+    if first.name == "exit_codes.json":
+        codes = (json.loads(path.read_text()) for path in (first, second))
+        return ", ".join(
+            f"{argv[argv.index('--output-dir') + 1]} {a} vs {b}"
+            for argv, a, b in zip(COMMANDS, *codes)
+            if a != b
+        )
     return ""
 
 
