@@ -16,7 +16,6 @@ submodules, e.g. ``from rpca.solver import structured_truncate``.
 from .experiments import (
     SOLVER_IDS,
     PhaseConfig,
-    benchmark_l_updates,
     paper_phase_config,
     run_phase_experiment,
     run_runtime_experiment,
@@ -35,7 +34,6 @@ __all__ = [
     "SyntheticSpec",
     "accaltproj_solve",
     "altproj_solve",
-    "benchmark_l_updates",
     "generate",
     "paper_phase_config",
     "recovery_success",

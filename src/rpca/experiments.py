@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernel import ensure_fields
 from .metrics import recovery_success
-from .solver import RpcaParams, _Gather, _solve, _sparse_part, _step, _Stored, _Untrimmed, initialize
+from .solver import RpcaParams, _Gather, _solve, _Stored, _Untrimmed
 from .synthetic import SyntheticSpec, generate
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "ExperimentReport",
     "PhaseConfig",
     "TrialRecord",
-    "benchmark_l_updates",
     "paper_phase_config",
     "run_phase_experiment",
     "run_runtime_experiment",
@@ -40,9 +39,9 @@ SOLVER_IDS = tuple(_SOLVERS)
 # no work and log zero seconds; wall clocks are monotonic (perf_counter).
 _TIMING_SKIP = 2
 
-# Problems and stopping rule of the runtime harnesses: run_runtime_experiment
+# Problems and stopping rule of the runtime harness: run_runtime_experiment
 # (its report's ``config`` block records them) times every solver with gamma
-# following the declared alpha; benchmark_l_updates shares its problems.
+# following the declared alpha.
 _RUNTIME = {
     "alpha": 0.1,
     "amplitude": 1.0,
@@ -51,12 +50,12 @@ _RUNTIME = {
     "gamma": None,
     "solvers": SOLVER_IDS,
 }
-_BENCH_ITERS = 20  # timed rounds of benchmark_l_updates
-_BENCH_SEED = 0  # seed of its problem
 
 
 def trial_seed(master_seed, cell_index, trial_index):
-    """Stable 64-bit seed for one trial, derived from the master seed."""
+    """Stable 64-bit seed for one trial, derived from the master seed (>= 0)."""
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     words = np.random.SeedSequence([master_seed, cell_index, trial_index]).generate_state(2)
     return (int(words[0]) << 32) | int(words[1])
 
@@ -301,13 +300,15 @@ def run_runtime_experiment(sizes, rank=5, master_seed=0):
     """Wall-time comparison across problem sizes (square, one trial per size).
 
     The corrupted fraction, the amplitude, the stopping rule, gamma and the
-    solvers are fixed (the report's ``config`` block records them);
-    per-iteration L-update timings are kept in each record so the
-    per-iteration advantage of the accelerated update is measurable
-    separately from totals.  The trials stop at the paper's ``tol`` = 1e-4,
-    which equals ``RECOVERY_TOL``, so ``success`` depends on where the last
-    iteration lands: at ``[48]``, rank 2, AltProj stops at err 9.38e-5 and
-    fails, and both AccAltProj variants at 7.17e-5 and succeed.
+    solvers are fixed (the report's ``config`` block records them).  Each
+    record's ``mean_l_update_seconds``, the library's one per-update
+    measurement, averages the solve's own ``l_update_seconds``, the whole
+    update, over the computed loop rows past the warm-up, so the advantage
+    of the accelerated update shows apart from totals.  The trials stop at the
+    paper's ``tol`` = 1e-4, which equals ``RECOVERY_TOL``, so ``success``
+    depends on where the last iteration lands: at ``[48]``, rank 2, AltProj
+    stops at err 9.38e-5 and fails, and both AccAltProj variants at 7.17e-5
+    and succeed.
     """
     sizes = list(sizes)
     if not sizes:
@@ -322,68 +323,3 @@ def run_runtime_experiment(sizes, rank=5, master_seed=0):
         for index, n in enumerate(sizes)
     ]
     return _run_trials(report, specs)
-
-
-def _l_update_case(n, rank):
-    """``(L_k, D, S_k, params)`` at the first nonzero S_k of the accelerated solve.
-
-    The problem is the runtime harness's (its corrupted fraction and
-    amplitude, seed ``_BENCH_SEED``).  ``initialize`` and then the
-    accelerated steps lead to that state, stepping while ``max_abs_dl``
-    says that S_init and every S_j up to S_k are zero; a solve skips the
-    idle steps among them, which this computes, so its S_k agrees to
-    rounding.  S_k is built once, as the entry points build their S.  A
-    problem too small to hold a corrupted entry stops at k = max_iter.
-    """
-    spec = SyntheticSpec(n, n, rank, _RUNTIME["alpha"], _RUNTIME["amplitude"], _BENCH_SEED)
-    problem, params = _problem_and_params(spec)
-    d = problem.data
-    state, _ = initialize(d, params, _Gather)
-    while state.max_abs_dl is not None and state.k < params.max_iter:
-        state, _ = _step(state, d, params)
-    return state.low_rank, d, _sparse_part(d, state.low_rank, state.zeta), params
-
-
-def _l_update(w, low_rank, d, sparse, params):
-    """The L-update of ``w``'s class at L_k = ``low_rank`` from (D, S_k).
-
-    Built from ``w`` as :func:`_step` builds it (AltProj's takes the array
-    over), it gets W = D - S_k block by block in its buffer, as from a
-    sparse pass, and truncates it.  ``sparse`` is only read."""
-    w = type(w)(low_rank, d.shape, params, previous=w)
-    buf = w.buffer()
-    for t in w.blocks:
-        w.add(t, np.subtract(d[t], sparse[t], out=buf[: t.stop - t.start]))
-    return w.truncate()
-
-
-def benchmark_l_updates(n, rank):
-    """Mean and median wall seconds of a single L-update, accelerated vs baseline.
-
-    Each round runs the solvers' own L-updates whole (:func:`_l_update`) on
-    the same D, S_k and L_k of a seeded synthetic problem
-    (:func:`_l_update_case`): S_k is the first nonzero sparse iterate of the
-    accelerated solve, since at a zero S_k the step would be idle and a
-    solve skips it.  The accelerated update is trim, the block products
-    U^T (D - S_k) and (D - S_k) V, which a solve forms in the sparse pass
-    that builds S_k, and the structured truncation.  The baseline forms
-    D - S_k into one m x n buffer, allocated here once and taken over by
-    each round's update, and takes its certified truncated SVD.  S_k is
-    only read.  The two alternate, one call each per round, so that host
-    drift slows both alike.
-    """
-    low_rank, d, s_k, params = _l_update_case(n, rank)
-    kinds = {"accelerated": _Gather, "baseline": _Stored}
-    updates = {name: kind(low_rank, d.shape, params) for name, kind in kinds.items()}
-    seconds = {name: [] for name in updates}
-    for _ in range(1 + _BENCH_ITERS):  # the first round is a warm-up, dropped below
-        for name, w in updates.items():
-            t0 = perf_counter()
-            _l_update(w, low_rank, d, s_k, params)
-            seconds[name].append(perf_counter() - t0)
-    out = {"n": n, "rank": rank, "iters": _BENCH_ITERS, "seed": _BENCH_SEED}
-    for name, times in seconds.items():
-        out[f"{name}_mean_seconds"] = float(np.mean(times[1:]))
-        # medians are robust to scheduler/GC spikes on millisecond timings
-        out[f"{name}_median_seconds"] = float(np.median(times[1:]))
-    return out

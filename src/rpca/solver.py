@@ -168,7 +168,11 @@ class IterationState:
     number of sweeps run.  AccAltProj's row 0 is certified to 1e-6 only
     (``_Gather.row0_rtol``), so that value is loose there; no threshold
     reads it, since zeta_0 reads sigma_1 and later steps have their own.
-    ``l_update_seconds`` is the truncation's wall time (0 if skipped).
+    ``l_update_seconds`` is the wall time of the whole L-update that built
+    ``low_rank``: the truncation, plus the ``seconds`` of the update that it
+    ran, which for AccAltProj are the trim and the gathered products of the
+    sparse pass before it.  So it is no sub-interval of the step's own time.
+    At k = 0 it is the truncation of D - S_init, and 0 if the step skipped.
     ``max_abs_dl`` is max|D - L_k| while S_init and every S_j up to S_k are
     zero, else None; it decides which steps :func:`_solve` may skip.
     """
@@ -323,7 +327,8 @@ class _Gather:
     of :func:`_row_tiles`, 4r rows or more but the last: U_t^T W_t has the
     block height as its inner dimension, which BLAS runs poorly when small
     next to r.  Blocks are added in order.  ``previous``, the update this
-    one follows, is not read: each gathers afresh."""
+    one follows, is not read: each gathers afresh.  ``seconds`` sums the
+    wall time of the trim and of each ``add``, one clock pair per block."""
 
     # The residual, relative to sigma_1, to which ``initialize`` certifies
     # the truncation of D - S_init: the loop refines L_0 at about rate gamma,
@@ -332,7 +337,9 @@ class _Gather:
     row0_rtol = 1e-6
 
     def __init__(self, low, shape, params, previous=None):
+        t0 = perf_counter()
         self.basis = self.basis_of(low, params.mu)
+        self.seconds = perf_counter() - t0
         r, tile = self.basis.rank, _row_tiles(shape)[0].stop
         self.blocks = _row_tiles(shape, floor=-(-4 * r // tile) * tile)
         self.utw, self.wv = np.zeros((r, shape[1])), np.empty((shape[0], r))
@@ -348,8 +355,10 @@ class _Gather:
 
     def add(self, block, w):
         """Add the rows ``block`` of W, given as ``w``."""
+        t0 = perf_counter()
         self.utw += self.basis.U[block].T @ w
         np.matmul(w, self.basis.V, out=self.wv[block])
+        self.seconds += perf_counter() - t0
 
     def truncate(self):
         """The structured truncation of the tangent-space projection of W."""
@@ -368,12 +377,14 @@ class _Stored:
     """AltProj's L-update: the truncated SVD of W, its sketch started from V of the iterate L.
 
     W is one block, the solve's one m x n array, which the pass writes in
-    place, so ``add`` does nothing; an update takes over the array of
-    ``previous``, the update it follows, or allocates one if that is None."""
+    place, so ``add`` does nothing and ``seconds`` stays 0; an update takes
+    over the array of ``previous``, the update it follows, or allocates one
+    if that is None."""
 
     # Row 0 keeps 1e-10: V_0 starts the first loop truncation, whose (r+1)-th
     # Ritz value, read by the schedule, depends on where its sweeps start.
     row0_rtol = _CERTIFY_RTOL
+    seconds = 0.0
 
     def __init__(self, low, shape, params, previous=None):
         self.low, self.blocks = low, [slice(0, shape[0])]
@@ -520,7 +531,7 @@ def _step(state, d, params):
     """One iteration: L-update, next threshold, sparse pass.
 
     ``state.w.truncate()`` is the L-update, from what the last sparse pass
-    handed on of W_k = D - S_k.  :func:`_tiled_pass` then builds S_{k+1}
+    handed on of W_k = D - S_k; its time adds to ``state.w.seconds``.  :func:`_tiled_pass` then builds S_{k+1}
     and hands W_{k+1} to the update built from ``state.w`` at L_{k+1}, which
     for AltProj takes the array over and so spends it.  ``d`` is only read.
 
@@ -530,7 +541,7 @@ def _step(state, d, params):
     """
     t0 = perf_counter()
     low, window = state.w.truncate()
-    l_seconds = perf_counter() - t0
+    l_seconds = state.w.seconds + (perf_counter() - t0)
     zeta = threshold_value(window, params.rank, params.beta, params.gamma, state.k)
     w = type(state.w)(low, d.shape, params, previous=state.w)
     norm, max_abs_dl = _tiled_pass(d, low, zeta, w, track_max=state.max_abs_dl is not None)

@@ -612,6 +612,22 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["phase", "--grid", "{grid}", "--seed", "-1"], ["bench", "--sizes", "48", "--seed", "-1"]],
+        ids=["phase", "bench"],
+    )
+    def test_negative_seed_exits_one(self, tmp_path, capsys, monkeypatch, argv):
+        # trial_seed names the field before a problem is generated, where
+        # numpy's SeedSequence would reject the seed without naming it
+        monkeypatch.setattr(rpca.experiments, "generate", never_run)
+        grid = write_grid(tmp_path)
+        out = tmp_path / "out"
+        argv = [arg.format(grid=grid) for arg in argv] + ["--output-dir", str(out)]
+        assert main(argv) == 1
+        assert "error: master_seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_module_entry_point_runs_the_command(self, tmp_path):
         # `python -m rpca.cli` with the package source first on the import path
         paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]

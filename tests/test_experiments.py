@@ -1,7 +1,6 @@
 import itertools
 import json
 from dataclasses import asdict
-from time import perf_counter
 
 import numpy as np
 import pytest
@@ -10,25 +9,13 @@ import rpca.experiments
 from rpca.experiments import (
     SOLVER_IDS,
     PhaseConfig,
-    benchmark_l_updates,
     paper_phase_config,
     run_phase_experiment,
     run_runtime_experiment,
     trial_seed,
 )
 from rpca.metrics import recovery_success
-from rpca.solver import (
-    _Gather,
-    _row_tiles,
-    _solution,
-    _sparse_part,
-    _step,
-    _Stored,
-    _Untrimmed,
-    accaltproj_solve,
-    altproj_solve,
-    initialize,
-)
+from rpca.solver import _Gather, _solution, _solve, _Untrimmed, accaltproj_solve, altproj_solve
 from rpca.synthetic import SyntheticSpec
 
 
@@ -36,23 +23,31 @@ def never_generate(spec):
     raise AssertionError("a problem was generated before every cell was checked")
 
 
-def alternated_l_update_medians(shapes, calls=20):
-    """Median seconds of the accelerated L-update at each (n, rank).
+def runtime_trial_inputs(n, rank=5):
+    """The spec, D, ground-truth L and params of the runtime harness's first trial at ``n``."""
+    runtime = rpca.experiments._RUNTIME
+    spec = SyntheticSpec(n, n, rank, runtime["alpha"], runtime["amplitude"], trial_seed(0, 0, 0))
+    problem, params = rpca.experiments._problem_and_params(
+        spec, runtime["gamma"], epsilon=runtime["tol"], max_iter=runtime["max_iter"]
+    )
+    return spec, problem.data, problem.low_rank, params
 
-    Each state is built first, as :func:`benchmark_l_updates` builds it (at
-    the first nonzero S_k); then one untimed round and ``calls`` timed rounds
-    call the update once per shape in turn, so host drift slows every shape
-    alike.
+
+def alternated_l_update_medians(shapes, rounds=3):
+    """Median ``l_update_seconds`` of the accelerated solve at each (n, rank).
+
+    Each round solves the runtime harness's problem of every shape in turn,
+    so host drift slows every shape alike, and keeps the rows that
+    :func:`rpca.experiments._timing_means` averages: computed loop rows past
+    the warm-up.
     """
-    cases = [rpca.experiments._l_update_case(n, rank) for n, rank in shapes]
-    updates = [_Gather(low, d.shape, params) for low, d, _, params in cases]
-    seconds = [[] for _ in cases]
-    for round_index in range(calls + 1):
-        for w, case, times in zip(updates, cases, seconds):
-            t0 = perf_counter()
-            rpca.experiments._l_update(w, *case)
-            if round_index:
-                times.append(perf_counter() - t0)
+    problems = [runtime_trial_inputs(n, rank) for n, rank in shapes]
+    seconds = [[] for _ in problems]
+    skip = rpca.experiments._TIMING_SKIP
+    for _ in range(rounds):
+        for (_, d, _, params), times in zip(problems, seconds):
+            _, trace, _ = _solve(d, params, _Gather)
+            times += [rec.l_update_seconds for rec in trace[skip:] if not rec.skipped]
     return [float(np.median(times)) for times in seconds]
 
 
@@ -247,18 +242,6 @@ class TestRuntimeExperiment:
         assert len(report.records) == len(SOLVER_IDS)
         assert peak <= 3.4, f"peak {peak:.3f} buffers"
 
-    @staticmethod
-    def runtime_trial_inputs(n):
-        """The spec, D, ground-truth L and params of the runtime harness's first trial at ``n``."""
-        runtime = rpca.experiments._RUNTIME
-        spec = SyntheticSpec(
-            n, n, 5, runtime["alpha"], runtime["amplitude"], trial_seed(0, 0, 0)
-        )
-        problem, params = rpca.experiments._problem_and_params(
-            spec, runtime["gamma"], epsilon=runtime["tol"], max_iter=runtime["max_iter"]
-        )
-        return spec, problem.data, problem.low_rank, params
-
     @pytest.mark.parametrize(
         "solver_id, bound",
         [pytest.param("accaltproj", 0.35, id="accaltproj"),
@@ -271,7 +254,7 @@ class TestRuntimeExperiment:
         # thin factors (measured 0.262; 1.116 when the trial formed S), and
         # AltProj its one buffer W besides (measured 1.228 either way, as W
         # was freed before S).
-        spec, d, l_true, params = self.runtime_trial_inputs(400)
+        spec, d, l_true, params = runtime_trial_inputs(400)
         record, peak = peak_buffers(
             lambda: rpca.experiments._run_trial(solver_id, spec, d, l_true, params), d.nbytes
         )
@@ -283,7 +266,7 @@ class TestRuntimeExperiment:
         # Everything but the wall time equals what the entry point returns;
         # the no-trim ablation has none, and is the entry points' solve with
         # its class.
-        spec, d, l_true, params = self.runtime_trial_inputs(120)
+        spec, d, l_true, params = runtime_trial_inputs(120)
         record = rpca.experiments._run_trial(solver_id, spec, d, l_true, params)
         solve = {
             "accaltproj": accaltproj_solve,
@@ -302,6 +285,11 @@ class TestRuntimeExperiment:
         with pytest.raises(ValueError, match="at least one size"):
             run_runtime_experiment([])
 
+    def test_negative_master_seed_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(rpca.experiments, "generate", never_generate)
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            run_runtime_experiment([20], master_seed=-1)
+
     def test_bad_size_rejected_before_any_solve(self, monkeypatch):
         monkeypatch.setattr(rpca.experiments, "generate", never_generate)
         with pytest.raises(ValueError, match="out of range"):
@@ -309,91 +297,12 @@ class TestRuntimeExperiment:
 
 
 class TestBenchmark:
-    def test_structure(self):
-        out = benchmark_l_updates(100, 3)
-        assert out["n"] == 100 and out["rank"] == 3
-        assert out["iters"] == 20 and out["seed"] == 0
-        assert out["accelerated_mean_seconds"] > 0.0
-        assert out["baseline_mean_seconds"] > 0.0
-        assert out["accelerated_median_seconds"] > 0.0
-        assert out["baseline_median_seconds"] > 0.0
-
-    @pytest.mark.parametrize("update", [_Gather, _Stored], ids=["accaltproj", "altproj"])
-    def test_timed_update_is_the_one_the_solve_hands_on(self, update):
-        # The benchmark's helper builds the solver's L-update from (D, S_k);
-        # the solve's own sparse pass handed on the update in state.w.  At
-        # the first nonzero S_k both truncations agree bit for bit.  At
-        # 300 x 300, r = 20, each 81-row gather block spans three 27-row
-        # pass tiles, so the pass hands a block on only every third tile.
-        spec = SyntheticSpec(300, 300, 20, 0.1, 1.0, 3)
-        problem, params = rpca.experiments._problem_and_params(spec)
-        d = problem.data
-        assert {t.stop - t.start for t in _row_tiles(d.shape)[:-1]} == {27}
-        state, _ = initialize(d, params, update)
-        while not np.any(sparse := _sparse_part(d, state.low_rank, state.zeta)):
-            assert state.k < params.max_iter
-            state, _ = _step(state, d, params)
-        assert state.k >= 1
-        heights = [b.stop - b.start for b in state.w.blocks]
-        assert heights == ([81, 81, 81, 57] if update is _Gather else [300])
-        want = state.w.truncate()  # before the helper takes AltProj's array over
-        got = rpca.experiments._l_update(state.w, state.low_rank, d, sparse, params)
-        for name in ("U", "sigma", "V"):
-            assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
-        assert np.array_equal(got[1], want[1])
-
-    def test_every_baseline_call_reads_the_first_nonzero_s_k(self, monkeypatch):
-        # Both updates are timed at the first nonzero S_k of the accelerated
-        # solve (S_0 is zero on the benchmark's problems, an idle step).  A
-        # state holds no S, so each S_j is rebuilt from (L_j, zeta_j) as a
-        # solve writes its final S.  The baseline forms D - S_k into a buffer
-        # of its own, so S_k is only read.
-        iterates, seen, cases, received, buffers = [], [], [], set(), set()
-
-        def recording_case(n, rank):
-            case = l_update_case(n, rank)
-            cases.append((case[2], case[2].tobytes()))
-            return case
-
-        def recording_initialize(d, params, update):
-            assert update is _Gather  # the accelerated solve leads to S_k
-            state, residual_norm = initialize(d, params, update)
-            iterates.append(_sparse_part(d, state.low_rank, state.zeta))
-            return state, residual_norm
-
-        def recording_step(state, d, params):
-            state, residual_norm = _step(state, d, params)
-            iterates.append(_sparse_part(d, state.low_rank, state.zeta))
-            return state, residual_norm
-
-        def recording_l_update(w, low_rank, d, sparse, params):
-            if isinstance(w, _Stored):
-                seen.append(sparse.copy())
-                received.add(id(sparse))
-                buffers.add(id(w.array))
-            return l_update(w, low_rank, d, sparse, params)
-
-        l_update = rpca.experiments._l_update
-        l_update_case = rpca.experiments._l_update_case
-        monkeypatch.setattr(rpca.experiments, "_l_update_case", recording_case)
-        monkeypatch.setattr(rpca.experiments, "initialize", recording_initialize)
-        monkeypatch.setattr(rpca.experiments, "_step", recording_step)
-        monkeypatch.setattr(rpca.experiments, "_l_update", recording_l_update)
-        out = benchmark_l_updates(100, 3)
-        assert len(iterates) >= 2  # S_0 is zero here, so at least one step ran
-        assert not any(s.any() for s in iterates[:-1])
-        assert np.count_nonzero(iterates[-1]) > 0
-        assert len(seen) == 1 + out["iters"]  # the warm-up round, then the timed ones
-        assert all(arg.tobytes() == iterates[-1].tobytes() for arg in seen)
-        [(s_k, before)] = cases
-        # every call got the case's own S_k, and left it as it was
-        assert received == {id(s_k)} and s_k.tobytes() == before
-        assert len(buffers) == 1  # the baseline's buffer is allocated once
+    """The L-update timings that run_runtime_experiment averages."""
 
     def test_quadratic_scaling_in_n(self):
         # Doubling n at fixed r should scale the accelerated update by about
-        # 4x (it is dominated by two (n x n)(n x r) products); allow a
-        # factor-2 band around that on medians timed in alternation.
+        # 4x (it is dominated by the gathered (n x n)(n x r) products); allow
+        # a factor-2 band around that on medians timed in alternation.
         small, large = alternated_l_update_medians([(1000, 5), (2000, 5)])
         ratio = large / small
         assert 2.0 <= ratio <= 8.0, f"doubling n scaled the update by {ratio:.2f}x"

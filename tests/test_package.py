@@ -14,7 +14,6 @@ ENTRY_POINTS = [
     "SyntheticSpec",
     "accaltproj_solve",
     "altproj_solve",
-    "benchmark_l_updates",
     "generate",
     "paper_phase_config",
     "recovery_success",

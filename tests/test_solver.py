@@ -995,6 +995,22 @@ class TestSolvers:
         init = sol.trace[0]
         assert 0.0 < init.l_update_seconds < init.iter_seconds
 
+    @pytest.mark.parametrize("update", [_Gather, _Untrimmed, _Stored])
+    def test_loop_row_times_the_whole_update(self, update, monkeypatch):
+        # A clock that ticks once per reading makes every timed span read 1.
+        # A computed loop row of a gathering update reads the trim and each
+        # block's add, timed in the sparse pass before the step, and the
+        # truncation; AltProj's update adds nothing, so its row reads 1.
+        prob = generate(SyntheticSpec(300, 300, 5, 0.1, 1.0, 3))
+        params = desk_params(prob)
+        blocks = initialize(prob.data, params, update)[0].w.blocks
+        ticks = iter(range(1_000_000))
+        monkeypatch.setattr(rpca.solver, "perf_counter", lambda: next(ticks))
+        _, trace, _ = _solve(prob.data, params, update)
+        rows = [rec.l_update_seconds for rec in trace[1:] if not rec.skipped]
+        assert rows
+        assert rows == [1 if update is _Stored else len(blocks) + 2] * len(rows)
+
     @pytest.mark.parametrize("solve", [accaltproj_solve, altproj_solve], ids=["acc", "alt"])
     @pytest.mark.parametrize(
         "d, rank, message",
