@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -31,7 +31,7 @@ from .experiments import (
     run_runtime_experiment,
 )
 from .kernel import SKETCH_SEED
-from .matio import _write_rows, read_matrix, write_matrix
+from .matio import FORMATS, _write_rows, read_matrix, write_matrix
 from .metrics import incoherence_of
 from .solver import IterationRecord, RpcaParams, _checked_norm, _solve, _sparse_tiles
 from .synthetic import RNG_ID, SyntheticSpec, generate
@@ -40,13 +40,13 @@ __all__ = ["CliError", "build_parser", "main", "run"]
 
 
 # Grid-file key -> PhaseConfig field, whose annotation is the value's type
-# rule: the field's own name but for two.  Keys left out of a grid file take
-# the PhaseConfig defaults.
+# rule: the field's own name but for two.  The keys of the fields without a
+# default are required; the others take the PhaseConfig defaults.
 _GRID_KEYS = {
     {"amplitudes": "cs", "master_seed": "seed"}.get(f.name, f.name): f.name
     for f in fields(PhaseConfig)
 }
-_REQUIRED_GRID_KEYS = {"n", "rank", "alphas", "cs", "trials"}
+_REQUIRED_GRID_KEYS = {key for key, f in zip(_GRID_KEYS, fields(PhaseConfig)) if f.default is MISSING}
 
 
 class CliError(Exception):
@@ -79,8 +79,6 @@ def _cmd_solve(args):
     """
     d = read_matrix(args.input)
     m, n = d.shape
-    if not 1 <= args.rank <= min(m, n):
-        raise CliError(f"--rank {args.rank} out of range for a {m} x {n} input")
     # the directory is made once the solve has returned, so that a rejected
     # run leaves nothing behind
     out_dir = Path(args.output_dir or Path(args.input).parent)
@@ -218,12 +216,9 @@ def _cmd_phase(args):
 
 def _parse_sizes(text):
     try:
-        sizes = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise CliError(f"--sizes must be comma-separated integers, got {text!r}") from None
-    if not sizes or any(size < 2 for size in sizes):
-        raise CliError(f"--sizes must list integers >= 2, got {text!r}")
-    return sizes
 
 
 def _cmd_bench(args):
@@ -259,7 +254,7 @@ def build_parser():
     synth.add_argument("--alpha", required=True, type=float, help="corrupted fraction in [0, 1)")
     synth.add_argument("--c", required=True, type=float, help="corruption amplitude factor")
     synth.add_argument("--seed", required=True, type=int)
-    synth.add_argument("--format", choices=("bin", "csv"), default="bin")
+    synth.add_argument("--format", choices=FORMATS, default="bin")
     synth.add_argument("--output-dir", help="default: current directory")
     synth.set_defaults(func=_cmd_synth)
 

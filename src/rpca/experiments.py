@@ -147,14 +147,16 @@ class PhaseConfig:
     threshold decay undercuts it, letting spurious entries into the sparse
     part.  ``alphas``, ``amplitudes`` and ``solvers`` (ids from
     :data:`SOLVER_IDS`) hold distinct values: a repeat would run twice.
+    The five fields without a default, ``rank`` among them, are the keys
+    that an ``rpca phase`` grid file must give.
     """
 
     alphas: tuple[float, ...]
     amplitudes: tuple[float, ...]
     trials: int
     n: int
+    rank: int
     m: int | None = None
-    rank: int = 5
     master_seed: int = 0
     tol: float = 1e-6
     max_iter: int = 100

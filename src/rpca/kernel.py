@@ -192,10 +192,10 @@ def svd_truncated(a, r, start=None, rtol=_CERTIFY_RTOL):
     sketch = np.random.default_rng(SKETCH_SEED).standard_normal((n, k))
     if start is not None:
         sketch[:, :r] = start
-    q = np.linalg.qr((sketch.T @ a.T).T)[0]  # A times the sketch
+    q = thin_qr((sketch.T @ a.T).T)[0]  # A times the sketch
     del sketch  # not kept through the sweeps
     for _ in range(_MAX_SWEEPS):
-        p, core_t = np.linalg.qr((q.T @ a).T)  # A^T Q
+        p, core_t = thin_qr((q.T @ a).T)  # A^T Q
         ub, s, wb = svd_small(core_t.T)
         u = q @ ub[:, :r]
         del q  # not kept through A P
@@ -205,7 +205,7 @@ def svd_truncated(a, r, start=None, rtol=_CERTIFY_RTOL):
         if (np.linalg.norm(residual, axis=0) <= rtol * s[0]).all():
             return FactoredLowRank(u, s[:r].copy(), p @ wb[:, :r]), s[: r + 1].copy()
         del p, u, residual  # not kept through the QR that starts the next sweep
-        q = np.linalg.qr(ap)[0]
+        q = thin_qr(ap)[0]
     u, s, v = svd_small(a)
     return FactoredLowRank(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()), s[: r + 1].copy()
 

@@ -4,7 +4,7 @@ Binary layout (little-endian): magic ``RPCM``, version u16 = 1, rows u64,
 cols u64, then rows x cols float64 values in row-major order.  CSV files hold
 one row per line with comma-separated decimals printed at 17 significant
 digits, which round-trips float64 exactly.  The file suffix, ``.bin`` or
-``.csv``, selects the format.
+``.csv``, selects the format: one of :data:`FORMATS`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from .kernel import _all_finite, ensure_matrix
 
 __all__ = [
+    "FORMATS",
     "MAGIC",
     "VERSION",
     "MatrixIOError",
@@ -25,6 +26,7 @@ __all__ = [
     "write_matrix",
 ]
 
+FORMATS = ("bin", "csv")  # the file suffixes, without the dot
 MAGIC = b"RPCM"
 VERSION = 1
 _HEADER = struct.Struct("<4sHQQ")
@@ -35,11 +37,9 @@ class MatrixIOError(ValueError):
 
 
 def _format_of(path):
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix == ".bin":
-        return "bin"
+    suffix = Path(path).suffix.lower()[1:]
+    if suffix in FORMATS:
+        return suffix
     raise ValueError(f"cannot infer matrix format from {path!r}; use a .bin or .csv suffix")
 
 

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import rpca.experiments
-from rpca.cli import _GRID_KEYS, main
+from rpca.cli import _GRID_KEYS, _REQUIRED_GRID_KEYS, main
 from rpca.experiments import (
     PhaseConfig,
     paper_phase_config,
     run_phase_experiment,
     run_runtime_experiment,
 )
+from rpca.kernel import svd_truncated
 from rpca.matio import read_matrix, write_matrix
 from rpca.solver import (
     IterationRecord,
@@ -438,6 +439,11 @@ class TestPhaseCommand:
             "solvers": "solvers",
         }
 
+    def test_required_keys_are_the_fields_without_a_default(self):
+        assert _REQUIRED_GRID_KEYS == {"n", "rank", "alphas", "cs", "trials"}
+        with pytest.raises(TypeError, match="rank"):
+            PhaseConfig(alphas=(0.1,), amplitudes=(1.0,), trials=1, n=20)
+
     def test_empty_grid_exits_one(self, tmp_path, capsys):
         grid = write_grid(tmp_path, alphas=[])
         assert main(["phase", "--grid", str(grid), "--output-dir", str(tmp_path)]) == 1
@@ -486,7 +492,7 @@ class TestPhaseCommand:
             (dict(seed=True), "master_seed must be an integer"),
             (
                 dict(m=40.0, rank=False, max_iter="50"),
-                "m must be an integer or None; rank must be an integer; "
+                "rank must be an integer; m must be an integer or None; "
                 "max_iter must be an integer",
             ),
             # ... and these as 0.1, 1.0 and 0.001
@@ -563,6 +569,10 @@ class TestBenchCommand:
         assert main(["bench", "--sizes", "48,apple"]) == 1
         assert "--sizes" in capsys.readouterr().err
 
+    def test_size_one_runs_as_the_library_does(self, tmp_path):
+        assert main(["bench", "--sizes", "1", "--rank", "1", "--output-dir", str(tmp_path)]) == 0
+        assert len(json.loads((tmp_path / "timings.json").read_text())["records"]) == 3
+
 
 class TestReportsAreTheLibraryReports:
     def test_phase_and_bench_write_as_dict(self, tmp_path):
@@ -626,6 +636,40 @@ class TestUsageErrors:
         argv = [arg.format(grid=grid) for arg in argv] + ["--output-dir", str(out)]
         assert main(argv) == 1
         assert "error: master_seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, owner",
+        [
+            (["solve", "--input", "{input}", "--rank", "25"], lambda d: svd_truncated(d, 25)),
+            (
+                ["solve", "--input", "{input}", "--rank", "25", "--mu", "2"],
+                lambda d: svd_truncated(d, 25),
+            ),
+            (
+                ["solve", "--input", "{input}", "--rank", "0", "--mu", "2"],
+                lambda d: RpcaParams.defaults(d.shape, 0, 2.0),
+            ),
+            (["bench", "--sizes", "0"], lambda d: run_runtime_experiment([0])),
+            (["bench", "--sizes", "3"], lambda d: run_runtime_experiment([3], rank=5)),
+            (["bench", "--sizes", ","], lambda d: run_runtime_experiment([])),
+        ],
+        ids=["solve-rank-25", "solve-rank-25-mu", "solve-rank-0-mu", "bench-sizes-0",
+             "bench-sizes-3", "bench-sizes-comma"],
+    )
+    def test_rejected_values_carry_the_owners_message(
+        self, tmp_path, capsys, monkeypatch, argv, owner
+    ):
+        # rpca states none of these rules itself: the message is the one that
+        # the library code owning the rule raises for the same value
+        path = run_synth(tmp_path, n=20, rank=2, seed=6) / "D.bin"
+        monkeypatch.setattr(rpca.experiments, "generate", never_run)
+        with pytest.raises(ValueError) as owned:
+            owner(read_matrix(path))
+        out = tmp_path / "out"
+        argv = [arg.format(input=path) for arg in argv] + ["--output-dir", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {owned.value}\n"
         assert not out.exists()
 
     def test_module_entry_point_runs_the_command(self, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpca.matio import (
+    FORMATS,
     MAGIC,
     MatrixIOError,
     _write_rows,
@@ -193,7 +194,7 @@ def matrices(draw):
     return np.array(values, dtype=np.float64).reshape(m, n)
 
 
-@pytest.mark.parametrize("suffix", ["bin", "csv"])
+@pytest.mark.parametrize("suffix", FORMATS)
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(a=matrices())
 def test_roundtrip_property(tmp_path_factory, suffix, a):
@@ -205,7 +206,7 @@ def test_roundtrip_property(tmp_path_factory, suffix, a):
     assert back.tobytes() == a.tobytes()
 
 
-@pytest.mark.parametrize("suffix", ["bin", "csv"])
+@pytest.mark.parametrize("suffix", FORMATS)
 def test_row_blocks_write_the_whole_matrix_bytes(tmp_path, suffix):
     # uneven blocks, an empty one among them: the bytes of write_matrix
     a = np.random.default_rng(6).standard_normal((23, 7))
