@@ -24,7 +24,7 @@ def run_demo():
     amplitude = 1.0   # corruption on the scale of the mean |L| entry
     spec = SyntheticSpec(m=n, n=n, rank=rank, alpha=alpha, amplitude=amplitude, seed=2024)
     problem = generate(spec)
-    print(f"problem: {n} x {n}, rank {rank}, {problem.support.size} corrupted entries")
+    print(f"problem: {n} x {n}, rank {rank}, {spec.support_size} corrupted entries")
     print(f"ground truth: incoherence {problem.mu_true:.2f}, condition number {problem.kappa_true:.2f}")
 
     # the solvers receive a slightly inflated incoherence level, as one would
@@ -46,10 +46,8 @@ def run_demo():
         rec_err = np.linalg.norm(low - problem.low_rank) / np.linalg.norm(problem.low_rank)
         print(f"  low-rank recovery error {rec_err:.2e} "
               f"(success: {recovery_success(problem.low_rank, low)})")
-        missed = np.flatnonzero(solution.sparse.ravel())
-        truth = set(problem.support.tolist())
-        print(f"  sparse support: {missed.size} recovered entries, "
-              f"{sum(1 for i in missed if int(i) not in truth)} outside the true support")
+        print(f"  sparse support: {np.count_nonzero(solution.sparse)} recovered entries, "
+              f"{np.count_nonzero(solution.sparse[problem.sparse == 0])} outside the true support")
 
 
 if __name__ == "__main__":

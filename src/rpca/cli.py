@@ -163,7 +163,7 @@ def _cmd_synth(args):
             "seed": spec.seed,
             "rng": RNG_ID,
             "spec": asdict(spec),
-            "support_size": int(problem.support.size),
+            "support_size": spec.support_size,
             "mu_true": problem.mu_true,
             "kappa_true": problem.kappa_true,
             "files": {"data": names["D"], "low_rank": names["L"], "sparse": names["S"]},

@@ -9,10 +9,12 @@ The positions are rejection-sampled against a byte map of the entries drawn
 so far (a permutation prefix when more than half are corrupted), so sampling
 needs m * n bytes beside O(alpha m n) indices.  Only the last round's new
 draws are sorted, once, as int64 keys entry * count + position, which is
-why m * n must stay below 2^32.  :func:`generate` peaks at about 3 + alpha
-m x n float64 buffers: L, S, the support and D = L + S.  It reports the
-incoherence and condition number of L from thin QRs of P and Q and the SVD
-of an r x r core, exact to rounding; L is never truncated.
+why m * n must stay below 2^32.  :func:`generate` frees the index list
+before it forms D = L + S, so it peaks at about 3 m x n float64 buffers (L,
+S and D) up to alpha 0.5, and at 2 + 2 alpha above, where the indices and
+the drawn values are alive beside L and S.  It reports the incoherence and
+condition number of L from thin QRs of P and Q and the SVD of an r x r
+core, exact to rounding; L is never truncated.
 """
 
 from __future__ import annotations
@@ -69,12 +71,15 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class SyntheticProblem:
-    """Ground truth D = L + S together with its generation record."""
+    """Ground truth D = L + S together with its generation record.
+
+    The corrupted entries are the nonzeros of S.  An entry drawn as exactly
+    0.0 (probability 2^-53) stays uncorrupted.
+    """
 
     data: np.ndarray       # D
     low_rank: np.ndarray   # L
     sparse: np.ndarray     # S
-    support: np.ndarray    # sorted flat row-major indices of the corrupted entries
     spec: SyntheticSpec
     mu_true: float
     kappa_true: float
@@ -135,13 +140,14 @@ def generate(spec):
     sparse = np.zeros((spec.m, spec.n))
     if support.size:
         # |L| goes in S's buffer, zeroed again below; in D's, it would keep D
-        # alive beside the draw of S (3.93 buffers against 3.37 at 400 x 400,
+        # alive beside the draw of S (3.63 buffers against 3.07 at 400 x 400,
         # alpha 0.3)
         bound = spec.amplitude * float(np.mean(np.abs(low, out=sparse)))
         if not math.isfinite(2.0 * bound):  # the width of the uniform draw
             raise ValueError(f"amplitude {spec.amplitude} overflows the corruption range")
         sparse.fill(0.0)
         sparse.ravel()[support] = rng.uniform(-bound, bound, size=support.size)
+    del support  # S alone records the corrupted set; kept, it adds alpha buffers beside D
 
     (q_p, r_p), (q_q, r_q) = thin_qr(p), thin_qr(q)
     sigma = svd_small(r_p @ r_q.T).sigma
@@ -149,7 +155,6 @@ def generate(spec):
         data=low + sparse,
         low_rank=low,
         sparse=sparse,
-        support=support,
         spec=spec,
         mu_true=factor_incoherence(q_p, q_q),
         kappa_true=float(sigma[0] / sigma[-1]),

@@ -64,7 +64,7 @@ class TestSynthCommand:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["schema_version"] == 1
         assert meta["spec"]["n"] == 60 and meta["seed"] == 5
-        assert meta["support_size"] == int(0.1 * 60 * 60)
+        assert meta["support_size"] == int(0.1 * 60 * 60) == np.count_nonzero(s)
         # files match a library regeneration with the same seed
         prob = generate(SyntheticSpec(60, 60, 2, 0.1, 1.0, 5))
         assert np.array_equal(d, prob.data)
@@ -292,12 +292,6 @@ class TestSolveCommand:
         low, sparse = (read_matrix(out / f"{key}.{suffix}") for key in ("L", "S"))
         assert low.tobytes() == solution.low_rank.matrix().tobytes()
         assert sparse.tobytes() == solution.sparse.tobytes()
-
-    def test_rank_out_of_range_exits_one(self, tmp_path, capsys):
-        out = run_synth(tmp_path, n=20, rank=2, seed=6)
-        code = main(["solve", "--input", str(out / "D.bin"), "--rank", "25"])
-        assert code == 1
-        assert "out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, name",

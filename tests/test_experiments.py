@@ -207,6 +207,18 @@ class TestPhaseExperiment:
         with pytest.raises(ValueError, match="alpha"):
             run_phase_experiment(small_config(alphas=(0.1, 1.0)))
 
+    def test_trial_peak_memory(self, peak_buffers):
+        # Peak above what was live, in 400 x 400 float64 buffers, of a trial
+        # at alpha 0.45, set by generate: L, S and D, as the index list of
+        # the corrupted entries is freed before D is formed (measured 3.07;
+        # 3.52 while the problem kept the list).  The solve runs beside D
+        # and L with tiles and thin factors, below that.
+        config = PhaseConfig(alphas=(0.45,), amplitudes=(1.0,), trials=1, n=400, rank=5,
+                             gamma=0.7, solvers=("accaltproj",))
+        report, peak = peak_buffers(lambda: run_phase_experiment(config), 400 * 400 * 8)
+        assert len(report.records) == 1
+        assert peak <= 3.1, f"peak {peak:.3f} buffers"
+
 
 class TestRuntimeExperiment:
     def test_single_size_rows(self):
@@ -234,13 +246,14 @@ class TestRuntimeExperiment:
 
     def test_trial_peak_memory(self, peak_buffers):
         # Peak above what was live, in 400 x 400 float64 buffers, set by
-        # generate, which builds D, L and S of the problem (measured 3.23).
-        # A solve then runs beside D and the ground-truth L only: neither the
-        # problem's S nor the previous solution is held, and no trial forms
-        # the solution's S (test_one_trial_forms_no_s).
+        # AltProj's trial, whose W is alive beside D and the ground-truth L
+        # (measured 3.23; generate's L, S and D read 3.07).  A solve runs
+        # beside D and L only: neither the problem's S nor the previous
+        # solution is held, and no trial forms the solution's S
+        # (test_one_trial_forms_no_s).
         report, peak = peak_buffers(lambda: run_runtime_experiment([400], rank=5), 400 * 400 * 8)
         assert len(report.records) == len(SOLVER_IDS)
-        assert peak <= 3.4, f"peak {peak:.3f} buffers"
+        assert peak <= 3.3, f"peak {peak:.3f} buffers"
 
     @pytest.mark.parametrize(
         "solver_id, bound",
